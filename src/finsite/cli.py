@@ -19,7 +19,8 @@ from . import formats
 from .catalog import catalog
 from .colimit import DEFAULT_BUDGET, BudgetExceeded
 from .finset import FinSetError, face_space, finset, simplex_space
-from .glue import VISUALIZATIONS, GlueError, glue_space, is_monodromy_free
+from .glue import (VISUALIZATIONS, GlueError, _glue_checked,
+                   is_monodromy_free)
 from .locales import FrameError, is_sober, spatiality_check, stone_dual
 from .semiring import AxiomError, SemiringError, localize
 from .site import (
@@ -317,7 +318,7 @@ def cmd_glue(ns):
         lines.insert(0, "refusing to glue")
         data["refused"] = True
         return 1, lines, data
-    G = glue_space(P, vis=ns.vis, bound=ns.path_bound, budget=ns.budget)
+    G = _glue_checked(P, ns.vis, report)
     lines.append(f"glued space ({ns.vis}): {_count(G.space.n)}")
     for label, prov in G.point_table():
         lines.append(f"point {label} = "

@@ -10,10 +10,24 @@ transitions add one monomial, and every relation instance is enforced at
 every state through a worklist until nothing merges.  An explicit element
 budget turns runaway growth into a clean error instead of a hang.
 
-General colimits fold the diagram one node at a time (coproduct with the
-part already built, then coequalize the connecting arrow), which keeps the
-intermediate objects collapsed; remaining arrows are coequalized at the end
-and disconnected components are combined by plain coproduct.
+General colimits fold each connected component along a spanning tree, one
+node at a time, keeping the part T built so far collapsed.  A tree arrow
+h: A -> B that reaches a new node is one of three kinds of step:
+
+- the new node is A, the arrow's source: A already maps into T through B,
+  so T does not change and A's leg is B's leg after h;
+- the new node is B and h is surjective: a pushout along a surjection is a
+  quotient, so T is divided by the image of h's kernel, and each element of
+  B takes the leg of any of its preimages;
+- otherwise (B is new and h is not surjective): the coproduct of T with B,
+  then the quotient that coequalizes h.
+
+A finite localization R -> R[1/s] is surjective: s is a unit of the finite
+monoid (R[1/s], *), so s**r == 1 for some r >= 1, 1/s = s**(r-1)/1, and
+every a/s**k comes from R.  Gluing arrows are finite localizations, so the
+walk diagrams of a presentation fold without a coproduct.  Arrows left over
+after the tree are coequalized at the end, and disconnected components are
+combined by plain coproduct.
 """
 
 from __future__ import annotations
@@ -21,15 +35,16 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .semiring import (FiniteSemiring, SemiringHom, TableError,
-                       congruence_closure, hom_violation, identity_hom,
-                       quotient, validate_semiring)
+from .semiring import (FiniteSemiring, InvariantError, SemiringHom,
+                       TableError, congruence_closure, hom_violation,
+                       identity_hom, quotient, validate_semiring)
 
 DEFAULT_BUDGET = 10_000
 
 
 class BudgetExceeded(Exception):
-    """The element budget was hit while closing a presentation."""
+    """A colimit needed a table larger than the element budget: either a
+    diagram node is larger, or closing a coproduct outgrew it."""
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +106,7 @@ class _Engine:
             return s
         if len(self.sets) >= self.budget:
             raise BudgetExceeded(
-                f"element budget {self.budget} exceeded while closing a colimit")
+                f"coproduct closure: element budget {self.budget} exceeded")
         s = len(self.sets)
         self.sets.append(fs)
         self.ids[fs] = s
@@ -348,14 +363,19 @@ def colimit(diagram: SemiringDiagram,
             budget: int = DEFAULT_BUDGET) -> ColimitResult:
     """Colimit with one cocone hom per node.
 
-    Raises BudgetExceeded when closure outgrows the element budget and
-    ValueError on the empty diagram (its colimit, the initial semiring of
-    plain counting, is infinite).
+    Raises BudgetExceeded when a node or a coproduct closure has more
+    elements than the budget (every other table the fold holds is a
+    quotient of a node) and ValueError on the empty diagram (its colimit,
+    the initial semiring of plain counting, is infinite).
     """
     nodes, arrows = diagram.nodes, diagram.arrows
     if not nodes:
         raise ValueError("empty diagram: the colimit is the infinite initial "
                          "semiring and cannot be tabulated")
+    largest = max(R.n for R in nodes)
+    if largest > budget:
+        raise BudgetExceeded(f"table size: a diagram node has {largest} "
+                             f"elements, over the element budget {budget}")
     n = len(nodes)
     adj: list[set[int]] = [set() for _ in range(n)]
     for src, dst, _ in arrows:
@@ -391,23 +411,37 @@ def colimit(diagram: SemiringDiagram,
                 if (src in visited) != (dst in visited):
                     pick = (ai, src, dst, h)
                     break
-            assert pick is not None, "connectivity bookkeeping broke"
+            if pick is None:
+                raise InvariantError("connectivity bookkeeping broke")
             ai, src, dst, h = pick
             tree_used.add(ai)
-            new = dst if src in visited else src
-            T2, inj_t, inj_n = tensor(T, nodes[new], budget)
-            if src in visited:
-                pairs = [(inj_t(cocone[src](x)), inj_n(h(x)))
-                         for x in range(nodes[src].n)]
+            if dst in visited:
+                # the source maps into T through dst: T does not change
+                cocone[src] = cocone[dst].compose(h)
+                visited.add(src)
+                continue
+            leg = cocone[src]
+            if h.is_surjective():
+                # pushout along a surjection: divide T by h's kernel
+                preimage: dict[int, int] = {}
+                for x in range(h.source.n):
+                    preimage.setdefault(h(x), x)
+                pairs = [(leg(x), leg(preimage[h(x)]))
+                         for x in range(h.source.n)]
+                Q, proj = _quotient_by_pairs(T, pairs)
+                cocone = {i: proj.compose(c) for i, c in cocone.items()}
+                cocone[dst] = SemiringHom(h.target, Q, tuple(
+                    proj(leg(preimage[y])) for y in range(h.target.n)))
             else:
-                pairs = [(inj_t(cocone[dst](h(x))), inj_n(x))
-                         for x in range(nodes[src].n)]
-            Q, proj = _quotient_by_pairs(T2, pairs)
-            step = proj.compose(inj_t)
-            cocone = {i: step.compose(c) for i, c in cocone.items()}
-            cocone[new] = proj.compose(inj_n)
+                T2, inj_t, inj_n = tensor(T, h.target, budget)
+                pairs = [(inj_t(leg(x)), inj_n(h(x)))
+                         for x in range(h.source.n)]
+                Q, proj = _quotient_by_pairs(T2, pairs)
+                step = proj.compose(inj_t)
+                cocone = {i: step.compose(c) for i, c in cocone.items()}
+                cocone[dst] = proj.compose(inj_n)
             T = Q
-            visited.add(new)
+            visited.add(dst)
         pairs = []
         for ai, (src, dst, h) in enumerate(arrows):
             if ai in tree_used or src not in visited:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .colimit import DEFAULT_BUDGET, SemiringDiagram, colimit
 from .semiring import (
     FiniteSemiring,
+    InvariantError,
     SemiringHom,
     is_finite_localization,
     localize,
@@ -380,16 +381,22 @@ def glue_space(P: SPresentation, vis: str = "prime", bound: int = 8,
                budget: int = DEFAULT_BUDGET) -> GluedSpace:
     """Glue the chosen visualization of every chart along the arrows.
     Presentations with a monodromy obstruction are refused."""
-    report = is_monodromy_free(P, bound, budget)
+    return _glue_checked(P, vis, is_monodromy_free(P, bound, budget))
+
+
+def _glue_checked(P: SPresentation, vis: str,
+                  report: MonodromyReport) -> GluedSpace:
+    """glue_space given the monodromy report of P, so that callers gluing
+    several visualizations run the check once."""
     if not report.free:
-        raise GlueError("refusing to glue: "
-                        "monodromy obstruction along "
-                        + report.witness.describe())
+        raise GlueError("refusing to glue: " + report.verdict())
     spaces = [visualization_space(R, vis) for R in P.semirings]
     arrow_maps = []
     for si, di, h in P.arrows:
         m = visualization_map(h, vis)
-        assert m.source == spaces[si] and m.target == spaces[di]
+        if m.source != spaces[si] or m.target != spaces[di]:
+            raise InvariantError("an arrow's visualization map misses "
+                                 "its chart spaces")
         arrow_maps.append(m)
     glued, charts, provenance = _glue_from_maps(P, spaces, arrow_maps)
     return GluedSpace(P, vis, glued, tuple(spaces), charts, provenance, report)
@@ -410,18 +417,21 @@ class GluedChain:
 def glued_chain(P: SPresentation, bound: int = 8,
                 budget: int = DEFAULT_BUDGET) -> GluedChain:
     chains = [visualization_chain(R) for R in P.semirings]
-    levels = tuple(glue_space(P, vis, bound, budget) for vis in CHAIN_LEVELS)
+    report = is_monodromy_free(P, bound, budget)
+    levels = tuple(_glue_checked(P, vis, report) for vis in CHAIN_LEVELS)
     for ci in range(len(P.names)):
-        assert chains[ci].spaces == levels_spaces_of(levels, ci)
+        if chains[ci].spaces != levels_spaces_of(levels, ci):
+            raise InvariantError("a chart's chain spaces differ from its "
+                                 "glued chart spaces")
     # the square of each arrow against each comparison map must commute
     for si, di, h in P.arrows:
         for lvl in range(4):
             here = visualization_map(h, CHAIN_LEVELS[lvl])
             there = visualization_map(h, CHAIN_LEVELS[lvl + 1])
             for x in range(here.source.n):
-                assert chains[di].maps[lvl](here(x)) == \
-                    there(chains[si].maps[lvl](x)), \
-                    "arrow breaks a comparison square"
+                if chains[di].maps[lvl](here(x)) != \
+                        there(chains[si].maps[lvl](x)):
+                    raise InvariantError("arrow breaks a comparison square")
     maps = []
     for lvl in range(4):
         src, dst = levels[lvl], levels[lvl + 1]
@@ -431,13 +441,16 @@ def glued_chain(P: SPresentation, bound: int = 8,
             for x in range(src.chart_spaces[ci].n):
                 g = src.charts[ci](x)
                 v = dst.charts[ci](node_map(x))
-                assert images[g] in (None, v), \
-                    "comparison map does not respect the gluing"
+                if images[g] not in (None, v):
+                    raise InvariantError(
+                        "comparison map does not respect the gluing")
                 images[g] = v
-        assert None not in images
+        if None in images:
+            raise InvariantError("comparison map misses a glued point")
         maps.append(continuous_map(src.space, dst.space, tuple(images)))
     for hook in (maps[0], maps[1], maps[3]):
-        assert hook.is_injective(), "a subspace hook collapsed under gluing"
+        if not hook.is_injective():
+            raise InvariantError("a subspace hook collapsed under gluing")
     reached = {maps[2](i) for i in range(levels[2].space.n)}
     return GluedChain(levels, CHAIN_LEVELS, tuple(maps),
                       len(reached) == levels[3].space.n)
@@ -463,9 +476,10 @@ def affine_glue_check(S: CoverFamily, budget: int = DEFAULT_BUDGET
         for x in range(glued.chart_spaces[ci].n):
             g = glued.charts[ci](x)
             v = into_base(x)
-            assert images[g] in (None, v), \
-                "chart spectra disagree on a shared point"
+            if images[g] not in (None, v):
+                raise InvariantError("chart spectra disagree on a shared point")
             images[g] = v
-    assert None not in images
+    if None in images:
+        raise InvariantError("a glued point has no image in the base spectrum")
     comparison = continuous_map(glued.space, base_spec.space, tuple(images))
     return comparison.is_homeomorphism(), comparison

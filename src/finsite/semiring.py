@@ -28,6 +28,11 @@ class AxiomError(SemiringError):
         self.witness = witness
 
 
+class InvariantError(Exception):
+    """A mathematical invariant the code relies on failed: a bug, not bad
+    input.  Raised explicitly so that `python -O` keeps the check."""
+
+
 @dataclass(frozen=True)
 class FiniteSemiring:
     """A validated finite commutative semiring.

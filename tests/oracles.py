@@ -122,3 +122,16 @@ def oracle_is_prime_ideal(R, s) -> bool:
 def oracle_is_k_ideal(R, s) -> bool:
     return all(not (R.add[a][b] in s and b in s and a not in s)
                for a in range(R.n) for b in range(R.n))
+
+
+def oracle_pushout(f, g):
+    """Pushout of f.target <- f.source -> g.target the long way: the full
+    coproduct f.target (+) g.target, then the quotient identifying f(x)
+    with g(x).  Unlike the oracles above this reuses the package's
+    coproduct engine, so that the quotient steps of `colimit` are checked
+    against the route they replace."""
+    from finsite.colimit import _quotient_by_pairs, tensor
+    T, inj_f, inj_g = tensor(f.target, g.target)
+    Q, _ = _quotient_by_pairs(
+        T, [(inj_f(f(x)), inj_g(g(x))) for x in range(f.source.n)])
+    return Q

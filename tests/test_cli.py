@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import finsite.glue
 from finsite.catalog import boolean, boolean_pair, zmod
 from finsite.cli import main
 from finsite.formats import parse_semiring, render_semiring
@@ -235,6 +236,24 @@ def test_glue_budget_exceeded(workdir, capsys):
     code, _, err = run(capsys, "glue", str(pres), "--budget", "2")
     assert code == 3
     assert "budget" in err
+
+
+def test_glue_checks_monodromy_once(workdir, capsys, monkeypatch):
+    pres = workdir / "doubled.pres"
+    pres.write_text("node A z6.sr\nnode B z6.sr\nnode O o.sr\n"
+                    "arrow O A localize-at 2\narrow O B localize-at 2\n")
+    calls = []
+    real = finsite.glue._closed_walks
+
+    def counted(P, bound):
+        calls.append(P)
+        return real(P, bound)
+
+    monkeypatch.setattr(finsite.glue, "_closed_walks", counted)
+    code, out, _ = run(capsys, "glue", str(pres))
+    assert code == 0
+    assert out.startswith("monodromy: monodromy free")
+    assert len(calls) == 1
 
 
 def test_glue_rejects_non_localization_arrow(workdir, capsys):

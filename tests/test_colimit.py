@@ -1,14 +1,18 @@
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 
+import finsite.colimit
 from finsite.catalog import (boolean, boolean_pair, catalog, chain,
                              trivial, truncated_naturals, zmod)
 from finsite.colimit import (BudgetExceeded, ColimitResult, SemiringDiagram,
                              colimit, pushout, tensor)
 from finsite.semiring import (TableError, congruence_closure, enumerate_homs,
                               find_isomorphism, hom_violation, identity_hom,
-                              localize, quotient)
+                              localize, product_semiring, quotient)
+from oracles import oracle_pushout
 
 
 def small_bench():
@@ -103,6 +107,10 @@ def test_span_of_localizations_is_localization_at_product():
             direct = localize(R, R.mul[g][h])
             assert find_isomorphism(res.semiring, direct.semiring) is not None, \
                 (name, R.elements[g], R.elements[h])
+            # the quotient steps agree with the coproduct route they replace
+            expected = oracle_pushout(lg.to_local, lh.to_local)
+            assert find_isomorphism(res.semiring, expected) is not None, \
+                (name, R.elements[g], R.elements[h])
 
 
 def test_pushout_of_quotient_along_localization_is_localized_quotient():
@@ -159,7 +167,7 @@ def test_empty_diagram_is_rejected():
 
 
 def test_budget_stops_runaway_closure():
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="coproduct closure"):
         tensor(zmod(6), zmod(6), budget=10)
 
 
@@ -195,3 +203,47 @@ def test_colimit_cocones_commute_with_arrows():
     for src, dst, h in d.arrows:
         assert r.cocones[dst].compose(h).images == r.cocones[src].images
     assert r.semiring.n == 1
+
+
+def test_localizations_are_surjective():
+    # the quotient step of the colimit fold rests on this
+    for name, R in catalog():
+        for s in range(R.n):
+            assert localize(R, s).to_local.is_surjective(), \
+                (name, R.elements[s])
+
+
+def test_non_surjective_arrow_takes_the_coproduct_step(monkeypatch):
+    B, BB = boolean(), boolean_pair()
+    diag, = enumerate_homs(B, BB)
+    assert not diag.is_surjective()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return tensor(*args, **kwargs)
+
+    monkeypatch.setattr(finsite.colimit, "tensor", counted)
+    res = pushout(diag, diag)
+    assert calls
+    # B^2 (+)_B B^2 is B^4
+    assert find_isomorphism(res.semiring, product_semiring(BB, BB)) is not None
+
+
+def test_budget_counts_node_tables():
+    Z6 = zmod(6)
+    l2 = localize(Z6, Z6.index("2"))
+    with pytest.raises(BudgetExceeded, match="table size"):
+        pushout(l2.to_local, l2.to_local, budget=5)
+    assert pushout(l2.to_local, l2.to_local, budget=6).semiring.n == \
+        l2.semiring.n
+
+
+def test_glue_and_colimit_state_invariants_without_assert():
+    # `python -O` strips assert statements; these modules raise instead
+    pkg = Path(finsite.__file__).parent
+    for module in ("glue.py", "colimit.py"):
+        tree = ast.parse((pkg / module).read_text())
+        asserts = [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Assert)]
+        assert asserts == [], (module, asserts)

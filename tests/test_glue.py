@@ -4,6 +4,8 @@ import itertools
 
 import pytest
 
+import finsite.colimit
+import finsite.glue
 from finsite.catalog import boolean, boolean_pair, catalog, trivial, zmod
 from finsite.glue import (
     DiagramPath,
@@ -73,6 +75,17 @@ def doubled_point_presentation():
     return presentation(
         [("A", Z6), ("B", Z6), ("O", loc.semiring)],
         [("O", "A", loc.to_local), ("O", "B", loc.to_local)])
+
+
+def cycle_presentation(k):
+    """k copies of Z6 in a ring, neighbours glued along Z6[1/2]."""
+    Z6 = zmod(6)
+    loc = localize(Z6, 2)
+    return presentation(
+        [(f"A{i}", Z6) for i in range(k)]
+        + [(f"O{i}", loc.semiring) for i in range(k)],
+        [(f"O{i}", f"A{(i + d) % k}", loc.to_local)
+         for i in range(k) for d in (0, 1)])
 
 
 COVERING_FAMILIES = [
@@ -314,3 +327,31 @@ def test_glued_point_table_provenance():
     table = glued.point_table()
     assert [row[0] for row in table] == ["U0:{0}", "U1:{0}"]
     assert all(len(row[1]) == 1 for row in table)
+
+
+def test_gluing_never_builds_a_coproduct(monkeypatch):
+    # every presentation arrow is a surjective localization, so the
+    # colimit fold only quotients
+    def refuse(*args, **kwargs):
+        raise AssertionError("tensor called while gluing")
+
+    monkeypatch.setattr(finsite.colimit, "tensor", refuse)
+    for P in (doubled_point_presentation(),
+              atlas(cover_family(zmod(6), [1, 2, 3])),
+              cycle_presentation(2), cycle_presentation(3)):
+        report = is_monodromy_free(P)
+        assert report.free and report.exhaustive
+        assert glue_space(P, "prime").monodromy == report
+
+
+def test_monodromy_runs_once_per_chain(monkeypatch):
+    calls = []
+    real = finsite.glue._closed_walks
+
+    def counted(P, bound):
+        calls.append(P)
+        return real(P, bound)
+
+    monkeypatch.setattr(finsite.glue, "_closed_walks", counted)
+    glued_chain(doubled_point_presentation())
+    assert len(calls) == 1
