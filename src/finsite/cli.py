@@ -41,33 +41,14 @@ from .spectra import (
     spectrum_report,
     visualization_chain,
 )
-
-
-def _open_label(space, u) -> str:
-    return "{" + ",".join(space.points[x] for x in sorted(u)) + "}"
-
-
-def _specialization_edges(space) -> list[tuple[str, str]]:
-    """Covering pairs of the specialization order, closed point first."""
-    leq = space.specialization_leq()
-    n = space.n
-    edges = []
-    for x in range(n):
-        for y in range(n):
-            if x == y or not leq[x][y] or leq[y][x]:
-                continue
-            between = any(leq[x][z] and leq[z][y] and z != x and z != y
-                          and not leq[z][x] and not leq[y][z]
-                          for z in range(n))
-            if not between:
-                edges.append((space.points[y], space.points[x]))
-    return edges
+from .topology import set_label
 
 
 def _space_lines(space) -> list[str]:
     lines = [f"point {p}" for p in space.points]
-    lines += [f"open {_open_label(space, u)}" for u in space.sorted_opens()]
-    lines += [f"edge {a} -> {b}" for a, b in _specialization_edges(space)]
+    lines += [f"open {set_label(space.points, u)}"
+              for u in space.sorted_opens()]
+    lines += [f"edge {a} -> {b}" for a, b in space.specialization_edges()]
     return lines
 
 
@@ -77,7 +58,7 @@ def _space_data(space) -> dict:
         "opens": [sorted(space.points[x] for x in u)
                   for u in space.sorted_opens()],
         "specialization_edges": [[a, b]
-                                 for a, b in _specialization_edges(space)],
+                                 for a, b in space.specialization_edges()],
     }
 
 
@@ -323,10 +304,9 @@ def cmd_glue(ns):
     for label, prov in G.point_table():
         lines.append(f"point {label} = "
                      + " ".join(f"{c}:{p}" for c, p in prov))
-    lines += [f"open {_open_label(G.space, u)}"
+    lines += [f"open {set_label(G.space.points, u)}"
               for u in G.space.sorted_opens()]
-    lines += [f"edge {a} -> {b}"
-              for a, b in _specialization_edges(G.space)]
+    lines += [f"edge {a} -> {b}" for a, b in G.space.specialization_edges()]
     data["vis"] = ns.vis
     data["point_table"] = [{"label": label,
                             "charts": [[c, p] for c, p in prov]}
@@ -353,8 +333,6 @@ def cmd_simplex(ns):
                 f"{_count(space.n)}")
     closed = [space.points[p] for p in range(space.n)
               if space.is_closed(frozenset([p]))]
-    if ns.n is not None:
-        assert len(closed) == 1, "a simplex has one closed point"
     lines = [head] + _space_lines(space)
     lines.append("closed points: " + " ".join(closed))
     data = {"closed_points": closed}

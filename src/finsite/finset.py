@@ -7,7 +7,8 @@ faces specialize toward larger faces, and the top face is the unique
 closed point.  Covering data is a family of injections into a common
 target; the sheaf condition for plain maps of sets turns out to track
 joint surjectivity of the family, and the pretopology that demands a
-bijective member is strictly smaller.
+bijective member is strictly smaller.  Face charts glue through
+`topology.glue_along_maps`, the routine that also glues semiring charts.
 """
 
 from __future__ import annotations
@@ -15,11 +16,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .semiring import InvariantError
 from .topology import (
     ContinuousMap,
     FiniteTopSpace,
     continuous_map,
     from_preorder,
+    glue_along_maps,
+    set_label,
 )
 
 
@@ -101,7 +105,7 @@ def _subsets(A: FinSet):
 
 
 def face_label(A: FinSet, members) -> str:
-    return "{" + ",".join(A.labels[i] for i in sorted(members)) + "}"
+    return set_label(A.labels, members)
 
 
 def face_injection(A: FinSet, members) -> Injection:
@@ -123,7 +127,8 @@ def simplex_space(A: FinSet) -> FiniteTopSpace:
            for x in range(len(faces))]
     space = from_preorder(labels, leq)
     closed = [p for p in range(space.n) if space.is_closed(frozenset([p]))]
-    assert closed == [space.n - 1], "top face must be the only closed point"
+    if closed != [space.n - 1]:
+        raise InvariantError("the top face must be the only closed point")
     return space
 
 
@@ -381,53 +386,9 @@ def finset_glue_space(P: FinSetPresentation) -> FinSetGluedSpace:
     """Disjoint union of the chart simplices modulo the identifications the
     arrow face maps induce, with the quotient topology."""
     spaces = [simplex_space(A) for A in P.carriers]
-    maps = []
-    for si, di, f in P.arrows:
-        m = _face_map(f)
-        assert m.source == spaces[si] and m.target == spaces[di]
-        maps.append(m)
-    offsets = []
-    total = 0
-    for X in spaces:
-        offsets.append(total)
-        total += X.n
-    parent = list(range(total))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (si, di, _), m in zip(P.arrows, maps):
-        for x in range(spaces[si].n):
-            a, b = find(offsets[si] + x), find(offsets[di] + m(x))
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-
-    reps = sorted({find(x) for x in range(total)})
-    cls = {r: i for i, r in enumerate(reps)}
-    of = [cls[find(x)] for x in range(total)]
-    k = len(reps)
-    provenance = [[] for _ in range(k)]
-    for ci, X in enumerate(spaces):
-        for x in range(X.n):
-            provenance[of[offsets[ci] + x]].append((P.names[ci], X.points[x]))
-    labels = tuple(f"{ps[0][0]}:{ps[0][1]}" for ps in provenance)
-    leq = [[i == j for j in range(k)] for i in range(k)]
-    for ci, X in enumerate(spaces):
-        lo = X.specialization_leq()
-        for x in range(X.n):
-            for y in range(X.n):
-                if lo[x][y]:
-                    leq[of[offsets[ci] + x]][of[offsets[ci] + y]] = True
-    glued = from_preorder(labels, leq)
-    charts = tuple(
-        continuous_map(spaces[ci], glued,
-                       tuple(of[offsets[ci] + x] for x in range(spaces[ci].n)))
-        for ci in range(len(spaces)))
-    return FinSetGluedSpace(P, glued, tuple(spaces), charts,
-                            tuple(tuple(ps) for ps in provenance))
+    glued, charts, provenance = glue_along_maps(
+        P.names, spaces, [(si, di, _face_map(f)) for si, di, f in P.arrows])
+    return FinSetGluedSpace(P, glued, tuple(spaces), charts, provenance)
 
 
 def finset_path_limit(P: FinSetPresentation, start: int, steps,

@@ -20,9 +20,8 @@ from .semiring import (
     InvariantError,
     SemiringHom,
     is_finite_localization,
-    localize,
 )
-from .site import CoverFamily
+from .site import CoverFamily, pairwise_overlaps
 from .spectra import (
     FLAVORS,
     congruence_spectrum,
@@ -37,7 +36,7 @@ from .topology import (
     ContinuousMap,
     FiniteTopSpace,
     continuous_map,
-    from_preorder,
+    glue_along_maps,
 )
 
 VISUALIZATIONS = ("prime", "k") + FLAVORS
@@ -63,9 +62,6 @@ class SPresentation:
 
     def node(self, name: str) -> int:
         return self.names.index(name)
-
-    def semiring_of(self, name: str) -> FiniteSemiring:
-        return self.semirings[self.node(name)]
 
     def arrow_names(self):
         return tuple((self.names[s], self.names[d]) for s, d, _ in self.arrows)
@@ -99,18 +95,14 @@ def presentation(nodes, arrows) -> SPresentation:
 def _atlas_parts(S: CoverFamily):
     """Charts of a family of basic opens: one localization per member plus
     one per pairwise overlap, with the overlap arrows into both members."""
-    R = S.base
-    elems = [u.element for u in S.members]
     locs = [u.localization for u in S.members]
-    parts = [(f"U{i}", locs[i]) for i in range(len(S.members))]
+    parts = [(f"U{i}", loc) for i, loc in enumerate(locs)]
     arrows = []
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            both = localize(R, R.mul[elems[i]][elems[j]])
-            name = f"U{i}_{j}"
-            parts.append((name, both))
-            arrows.append((name, f"U{i}", locs[i].extend(both.to_local)))
-            arrows.append((name, f"U{j}", locs[j].extend(both.to_local)))
+    for (i, j), (both, ri, rj) in pairwise_overlaps(locs).items():
+        name = f"U{i}_{j}"
+        parts.append((name, both))
+        arrows.append((name, f"U{i}", ri))
+        arrows.append((name, f"U{j}", rj))
     return parts, arrows
 
 
@@ -331,52 +323,6 @@ class GluedSpace:
             for i in range(self.space.n))
 
 
-def _glue_from_maps(P, spaces, arrow_maps):
-    offsets = []
-    total = 0
-    for X in spaces:
-        offsets.append(total)
-        total += X.n
-    parent = list(range(total))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (si, di, _), m in zip(P.arrows, arrow_maps):
-        for x in range(spaces[si].n):
-            a, b = find(offsets[si] + x), find(offsets[di] + m(x))
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-
-    reps = sorted({find(x) for x in range(total)})
-    cls = {r: i for i, r in enumerate(reps)}
-    of = [cls[find(x)] for x in range(total)]
-    k = len(reps)
-
-    provenance = [[] for _ in range(k)]
-    for ci, X in enumerate(spaces):
-        for x in range(X.n):
-            provenance[of[offsets[ci] + x]].append((P.names[ci], X.points[x]))
-    labels = tuple(f"{ps[0][0]}:{ps[0][1]}" for ps in provenance)
-
-    leq = [[i == j for j in range(k)] for i in range(k)]
-    for ci, X in enumerate(spaces):
-        lo = X.specialization_leq()
-        for x in range(X.n):
-            for y in range(X.n):
-                if lo[x][y]:
-                    leq[of[offsets[ci] + x]][of[offsets[ci] + y]] = True
-    glued = from_preorder(labels, leq)
-    charts = tuple(
-        continuous_map(spaces[ci], glued,
-                       tuple(of[offsets[ci] + x] for x in range(spaces[ci].n)))
-        for ci in range(len(spaces)))
-    return glued, charts, tuple(tuple(ps) for ps in provenance)
-
-
 def glue_space(P: SPresentation, vis: str = "prime", bound: int = 8,
                budget: int = DEFAULT_BUDGET) -> GluedSpace:
     """Glue the chosen visualization of every chart along the arrows.
@@ -391,14 +337,9 @@ def _glue_checked(P: SPresentation, vis: str,
     if not report.free:
         raise GlueError("refusing to glue: " + report.verdict())
     spaces = [visualization_space(R, vis) for R in P.semirings]
-    arrow_maps = []
-    for si, di, h in P.arrows:
-        m = visualization_map(h, vis)
-        if m.source != spaces[si] or m.target != spaces[di]:
-            raise InvariantError("an arrow's visualization map misses "
-                                 "its chart spaces")
-        arrow_maps.append(m)
-    glued, charts, provenance = _glue_from_maps(P, spaces, arrow_maps)
+    glued, charts, provenance = glue_along_maps(
+        P.names, spaces,
+        [(si, di, visualization_map(h, vis)) for si, di, h in P.arrows])
     return GluedSpace(P, vis, glued, tuple(spaces), charts, provenance, report)
 
 
@@ -420,7 +361,8 @@ def glued_chain(P: SPresentation, bound: int = 8,
     report = is_monodromy_free(P, bound, budget)
     levels = tuple(_glue_checked(P, vis, report) for vis in CHAIN_LEVELS)
     for ci in range(len(P.names)):
-        if chains[ci].spaces != levels_spaces_of(levels, ci):
+        glued_spaces = tuple(lvl.chart_spaces[ci] for lvl in levels)
+        if chains[ci].spaces != glued_spaces:
             raise InvariantError("a chart's chain spaces differ from its "
                                  "glued chart spaces")
     # the square of each arrow against each comparison map must commute
@@ -454,10 +396,6 @@ def glued_chain(P: SPresentation, bound: int = 8,
     reached = {maps[2](i) for i in range(levels[2].space.n)}
     return GluedChain(levels, CHAIN_LEVELS, tuple(maps),
                       len(reached) == levels[3].space.n)
-
-
-def levels_spaces_of(levels, ci):
-    return tuple(lvl.chart_spaces[ci] for lvl in levels)
 
 
 def affine_glue_check(S: CoverFamily, budget: int = DEFAULT_BUDGET

@@ -12,6 +12,7 @@ from .topology import (
     ContinuousMap,
     FiniteTopSpace,
     continuous_map,
+    set_label,
     validate_topology,
 )
 
@@ -42,9 +43,6 @@ class FiniteFrame:
         except ValueError:
             raise FrameError(f"no lattice element labeled {label!r}") \
                 from None
-
-    def leq_of(self, a: int, b: int) -> bool:
-        return self.leq[a][b]
 
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (a, b) with a strictly below b and nothing between."""
@@ -159,14 +157,10 @@ def frame_from_covers(elements, cover_pairs) -> FiniteFrame:
     return finite_frame(elements, leq)
 
 
-def _open_label(X: FiniteTopSpace, u) -> str:
-    return "{" + ",".join(X.points[x] for x in sorted(u)) + "}"
-
-
 def frame_of_opens(X: FiniteTopSpace) -> FiniteFrame:
     """The lattice of open sets ordered by inclusion, in canonical order."""
     opens = X.sorted_opens()
-    labels = tuple(_open_label(X, u) for u in opens)
+    labels = tuple(set_label(X.points, u) for u in opens)
     leq = tuple(tuple(u <= v for v in opens) for u in opens)
     return finite_frame(labels, leq)
 
@@ -248,15 +242,6 @@ def stone_dual(L: FiniteFrame) -> tuple[FiniteTopSpace, tuple[frozenset[int], ..
              for u in range(L.n)}
     space = validate_topology(labels, opens)
     return space, filters
-
-
-def dual_point_of(L: FiniteFrame, filter_set) -> int:
-    """Index of the dual point whose filter is the given up-set."""
-    space, filters = stone_dual(L)
-    try:
-        return filters.index(frozenset(filter_set))
-    except ValueError:
-        raise FrameError("not a completely prime filter") from None
 
 
 def stone_map(h: FrameMorphism) -> ContinuousMap:

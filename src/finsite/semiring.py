@@ -7,7 +7,6 @@ and is never special-cased away.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 
@@ -37,8 +36,8 @@ class InvariantError(Exception):
 class FiniteSemiring:
     """A validated finite commutative semiring.
 
-    Use `validate_semiring` (or `FiniteSemiring.from_tables`) to build one;
-    the bare constructor trusts its arguments.
+    Use `validate_semiring` to build one; the bare constructor trusts its
+    arguments.
     """
 
     elements: tuple[str, ...]
@@ -50,12 +49,6 @@ class FiniteSemiring:
     @property
     def n(self) -> int:
         return len(self.elements)
-
-    def add_of(self, i: int, j: int) -> int:
-        return self.add[i][j]
-
-    def mul_of(self, i: int, j: int) -> int:
-        return self.mul[i][j]
 
     def index(self, label: str) -> int:
         try:
@@ -85,25 +78,6 @@ class FiniteSemiring:
             if self.mul[i][j] == self.one:
                 return j
         return None
-
-    def sum_all(self, idxs) -> int:
-        acc = self.zero
-        for i in idxs:
-            acc = self.add[acc][i]
-        return acc
-
-    def prod_all(self, idxs) -> int:
-        acc = self.one
-        for i in idxs:
-            acc = self.mul[acc][i]
-        return acc
-
-    def is_trivial(self) -> bool:
-        return self.n == 1
-
-    @classmethod
-    def from_tables(cls, elements, add, mul, zero, one) -> "FiniteSemiring":
-        return validate_semiring(elements, add, mul, zero, one)
 
     def __repr__(self):
         return f"FiniteSemiring({self.n} elements: {' '.join(self.elements)})"
@@ -193,9 +167,6 @@ class SemiringHom:
 
     def __call__(self, i: int) -> int:
         return self.images[i]
-
-    def is_valid(self) -> bool:
-        return hom_violation(self) is None
 
     def is_injective(self) -> bool:
         return len(set(self.images)) == self.source.n

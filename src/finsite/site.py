@@ -13,19 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .colimit import DEFAULT_BUDGET, pushout
-from .locales import FiniteFrame, finite_frame, stone_dual
+from .locales import FiniteFrame, frame_of_opens, stone_dual
 from .semiring import (
     FiniteSemiring,
+    InvariantError,
     Localization,
     SemiringError,
     SemiringHom,
     enumerate_homs,
-    find_isomorphism,
     localize,
     validate_semiring,
 )
 from .spectra import Spectrum, prime_spectrum
-from .topology import ContinuousMap, continuous_map
+from .topology import continuous_map
 
 
 @dataclass(frozen=True)
@@ -86,48 +86,52 @@ def covers(S: CoverFamily, spec: Spectrum | None = None) -> bool:
     return hit == frozenset(range(len(spec.primes)))
 
 
-def _overlap_maps(S: CoverFamily):
-    """For each pair i < j, the two restrictions into the localization at
-    the product of the two elements."""
-    R = S.base
+def pairwise_overlaps(locs) -> dict:
+    """For each pair i < j of localizations of one semiring, the
+    localization at the product of their elements and the two
+    restrictions into it."""
     out = {}
-    for i, mi in enumerate(S.members):
-        for j in range(i + 1, len(S.members)):
-            mj = S.members[j]
-            lij = localize(R, R.mul[mi.element][mj.element])
-            ri = mi.localization.extend(lij.to_local)
-            rj = mj.localization.extend(lij.to_local)
-            out[i, j] = (ri, rj)
+    for i, li in enumerate(locs):
+        for j in range(i + 1, len(locs)):
+            lj = locs[j]
+            lij = localize(li.base, li.base.mul[li.h][lj.h])
+            out[i, j] = (lij, li.extend(lij.to_local), lj.extend(lij.to_local))
+    return out
+
+
+def _matching_tuples(candidates, agree) -> list[tuple]:
+    """Every tuple with one entry from each candidates[i] such that
+    agree(j, a, i, b) holds whenever an earlier slot j holds a and slot i
+    holds b, in the order of the candidate lists."""
+    out = []
+    chosen = []
+
+    def extend(i):
+        if i == len(candidates):
+            out.append(tuple(chosen))
+            return
+        for c in candidates[i]:
+            if all(agree(j, chosen[j], i, c) for j in range(i)):
+                chosen.append(c)
+                extend(i + 1)
+                chosen.pop()
+
+    extend(0)
     return out
 
 
 def sheaf_axiom_check(S: CoverFamily, Y: FiniteSemiring):
     """Whether restriction identifies Hom(Y, R) with the matching tuples of
     homs into the member localizations; returns (flag, witness)."""
-    R = S.base
-    base_homs = enumerate_homs(Y, R)
+    base_homs = enumerate_homs(Y, S.base)
     member_homs = [enumerate_homs(Y, m.semiring) for m in S.members]
-    overlaps = _overlap_maps(S)
+    overlaps = pairwise_overlaps([m.localization for m in S.members])
 
-    def agree(i, gi, j, gj):
-        ri, rj = overlaps[i, j]
-        return ri.compose(gi).images == rj.compose(gj).images
+    def agree(j, gj, i, gi):
+        _, rj, ri = overlaps[j, i]
+        return rj.compose(gj).images == ri.compose(gi).images
 
-    families = []
-    chosen = []
-
-    def extend(i):
-        if i == len(S.members):
-            families.append(tuple(chosen))
-            return
-        for g in member_homs[i]:
-            if all(agree(j, chosen[j], i, g) for j in range(i)):
-                chosen.append(g)
-                extend(i + 1)
-                chosen.pop()
-
-    extend(0)
-
+    families = _matching_tuples(member_homs, agree)
     images = []
     for f in base_homs:
         images.append(tuple(m.to_local.compose(f) for m in S.members))
@@ -144,9 +148,11 @@ def sheaf_axiom_check(S: CoverFamily, Y: FiniteSemiring):
         if key not in seen:
             return False, ("not surjective",
                            tuple(tuple(g.images) for g in fam))
-    # injective and every matching family is hit; also confirm every image
-    # is itself matching (it always is, both restrictions factor the same)
-    assert all(key in set(family_keys) for key in image_keys)
+    # injective and every matching family is hit; every image is itself
+    # matching, because both restrictions factor through the base
+    matching = set(family_keys)
+    if not all(key in matching for key in image_keys):
+        raise InvariantError("a restricted base hom is not a matching family")
     return True, None
 
 
@@ -156,11 +162,8 @@ def lambda_X(R: FiniteSemiring, spec: Spectrum | None = None
     carries the set of all h whose basic open it contains."""
     if spec is None:
         spec = prime_spectrum(R)
+    frame = frame_of_opens(spec.space)
     opens = spec.space.sorted_opens()
-    labels = tuple("{" + ",".join(spec.space.points[x] for x in sorted(u))
-                   + "}" for u in opens)
-    leq = tuple(tuple(u <= v for v in opens) for u in opens)
-    frame = finite_frame(labels, leq)
     subschemes = tuple(
         OpenSubscheme(R,
                       tuple(h for h in range(R.n)
@@ -212,13 +215,6 @@ def theorem_A_check(R: FiniteSemiring):
     return True, pairs
 
 
-def _restriction_between(R: FiniteSemiring, src: Localization,
-                         dst: Localization) -> SemiringHom:
-    """Canonical map R[1/g] -> R[1/h] available when g's basic open
-    contains h's."""
-    return src.extend(dst.to_local)
-
-
 def structure_sheaf_sections(R: FiniteSemiring, u: OpenSubscheme):
     """Sections over u: tuples of elements of the generator localizations
     that agree in the pairwise overlap localizations; returns the section
@@ -228,28 +224,10 @@ def structure_sheaf_sections(R: FiniteSemiring, u: OpenSubscheme):
     if not gens:
         T = validate_semiring(("*",), ((0,),), ((0,),), 0, 0)
         return T, ()
-    overlaps = {}
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            lij = localize(R, R.mul[gens[i]][gens[j]])
-            overlaps[i, j] = (locs[i].extend(lij.to_local),
-                              locs[j].extend(lij.to_local))
-
-    tuples = []
-    chosen = []
-
-    def extend(i):
-        if i == len(gens):
-            tuples.append(tuple(chosen))
-            return
-        for s in range(locs[i].semiring.n):
-            if all(overlaps[j, i][0](chosen[j]) == overlaps[j, i][1](s)
-                   for j in range(i)):
-                chosen.append(s)
-                extend(i + 1)
-                chosen.pop()
-
-    extend(0)
+    overlaps = pairwise_overlaps(locs)
+    tuples = _matching_tuples(
+        [range(loc.semiring.n) for loc in locs],
+        lambda j, a, i, b: overlaps[j, i][1](a) == overlaps[j, i][2](b))
     index = {t: k for k, t in enumerate(tuples)}
 
     def combine(table):
@@ -286,15 +264,12 @@ def principal_sections_iso(R: FiniteSemiring, h: int,
               if spec.basic_open(g) <= spec.basic_open(h)),
         spec.basic_open(h))
     sections, projections = structure_sheaf_sections(R, u)
+    index = {tuple(p(s) for p in projections): s for s in range(sections.n)}
     loc_h = localize(R, h)
     maps = [loc_h.extend(localize(R, g).to_local) for g in u.generators]
-    images = []
-    for a in range(loc_h.semiring.n):
-        t = tuple(m(a) for m in maps)
-        images.append(sections.index(
-            "(" + ",".join(localize(R, g).semiring.elements[t[k]]
-                           for k, g in enumerate(u.generators)) + ")"))
-    out = SemiringHom(loc_h.semiring, sections, tuple(images))
+    images = tuple(index[tuple(m(a) for m in maps)]
+                   for a in range(loc_h.semiring.n))
+    out = SemiringHom(loc_h.semiring, sections, images)
     if not out.is_bijective():
         raise SemiringError(
             f"sections over the basic open of {R.elements[h]} do not "

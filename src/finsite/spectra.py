@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .semiring import (
     Congruence,
     FiniteSemiring,
+    InvariantError,
     SemiringError,
     SemiringHom,
     Localization,
@@ -23,6 +24,7 @@ from .topology import (
     ContinuousMap,
     FiniteTopSpace,
     continuous_map,
+    set_label,
     space_from_opens,
     subspace,
 )
@@ -105,10 +107,6 @@ def is_prime_ideal(R: FiniteSemiring, members) -> bool:
     return True
 
 
-def _set_label(R: FiniteSemiring, members) -> str:
-    return "{" + ",".join(R.elements[x] for x in sorted(members)) + "}"
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Prime ideals of a semiring with their generated topology."""
@@ -130,20 +128,13 @@ class Spectrum:
                 from None
 
 
-def _space_from_basis(points, basis) -> FiniteTopSpace:
-    """Topology generated by a subbasis: close under intersection and
-    union.  For the prime spectrum the intersections add nothing because
-    U_g meet U_h is U_{gh}."""
-    return space_from_opens(points, basis)
-
-
 def prime_spectrum(R: FiniteSemiring) -> Spectrum:
     ideals = enumerate_ideals(R)
     primes = tuple(I for I in ideals if is_prime_ideal(R, I))
-    labels = tuple(_set_label(R, p) for p in primes)
+    labels = tuple(set_label(R.elements, p) for p in primes)
     basis = [frozenset(i for i, p in enumerate(primes) if h not in p)
              for h in range(R.n)]
-    space = _space_from_basis(labels, basis)
+    space = space_from_opens(labels, basis)
     return Spectrum(R, space, primes)
 
 
@@ -188,7 +179,8 @@ def kernel_ideal(c: Congruence) -> frozenset[int]:
         raise SemiringError("kernel ideal needs a weak prime congruence")
     R = c.semiring
     I = frozenset(a for a in range(R.n) if c.related(a, R.zero))
-    assert is_prime_ideal(R, I) and is_k_ideal(R, I)
+    if not (is_prime_ideal(R, I) and is_k_ideal(R, I)):
+        raise InvariantError("a weak prime kernel is not a prime k-ideal")
     return I
 
 
@@ -198,7 +190,8 @@ def prime_congruences(R: FiniteSemiring, flavor: str) -> list[Congruence]:
 
 def _congruence_label(c: Congruence) -> str:
     R = c.semiring
-    return "".join(_set_label(R, block) for block in c.block_members())
+    return "".join(set_label(R.elements, block)
+                   for block in c.block_members())
 
 
 def congruence_spectrum(R: FiniteSemiring, flavor: str,
@@ -212,7 +205,7 @@ def congruence_spectrum(R: FiniteSemiring, flavor: str,
     labels = tuple(_congruence_label(c) for c in points)
     basis = [frozenset(i for i, c in enumerate(points) if not c.related(a, b))
              for a in range(R.n) for b in range(R.n)]
-    space = _space_from_basis(labels, basis)
+    space = space_from_opens(labels, basis)
     images = tuple(spec.point_of(kernel_ideal(c)) for c in points)
     down = continuous_map(space, spec.space, images)
     # the preimage of a basic open U_h must be the basic open U_{h,0}
@@ -221,7 +214,9 @@ def congruence_spectrum(R: FiniteSemiring, flavor: str,
                         if images[i] in spec.basic_open(h))
         direct = frozenset(i for i, c in enumerate(points)
                            if not c.related(h, R.zero))
-        assert pre == direct, f"kernel map breaks the basic-open law at {h}"
+        if pre != direct:
+            raise InvariantError(
+                f"kernel map breaks the basic-open law at {h}")
     return space, down
 
 
@@ -266,8 +261,8 @@ def visualization_chain(R: FiniteSemiring) -> SpectraChain:
         weak_space, k_space,
         tuple(k_ids.index(weak_down(i)) for i in range(weak_space.n)))
 
-    for m in (t_to_s, strong_incl, k_incl):
-        assert m.is_injective()
+    if not all(m.is_injective() for m in (t_to_s, strong_incl, k_incl)):
+        raise InvariantError("a subspace hook of the chain is not injective")
     hit = {w_to_k(i) for i in range(weak_space.n)}
     missing = tuple(k_space.points[j] for j in range(k_space.n)
                     if j not in hit)
@@ -322,8 +317,8 @@ def congruence_spectrum_pullback(f: SemiringHom, flavor: str
     images = []
     for c in tgt_points:
         back = congruence_pullback(f, c)
-        assert primality(back, flavor), \
-            "pullback dropped out of the flavor"
+        if not primality(back, flavor):
+            raise InvariantError("pullback dropped out of the flavor")
         images.append(src_points.index(back))
     return continuous_map(tgt_space, src_space, tuple(images))
 
@@ -341,7 +336,8 @@ def localization_spectrum_map(loc: Localization,
     if image != target or not m.is_injective():
         raise SemiringError(
             "localized spectrum does not match the basic open")
-    assert m.is_open_embedding()
+    if not m.is_open_embedding():
+        raise InvariantError("localized spectrum is not an open embedding")
     return m, target
 
 

@@ -1,10 +1,11 @@
-"""Finite topological spaces, continuous maps, and quotient constructions.
+"""Finite topological spaces, continuous maps, quotients, and gluing.
 
 A finite space is stored as an explicit family of open point-sets.  Finite
 spaces are exactly preorders: x <= y holds when y lies in the closure of x,
 opens are the down-sets (stable under passing to more generic points),
 closed points sit at the top.  Constructions that need a topology on new
-points (disjoint unions, quotients) go through that order picture.
+points (disjoint unions, quotients, gluing spaces along maps) go through
+that order picture.
 """
 
 from __future__ import annotations
@@ -15,6 +16,11 @@ from itertools import combinations
 
 class TopologyError(Exception):
     pass
+
+
+def set_label(labels, members) -> str:
+    """The label of a subset, by its members' labels in index order."""
+    return "{" + ",".join(labels[x] for x in sorted(members)) + "}"
 
 
 @dataclass(frozen=True)
@@ -101,14 +107,12 @@ class FiniteTopSpace:
         closed_set = frozenset(closed_set)
         return [x for x in range(self.n) if self.closure({x}) == closed_set]
 
-    def specialization_dot(self) -> str:
-        """Edges run from each closed point toward its generizations,
-        one covering pair per line."""
+    def specialization_edges(self) -> list[tuple[str, str]]:
+        """Covering pairs of the specialization order by label, each from
+        the more special point toward its generization."""
         leq = self.specialization_leq()
         n = self.n
-        lines = ["digraph specialization {"]
-        for x in range(n):
-            lines.append(f'  "{self.points[x]}";')
+        edges = []
         for x in range(n):
             for y in range(n):
                 if x == y or not leq[x][y] or leq[y][x]:
@@ -117,7 +121,15 @@ class FiniteTopSpace:
                               and not leq[z][x] and not leq[y][z]
                               for z in range(n))
                 if not between:
-                    lines.append(f'  "{self.points[y]}" -> "{self.points[x]}";')
+                    edges.append((self.points[y], self.points[x]))
+        return edges
+
+    def specialization_dot(self) -> str:
+        """Edges run from each closed point toward its generizations,
+        one covering pair per line."""
+        lines = ["digraph specialization {"]
+        lines += [f'  "{p}";' for p in self.points]
+        lines += [f'  "{a}" -> "{b}";' for a, b in self.specialization_edges()]
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -315,11 +327,11 @@ def disjoint_union(spaces, prefixes=None) -> tuple[FiniteTopSpace, tuple[Continu
     return X, incls
 
 
-def quotient_space(X: FiniteTopSpace, pairs, labels=None) -> tuple[FiniteTopSpace, ContinuousMap]:
-    """Quotient by the equivalence generated by pairs; opens are exactly the
-    sets with open preimage (computed through the projected specialization
-    preorder, which finite spaces make exact)."""
-    parent = list(range(X.n))
+def _classes(n: int, pairs) -> tuple[list[int], list[int]]:
+    """Classes of the equivalence on range(n) generated by pairs, numbered
+    in the order of their least members; returns the class of each point
+    and the least member of each class."""
+    parent = list(range(n))
 
     def find(a):
         while parent[a] != a:
@@ -330,12 +342,18 @@ def quotient_space(X: FiniteTopSpace, pairs, labels=None) -> tuple[FiniteTopSpac
     for a, b in pairs:
         ra, rb = find(a), find(b)
         if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            parent[rb] = ra
-    reps = sorted({find(x) for x in range(X.n)})
+            # the least member stays the root of its class
+            parent[max(ra, rb)] = min(ra, rb)
+    reps = sorted({find(x) for x in range(n)})
     idx = {r: i for i, r in enumerate(reps)}
-    proj = [idx[find(x)] for x in range(X.n)]
+    return [idx[find(x)] for x in range(n)], reps
+
+
+def quotient_space(X: FiniteTopSpace, pairs, labels=None) -> tuple[FiniteTopSpace, ContinuousMap]:
+    """Quotient by the equivalence generated by pairs; opens are exactly the
+    sets with open preimage (computed through the projected specialization
+    preorder, which finite spaces make exact)."""
+    proj, reps = _classes(X.n, pairs)
     k = len(reps)
     leq = [[False] * k for _ in range(k)]
     xleq = X.specialization_leq()
@@ -353,6 +371,48 @@ def quotient_space(X: FiniteTopSpace, pairs, labels=None) -> tuple[FiniteTopSpac
             raise TopologyError("quotient opens disagree with preimages")
     pi = continuous_map(X, Q, tuple(proj))
     return Q, pi
+
+
+def glue_along_maps(names, spaces, arrows):
+    """Glue finite spaces along point maps: the disjoint union of spaces
+    modulo x ~ m(x) for each arrow (src, dst, m), where m is a continuous
+    map from spaces[src] to spaces[dst].  The glued specialization order
+    is generated by the charts' orders.  Returns the glued space, the
+    chart maps into it, and per glued point its (chart name, point label)
+    pairs; a glued point is labeled by its first pair."""
+    offsets = []
+    total = 0
+    for X in spaces:
+        offsets.append(total)
+        total += X.n
+    pairs = []
+    for si, di, m in arrows:
+        if m.source != spaces[si] or m.target != spaces[di]:
+            raise TopologyError("an arrow's map misses its chart spaces")
+        pairs += [(offsets[si] + x, offsets[di] + m(x))
+                  for x in range(m.source.n)]
+    of, reps = _classes(total, pairs)
+    k = len(reps)
+
+    provenance = [[] for _ in range(k)]
+    for ci, X in enumerate(spaces):
+        for x in range(X.n):
+            provenance[of[offsets[ci] + x]].append((names[ci], X.points[x]))
+    labels = tuple(f"{ps[0][0]}:{ps[0][1]}" for ps in provenance)
+
+    leq = [[i == j for j in range(k)] for i in range(k)]
+    for ci, X in enumerate(spaces):
+        lo = X.specialization_leq()
+        for x in range(X.n):
+            for y in range(X.n):
+                if lo[x][y]:
+                    leq[of[offsets[ci] + x]][of[offsets[ci] + y]] = True
+    glued = from_preorder(labels, leq)
+    charts = tuple(
+        continuous_map(X, glued,
+                       tuple(of[offsets[ci] + x] for x in range(X.n)))
+        for ci, X in enumerate(spaces))
+    return glued, charts, tuple(tuple(ps) for ps in provenance)
 
 
 def kolmogorov_quotient(X: FiniteTopSpace) -> tuple[FiniteTopSpace, ContinuousMap]:
