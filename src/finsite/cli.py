@@ -22,7 +22,8 @@ from .finset import FinSetError, face_space, finset, simplex_space
 from .glue import (VISUALIZATIONS, GlueError, _glue_checked,
                    is_monodromy_free)
 from .locales import FrameError, is_sober, spatiality_check, stone_dual
-from .semiring import AxiomError, SemiringError, localize
+from .semiring import (AxiomError, SemiringError, enumerate_congruences,
+                       localize)
 from .site import (
     covers,
     intrinsic_order_check,
@@ -36,7 +37,7 @@ from .spectra import (
     is_prime_ideal,
     k_spectrum,
     kernel_ideal,
-    prime_congruences,
+    primality,
     prime_spectrum,
     spectrum_report,
     visualization_chain,
@@ -44,21 +45,20 @@ from .spectra import (
 from .topology import set_label
 
 
-def _space_lines(space) -> list[str]:
+def _space_listing(space, dot=None) -> tuple[list[str], dict]:
+    """Report lines and structured data of a space, from one listing of its
+    opens and covering edges; writes the `--dot` file when `dot` is set."""
+    opens = space.sorted_opens()
+    edges = space.specialization_edges()
+    if dot:
+        formats.write_text(dot, space.specialization_dot(edges))
     lines = [f"point {p}" for p in space.points]
-    lines += [f"open {set_label(space.points, u)}"
-              for u in space.sorted_opens()]
-    lines += [f"edge {a} -> {b}" for a, b in space.specialization_edges()]
-    return lines
-
-
-def _space_data(space) -> dict:
-    return {
+    lines += [f"open {set_label(space.points, u)}" for u in opens]
+    lines += [f"edge {a} -> {b}" for a, b in edges]
+    return lines, {
         "points": list(space.points),
-        "opens": [sorted(space.points[x] for x in u)
-                  for u in space.sorted_opens()],
-        "specialization_edges": [[a, b]
-                                 for a, b in space.specialization_edges()],
+        "opens": [sorted(space.points[x] for x in u) for u in opens],
+        "specialization_edges": [[a, b] for a, b in edges],
     }
 
 
@@ -96,16 +96,15 @@ def cmd_spectrum(ns):
         space, _ = congruence_spectrum(R, ns.flavor, spec)
     discrete = len(space.opens) == 2 ** space.n
     head = _count(space.n) + (", discrete" if discrete else "")
-    lines = [f"flavor: {ns.flavor}", head] + _space_lines(space)
+    listing, space_data = _space_listing(space, ns.dot)
+    lines = [f"flavor: {ns.flavor}", head] + listing
     if basic is not None:
         lines += [f"basic open {e}: " + "{" + ",".join(pts) + "}"
                   for e, pts in basic.items()]
     data = {"flavor": ns.flavor, "discrete": discrete}
-    data.update(_space_data(space))
+    data.update(space_data)
     if basic is not None:
         data["basic_opens"] = basic
-    if ns.dot:
-        formats.write_text(ns.dot, space.specialization_dot())
     return 0, lines, data
 
 
@@ -140,14 +139,14 @@ def cmd_locale(ns):
     R = formats.read_semiring(ns.file)
     frame, _ = lambda_X(R)
     dump = formats.render_lattice(frame)
-    lines = [f"frame of spectrum opens: {_count(frame.n, 'element')}",
-             f"join-primes: {len(frame.join_primes())}",
-             "spatial: " + ("yes" if spatiality_check(frame) else "no")]
-    lines += dump.splitlines()
     data = {"elements": list(frame.elements),
             "covers": [[frame.elements[a], frame.elements[b]]
                        for a, b in frame.covers()],
             "spatial": spatiality_check(frame)}
+    lines = [f"frame of spectrum opens: {_count(frame.n, 'element')}",
+             f"join-primes: {len(frame.join_primes())}",
+             "spatial: " + ("yes" if data["spatial"] else "no")]
+    lines += dump.splitlines()
     if ns.dot:
         formats.write_text(ns.dot, dump)
     return 0, lines, data
@@ -157,13 +156,12 @@ def cmd_stone(ns):
     frame = formats.read_lattice(ns.file)
     space, _ = stone_dual(frame)
     sober = is_sober(space)[0]
-    lines = [f"dual space: {_count(space.n)}"] + _space_lines(space)
-    lines += ["sober: " + ("yes" if sober else "no"),
-              "spatial: " + ("yes" if spatiality_check(frame) else "no")]
     data = {"sober": sober, "spatial": spatiality_check(frame)}
-    data.update(_space_data(space))
-    if ns.dot:
-        formats.write_text(ns.dot, space.specialization_dot())
+    listing, space_data = _space_listing(space, ns.dot)
+    lines = [f"dual space: {_count(space.n)}"] + listing
+    lines += ["sober: " + ("yes" if sober else "no"),
+              "spatial: " + ("yes" if data["spatial"] else "no")]
+    data.update(space_data)
     return 0, lines, data
 
 
@@ -203,11 +201,12 @@ def cmd_sheaf_check(ns):
 def _containment_rows(R):
     """Nesting of the three congruence classes plus primality and
     k-closedness of every weak kernel."""
-    weak = prime_congruences(R, "weak")
-    strong = {c.blocks for c in prime_congruences(R, "strong")}
-    twisted = {c.blocks for c in prime_congruences(R, "twisted")}
-    weak_set = {c.blocks for c in weak}
-    if not (twisted <= strong <= weak_set):
+    # filter each flavor from all congruences, or the nesting is vacuous
+    congruences = enumerate_congruences(R)
+    weak, strong, twisted = ([c for c in congruences if primality(c, f)]
+                             for f in ("weak", "strong", "twisted"))
+    if not ({c.blocks for c in twisted} <= {c.blocks for c in strong}
+            <= {c.blocks for c in weak}):
         return False, "congruence classes fail to nest"
     for c in weak:
         ker = kernel_ideal(c)
@@ -218,23 +217,23 @@ def _containment_rows(R):
     return True, ""
 
 
-def _basis_law(R):
-    spec = prime_spectrum(R)
+def _basis_law(R, spec):
     for g in range(R.n):
+        loc = localize(R, g)
         for h in range(R.n):
             meet = spec.basic_open(g) & spec.basic_open(h)
             if meet != spec.basic_open(R.mul[g][h]):
                 return False, (f"basic opens break at "
                                f"{R.elements[g]},{R.elements[h]}")
             try:
-                intrinsic_order_check(R, g, h, spec)
+                intrinsic_order_check(R, g, h, spec, loc)
             except SemiringError as e:
                 return False, str(e)
     return True, ""
 
 
-def _chain_row(R):
-    chain = visualization_chain(R)
+def _chain_row(R, spec):
+    chain = visualization_chain(R, spec)
     for m, name in zip(chain.maps, ("twisted-strong", "strong-weak",
                                     "weak-k", "k-prime")):
         if not m.is_continuous():
@@ -269,9 +268,10 @@ def cmd_verify(ns):
         rows.append((path.name, "theorem-A", ok, "" if ok else str(info)))
         ok, note = _containment_rows(R)
         rows.append((path.name, "containments", ok, note))
-        ok, note = _basis_law(R)
+        spec = prime_spectrum(R)
+        ok, note = _basis_law(R, spec)
         rows.append((path.name, "basis-law", ok, note))
-        ok, note = _chain_row(R)
+        ok, note = _chain_row(R, spec)
         rows.append((path.name, "chain", ok, note))
     failures = sum(1 for row in rows if not row[2])
     lines = []
@@ -301,21 +301,19 @@ def cmd_glue(ns):
         return 1, lines, data
     G = _glue_checked(P, ns.vis, report)
     lines.append(f"glued space ({ns.vis}): {_count(G.space.n)}")
-    for label, prov in G.point_table():
+    table = G.point_table()
+    for label, prov in table:
         lines.append(f"point {label} = "
                      + " ".join(f"{c}:{p}" for c, p in prov))
-    lines += [f"open {set_label(G.space.points, u)}"
-              for u in G.space.sorted_opens()]
-    lines += [f"edge {a} -> {b}" for a, b in G.space.specialization_edges()]
+    # the point table replaces the listing's own point lines
+    listing, space_data = _space_listing(G.space, ns.dot)
+    lines += listing[G.space.n:]
     data["vis"] = ns.vis
     data["point_table"] = [{"label": label,
                             "charts": [[c, p] for c, p in prov]}
-                           for label, prov in G.point_table()]
-    space_data = _space_data(G.space)
+                           for label, prov in table]
     data["opens"] = space_data["opens"]
     data["specialization_edges"] = space_data["specialization_edges"]
-    if ns.dot:
-        formats.write_text(ns.dot, G.space.specialization_dot())
     return 0, lines, data
 
 
@@ -333,12 +331,11 @@ def cmd_simplex(ns):
                 f"{_count(space.n)}")
     closed = [space.points[p] for p in range(space.n)
               if space.is_closed(frozenset([p]))]
-    lines = [head] + _space_lines(space)
+    listing, space_data = _space_listing(space, ns.dot)
+    lines = [head] + listing
     lines.append("closed points: " + " ".join(closed))
     data = {"closed_points": closed}
-    data.update(_space_data(space))
-    if ns.dot:
-        formats.write_text(ns.dot, space.specialization_dot())
+    data.update(space_data)
     return 0, lines, data
 
 

@@ -174,13 +174,15 @@ def lambda_X(R: FiniteSemiring, spec: Spectrum | None = None
 
 
 def intrinsic_order_check(R: FiniteSemiring, g: int, h: int,
-                          spec: Spectrum | None = None) -> bool:
+                          spec: Spectrum | None = None,
+                          loc: Localization | None = None) -> bool:
     """The morphism criterion (h invertible after inverting g) must agree
     with the extent criterion (basic open of g inside basic open of h);
-    returns the shared answer."""
+    returns the shared answer.  `loc`, if given, is R localized at g."""
     if spec is None:
         spec = prime_spectrum(R)
-    loc = localize(R, g)
+    if loc is None:
+        loc = localize(R, g)
     morphism = loc.semiring.inverse_of(loc.to_local(h)) is not None
     extent = spec.basic_open(g) <= spec.basic_open(h)
     if morphism != extent:

@@ -154,20 +154,18 @@ def primality(c: Congruence, flavor: str) -> bool:
     R = c.semiring
     if not c.is_proper():
         return False
+    k, add, mul, z = c.blocks, R.add, R.mul, c.blocks[R.zero]
     rng = range(R.n)
     if flavor == "weak":
-        return all(c.related(R.mul[a][b], R.zero) <=
-                   (c.related(a, R.zero) or c.related(b, R.zero))
+        return all(k[mul[a][b]] != z or k[a] == z or k[b] == z
                    for a in rng for b in rng)
     if flavor == "strong":
-        return all(c.related(R.mul[a][b], R.mul[a][d]) <=
-                   (c.related(a, R.zero) or c.related(b, d))
+        return all(k[mul[a][b]] != k[mul[a][d]] or k[a] == z or k[b] == k[d]
                    for a in rng for b in rng for d in rng)
     if flavor == "twisted":
         return all(
-            c.related(R.add[R.mul[a][x]][R.mul[b][y]],
-                      R.add[R.mul[a][y]][R.mul[b][x]]) <=
-            (c.related(a, b) or c.related(x, y))
+            k[add[mul[a][x]][mul[b][y]]] != k[add[mul[a][y]][mul[b][x]]]
+            or k[a] == k[b] or k[x] == k[y]
             for a in rng for b in rng for x in rng for y in rng)
     raise ValueError(f"unknown primality flavor {flavor!r}")
 
@@ -201,7 +199,12 @@ def congruence_spectrum(R: FiniteSemiring, flavor: str,
     prime spectrum."""
     if spec is None:
         spec = prime_spectrum(R)
-    points = prime_congruences(R, flavor)
+    return _congruence_space(R, prime_congruences(R, flavor), spec)
+
+
+def _congruence_space(R: FiniteSemiring, points: list[Congruence],
+                      spec: Spectrum) -> tuple[FiniteTopSpace, ContinuousMap]:
+    """The space on the prime congruences `points`, and its kernel map."""
     labels = tuple(_congruence_label(c) for c in points)
     basis = [frozenset(i for i, c in enumerate(points) if not c.related(a, b))
              for a in range(R.n) for b in range(R.n)]
@@ -235,25 +238,22 @@ class SpectraChain:
     unreached_k_points: tuple[str, ...]
 
 
-def visualization_chain(R: FiniteSemiring) -> SpectraChain:
-    spec = prime_spectrum(R)
+def visualization_chain(R: FiniteSemiring,
+                        spec: Spectrum | None = None) -> SpectraChain:
+    """Build the chain from one enumeration of the weak prime congruences;
+    `spec`, when given, is R's prime spectrum and is not rebuilt."""
+    if spec is None:
+        spec = prime_spectrum(R)
     k_space, k_incl = k_spectrum(R, spec)
     weak_points = prime_congruences(R, "weak")
-    weak_space, weak_down = congruence_spectrum(R, "weak", spec)
-
-    def sub_of_weak(flavor):
-        keep = [i for i, c in enumerate(weak_points) if primality(c, flavor)]
-        return subspace(weak_space, keep)
-
-    strong_space, strong_incl = sub_of_weak("strong")
-    twisted_space, _ = sub_of_weak("twisted")
-    # embed the twisted points into the strong subspace
-    strong_ids = [i for i, c in enumerate(weak_points)
-                  if primality(c, "strong")]
-    twisted_in_strong = tuple(
-        strong_ids.index(i) for i, c in enumerate(weak_points)
-        if primality(c, "twisted"))
-    t_to_s = continuous_map(twisted_space, strong_space, twisted_in_strong)
+    weak_space, weak_down = _congruence_space(R, weak_points, spec)
+    strong_ids, twisted_ids = ([i for i, c in enumerate(weak_points)
+                                if primality(c, f)]
+                               for f in ("strong", "twisted"))
+    strong_space, strong_incl = subspace(weak_space, strong_ids)
+    twisted_space, _ = subspace(weak_space, twisted_ids)
+    t_to_s = continuous_map(twisted_space, strong_space,
+                            tuple(strong_ids.index(i) for i in twisted_ids))
 
     # the kernel map lands inside the k-points; express it against k_space
     k_ids = [k_incl(i) for i in range(k_space.n)]
@@ -345,7 +345,7 @@ def spectrum_report(R: FiniteSemiring) -> dict:
     """Machine-readable summary with a stable key order."""
     ideals = enumerate_ideals(R)
     spec = prime_spectrum(R)
-    chain = visualization_chain(R)
+    chain = visualization_chain(R, spec)
     report = {
         "elements": list(R.elements),
         "ideal_count": len(ideals),

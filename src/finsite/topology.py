@@ -124,12 +124,13 @@ class FiniteTopSpace:
                     edges.append((self.points[y], self.points[x]))
         return edges
 
-    def specialization_dot(self) -> str:
-        """Edges run from each closed point toward its generizations,
-        one covering pair per line."""
+    def specialization_dot(self, edges=None) -> str:
+        """Edges run from each closed point toward its generizations, one
+        covering pair per line; `edges` defaults to specialization_edges()."""
         lines = ["digraph specialization {"]
         lines += [f'  "{p}";' for p in self.points]
-        lines += [f'  "{a}" -> "{b}";' for a, b in self.specialization_edges()]
+        lines += [f'  "{a}" -> "{b}";' for a, b in (
+            self.specialization_edges() if edges is None else edges)]
         lines.append("}")
         return "\n".join(lines) + "\n"
 

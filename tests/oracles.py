@@ -124,6 +124,36 @@ def oracle_is_k_ideal(R, s) -> bool:
                for a in range(R.n) for b in range(R.n))
 
 
+def oracle_is_prime_congruence(R, blocks, flavor) -> bool:
+    """Prime congruences straight from the definitions, over the set of
+    related pairs ~ of the partition `blocks`; each flavor demands 1 !~ 0.
+
+    weak:    ab ~ 0 implies a ~ 0 or b ~ 0;
+    strong:  ab ~ ad implies a ~ 0 or b ~ d;
+    twisted: ax + by ~ ay + bx implies a ~ b or x ~ y.
+    """
+    n = R.n
+    rel = {(a, b) for a in range(n) for b in range(n)
+           if blocks[a] == blocks[b]}
+    add, mul, zero = R.add, R.mul, R.zero
+    if (R.one, zero) in rel:
+        return False
+    if flavor == "weak":
+        return not any((mul[a][b], zero) in rel and (a, zero) not in rel
+                       and (b, zero) not in rel
+                       for a, b in itertools.product(range(n), repeat=2))
+    if flavor == "strong":
+        return not any((mul[a][b], mul[a][d]) in rel and (a, zero) not in rel
+                       and (b, d) not in rel
+                       for a, b, d in itertools.product(range(n), repeat=3))
+    if flavor == "twisted":
+        return not any(
+            (add[mul[a][x]][mul[b][y]], add[mul[a][y]][mul[b][x]]) in rel
+            and (a, b) not in rel and (x, y) not in rel
+            for a, b, x, y in itertools.product(range(n), repeat=4))
+    raise ValueError(flavor)
+
+
 def oracle_pushout(f, g):
     """Pushout of f.target <- f.source -> g.target the long way: the full
     coproduct f.target (+) g.target, then the quotient identifying f(x)

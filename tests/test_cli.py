@@ -162,6 +162,13 @@ def test_verify_bundled_catalog(capsys):
     assert all(": pass" in line for line in out.splitlines()[:-1])
 
 
+def test_verify_enumerates_congruences_at_most_twice(enumerations, capsys):
+    code, _, _ = run(capsys, "verify")
+    assert code == 0
+    assert len(enumerations) == 8
+    assert max(enumerations.values()) <= 2, enumerations
+
+
 def test_verify_reports_broken_file(workdir, capsys):
     cat = workdir / "cat"
     cat.mkdir()

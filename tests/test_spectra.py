@@ -1,8 +1,12 @@
 """Ideals, primality flavors, the spectra, and the comparison chain."""
 
+import functools
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finsite.catalog import (
     boolean,
@@ -19,6 +23,7 @@ from finsite.semiring import (
     enumerate_congruences,
     enumerate_homs,
     localize,
+    product_semiring,
     total_congruence,
 )
 from finsite.spectra import (
@@ -44,7 +49,7 @@ from finsite.spectra import (
 from finsite.topology import subspace
 
 from oracles import (oracle_ideals, oracle_is_k_ideal,
-                     oracle_is_prime_ideal)
+                     oracle_is_prime_congruence, oracle_is_prime_ideal)
 
 # (name, ideal count, k-ideal count, chain sizes (t, s, w, k, prime), opens)
 FROZEN_TABLE = [
@@ -177,6 +182,31 @@ def test_flavor_containment_on_all_congruences():
             assert (not t or s) and (not s or w), (name, c.blocks)
 
 
+def _assert_primality_matches_oracle(R):
+    for c in enumerate_congruences(R):
+        for flavor in FLAVORS:
+            assert primality(c, flavor) == \
+                oracle_is_prime_congruence(R, c.blocks, flavor), \
+                (R.elements, c.blocks, flavor)
+
+
+def test_primality_matches_definition_oracle():
+    bench = ([R for _, R in catalog()]
+             + [chain(k) for k in range(2, 6)]
+             + [zmod(m) for m in range(2, 13)]
+             + [truncated_naturals(top) for top in range(1, 6)])
+    for R in bench:
+        _assert_primality_matches_oracle(R)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.sampled_from([R for _, R in catalog()]), min_size=2,
+                max_size=3).filter(lambda fs: math.prod(R.n for R in fs) <= 12))
+def test_primality_matches_oracle_on_products(factors):
+    _assert_primality_matches_oracle(functools.reduce(product_semiring,
+                                                      factors))
+
+
 def test_primality_witness_cases():
     Z6 = zmod(6)
     assert not primality(diagonal_congruence(Z6), "weak")  # 2*3 = 0
@@ -289,6 +319,12 @@ def test_localization_spectrum_is_an_open_embedding():
             m, image = localization_spectrum_map(loc, spec)
             assert image == spec.basic_open(h), (name, h)
             assert m.is_open_embedding()
+
+
+def test_spectrum_report_enumerates_congruences_once(enumerations):
+    for name, R in catalog():
+        spectrum_report(R)
+        assert enumerations[R] == 1, name
 
 
 def test_spectrum_report_is_deterministic():
