@@ -201,7 +201,8 @@ def test_primality_matches_definition_oracle():
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.sampled_from([R for _, R in catalog()]), min_size=2,
-                max_size=3).filter(lambda fs: math.prod(R.n for R in fs) <= 12))
+                max_size=3)
+       .filter(lambda fs: math.prod(R.n for R in fs) <= 12))
 def test_primality_matches_oracle_on_products(factors):
     _assert_primality_matches_oracle(functools.reduce(product_semiring,
                                                       factors))
