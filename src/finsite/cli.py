@@ -22,8 +22,7 @@ from .finset import FinSetError, face_space, finset, simplex_space
 from .glue import (VISUALIZATIONS, GlueError, _glue_checked,
                    is_monodromy_free)
 from .locales import FrameError, is_sober, spatiality_check, stone_dual
-from .semiring import (AxiomError, SemiringError, enumerate_congruences,
-                       localize)
+from .semiring import AxiomError, SemiringError, localize
 from .site import (
     covers,
     intrinsic_order_check,
@@ -37,7 +36,7 @@ from .spectra import (
     is_prime_ideal,
     k_spectrum,
     kernel_ideal,
-    primality,
+    prime_congruences,
     prime_spectrum,
     spectrum_report,
     visualization_chain,
@@ -87,13 +86,13 @@ def cmd_spectrum(ns):
                                        for i in spec.basic_open(h))
                  for h in range(R.n)}
     elif ns.flavor == "k":
-        space, incl = k_spectrum(R, spec)
+        space, incl = k_spectrum(R)
         basic = {R.elements[h]: sorted(space.points[i]
                                        for i in range(space.n)
                                        if incl(i) in spec.basic_open(h))
                  for h in range(R.n)}
     else:
-        space, _ = congruence_spectrum(R, ns.flavor, spec)
+        space, _ = congruence_spectrum(R, ns.flavor)
     discrete = len(space.opens) == 2 ** space.n
     head = _count(space.n) + (", discrete" if discrete else "")
     listing, space_data = _space_listing(space, ns.dot)
@@ -201,9 +200,7 @@ def cmd_sheaf_check(ns):
 def _containment_rows(R):
     """Nesting of the three congruence classes plus primality and
     k-closedness of every weak kernel."""
-    # filter each flavor from all congruences, or the nesting is vacuous
-    congruences = enumerate_congruences(R)
-    weak, strong, twisted = ([c for c in congruences if primality(c, f)]
+    weak, strong, twisted = (prime_congruences(R, f)
                              for f in ("weak", "strong", "twisted"))
     if not ({c.blocks for c in twisted} <= {c.blocks for c in strong}
             <= {c.blocks for c in weak}):
@@ -217,23 +214,23 @@ def _containment_rows(R):
     return True, ""
 
 
-def _basis_law(R, spec):
+def _basis_law(R):
+    spec = prime_spectrum(R)
     for g in range(R.n):
-        loc = localize(R, g)
         for h in range(R.n):
             meet = spec.basic_open(g) & spec.basic_open(h)
             if meet != spec.basic_open(R.mul[g][h]):
                 return False, (f"basic opens break at "
                                f"{R.elements[g]},{R.elements[h]}")
             try:
-                intrinsic_order_check(R, g, h, spec, loc)
+                intrinsic_order_check(R, g, h)
             except SemiringError as e:
                 return False, str(e)
     return True, ""
 
 
-def _chain_row(R, spec):
-    chain = visualization_chain(R, spec)
+def _chain_row(R):
+    chain = visualization_chain(R)
     for m, name in zip(chain.maps, ("twisted-strong", "strong-weak",
                                     "weak-k", "k-prime")):
         if not m.is_continuous():
@@ -268,10 +265,9 @@ def cmd_verify(ns):
         rows.append((path.name, "theorem-A", ok, "" if ok else str(info)))
         ok, note = _containment_rows(R)
         rows.append((path.name, "containments", ok, note))
-        spec = prime_spectrum(R)
-        ok, note = _basis_law(R, spec)
+        ok, note = _basis_law(R)
         rows.append((path.name, "basis-law", ok, note))
-        ok, note = _chain_row(R, spec)
+        ok, note = _chain_row(R)
         rows.append((path.name, "chain", ok, note))
     failures = sum(1 for row in rows if not row[2])
     lines = []

@@ -110,23 +110,27 @@ def render_semiring(R: FiniteSemiring) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_semiring(path: str) -> FiniteSemiring:
+def _read_text(path: str) -> str:
+    """The file's text as UTF-8; an unreadable or undecodable file is a
+    FormatError."""
     try:
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e.strerror}") from None
-    return parse_semiring(text)
+    except UnicodeDecodeError as e:
+        raise FormatError(f"cannot read {path}: not UTF-8 text "
+                          f"(byte {e.start})") from None
+
+
+def read_semiring(path: str) -> FiniteSemiring:
+    return parse_semiring(_read_text(path))
 
 
 def read_cover(path: str) -> CoverFamily:
     """Cover file: a `semiring: <path>` reference (relative to the cover
     file) plus a `cover: h1 h2 ...` line of element labels."""
-    try:
-        with open(path) as fh:
-            lines = _logical_lines(fh.read())
-    except OSError as e:
-        raise FormatError(f"cannot read {path}: {e.strerror}") from None
+    lines = _logical_lines(_read_text(path))
     if len(lines) != 2:
         raise FormatError("cover file needs a semiring line and a cover line")
     ref = _keyword(lines[0], "semiring")
@@ -145,11 +149,7 @@ def read_presentation(path: str) -> SPresentation:
     `arrow <src> <dst> localize-at <element>` or
     `arrow <src> <dst> map <label-list>` lines.  An arrow src -> dst
     carries the algebra map of its head chart into its tail chart."""
-    try:
-        with open(path) as fh:
-            lines = _logical_lines(fh.read())
-    except OSError as e:
-        raise FormatError(f"cannot read {path}: {e.strerror}") from None
+    lines = _logical_lines(_read_text(path))
     base = os.path.dirname(path) or "."
     nodes: list[tuple[str, FiniteSemiring]] = []
     table = {}
@@ -231,22 +231,13 @@ def parse_lattice(text: str) -> FiniteFrame:
 
 
 def read_lattice(path: str) -> FiniteFrame:
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as e:
-        raise FormatError(f"cannot read {path}: {e.strerror}") from None
-    return parse_lattice(text)
+    return parse_lattice(_read_text(path))
 
 
 def read_asc(path: str) -> AbstractSimplicialComplex:
     """ASC file: a `vertices: a b c` line, then `face: a b` lines; the
     subset closure is computed automatically."""
-    try:
-        with open(path) as fh:
-            lines = _logical_lines(fh.read())
-    except OSError as e:
-        raise FormatError(f"cannot read {path}: {e.strerror}") from None
+    lines = _logical_lines(_read_text(path))
     if not lines:
         raise FormatError("empty complex file")
     vertices = _keyword(lines[0], "vertices")

@@ -88,7 +88,9 @@ def presentation(nodes, arrows) -> SPresentation:
                 "of its head chart to the algebra of its tail chart")
         if is_finite_localization(h) is None:
             raise GlueError(f"arrow {src} -> {dst} is not a finite localization")
-        packed.append((si, di, h))
+        # rebound onto the chart objects, so arrows read their derived data
+        packed.append((si, di, SemiringHom(semirings[di], semirings[si],
+                                           h.images)))
     return SPresentation(names, semirings, tuple(packed))
 
 
@@ -290,11 +292,9 @@ def visualization_map(h: SemiringHom, vis: str) -> ContinuousMap:
     if vis == "prime":
         return spectrum_pullback(h)
     if vis == "k":
-        src_spec = prime_spectrum(h.source)
-        tgt_spec = prime_spectrum(h.target)
-        full = spectrum_pullback(h, src_spec, tgt_spec)
-        src_k, src_incl = k_spectrum(h.source, src_spec)
-        tgt_k, tgt_incl = k_spectrum(h.target, tgt_spec)
+        full = spectrum_pullback(h)
+        src_k, src_incl = k_spectrum(h.source)
+        tgt_k, tgt_incl = k_spectrum(h.target)
         src_ids = [src_incl(i) for i in range(src_k.n)]
         images = tuple(src_ids.index(full(tgt_incl(x)))
                        for x in range(tgt_k.n))
@@ -410,7 +410,7 @@ def affine_glue_check(S: CoverFamily, budget: int = DEFAULT_BUDGET
     base_spec = prime_spectrum(S.base)
     images: list[int | None] = [None] * glued.space.n
     for ci, (_, loc) in enumerate(parts):
-        into_base, _ = localization_spectrum_map(loc, base_spec)
+        into_base, _ = localization_spectrum_map(loc)
         for x in range(glued.chart_spaces[ci].n):
             g = glued.charts[ci](x)
             v = into_base(x)

@@ -7,7 +7,7 @@ and is never special-cased away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class SemiringError(Exception):
@@ -45,6 +45,10 @@ class FiniteSemiring:
     mul: tuple[tuple[int, ...], ...]
     zero: int
     one: int
+    # ideals, congruences, primes and localizations, each computed once by
+    # `_memo`; not part of the value, so equality, hash and repr ignore it
+    _derived: dict = field(default_factory=dict, init=False, compare=False,
+                           repr=False)
 
     @property
     def n(self) -> int:
@@ -81,6 +85,15 @@ class FiniteSemiring:
 
     def __repr__(self):
         return f"FiniteSemiring({self.n} elements: {' '.join(self.elements)})"
+
+
+def _memo(R: FiniteSemiring, key, build):
+    """R's derived value under `key`, built by `build()` on first use and
+    kept for the life of the semiring object."""
+    memo = R._derived
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
 
 
 def _check_shape(elements, add, mul, zero, one):
@@ -403,8 +416,13 @@ def enumerate_congruences(R: FiniteSemiring) -> list[Congruence]:
 
     Every congruence is the join of the principal congruences of its pairs,
     so the join-closure of the principal ones is complete.  Canonical order:
-    by block-membership vector.
+    by block-membership vector.  Computed once per semiring; each call
+    returns a fresh list.
     """
+    return list(_memo(R, "congruences", lambda: _congruences(R)))
+
+
+def _congruences(R: FiniteSemiring) -> tuple[Congruence, ...]:
     found: dict[tuple[int, ...], Congruence] = {}
     diag = diagonal_congruence(R)
     found[diag.blocks] = diag
@@ -422,7 +440,7 @@ def enumerate_congruences(R: FiniteSemiring) -> list[Congruence]:
             if j.blocks not in found:
                 found[j.blocks] = j
                 queue.append(j)
-    return sorted(found.values(), key=lambda c: c.blocks)
+    return tuple(sorted(found.values(), key=lambda c: c.blocks))
 
 
 def quotient(R: FiniteSemiring, c: Congruence) -> tuple[FiniteSemiring, SemiringHom]:
@@ -517,7 +535,12 @@ class Localization:
 
 
 def localize(R: FiniteSemiring, h: int) -> Localization:
-    """R[1/h] by pair classes; deterministic labels a or a/p."""
+    """R[1/h] by pair classes; deterministic labels a or a/p.  Computed
+    once per semiring and element."""
+    return _memo(R, ("localize", h), lambda: _localization(R, h))
+
+
+def _localization(R: FiniteSemiring, h: int) -> Localization:
     if not 0 <= h < R.n:
         raise TableError("element index out of range")
     powers = R.powers_of(h)          # distinct power values, exponent order

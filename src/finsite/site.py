@@ -24,7 +24,7 @@ from .semiring import (
     localize,
     validate_semiring,
 )
-from .spectra import Spectrum, prime_spectrum
+from .spectra import prime_spectrum
 from .topology import continuous_map
 
 
@@ -64,10 +64,8 @@ class OpenSubscheme:
     extent: frozenset[int]
 
 
-def open_subscheme(R: FiniteSemiring, generators,
-                   spec: Spectrum | None = None) -> OpenSubscheme:
-    if spec is None:
-        spec = prime_spectrum(R)
+def open_subscheme(R: FiniteSemiring, generators) -> OpenSubscheme:
+    spec = prime_spectrum(R)
     gens = tuple(sorted(set(generators)))
     extent = frozenset()
     for h in gens:
@@ -75,11 +73,10 @@ def open_subscheme(R: FiniteSemiring, generators,
     return OpenSubscheme(R, gens, extent)
 
 
-def covers(S: CoverFamily, spec: Spectrum | None = None) -> bool:
+def covers(S: CoverFamily) -> bool:
     """Point-level criterion: the basic opens of the members exhaust the
     prime spectrum."""
-    if spec is None:
-        spec = prime_spectrum(S.base)
+    spec = prime_spectrum(S.base)
     hit = frozenset()
     for m in S.members:
         hit |= spec.basic_open(m.element)
@@ -156,12 +153,11 @@ def sheaf_axiom_check(S: CoverFamily, Y: FiniteSemiring):
     return True, None
 
 
-def lambda_X(R: FiniteSemiring, spec: Spectrum | None = None
+def lambda_X(R: FiniteSemiring
              ) -> tuple[FiniteFrame, tuple[OpenSubscheme, ...]]:
     """The frame of open subsets of the prime spectrum; each element
     carries the set of all h whose basic open it contains."""
-    if spec is None:
-        spec = prime_spectrum(R)
+    spec = prime_spectrum(R)
     frame = frame_of_opens(spec.space)
     opens = spec.space.sorted_opens()
     subschemes = tuple(
@@ -173,16 +169,12 @@ def lambda_X(R: FiniteSemiring, spec: Spectrum | None = None
     return frame, subschemes
 
 
-def intrinsic_order_check(R: FiniteSemiring, g: int, h: int,
-                          spec: Spectrum | None = None,
-                          loc: Localization | None = None) -> bool:
+def intrinsic_order_check(R: FiniteSemiring, g: int, h: int) -> bool:
     """The morphism criterion (h invertible after inverting g) must agree
     with the extent criterion (basic open of g inside basic open of h);
-    returns the shared answer.  `loc`, if given, is R localized at g."""
-    if spec is None:
-        spec = prime_spectrum(R)
-    if loc is None:
-        loc = localize(R, g)
+    returns the shared answer."""
+    spec = prime_spectrum(R)
+    loc = localize(R, g)
     morphism = loc.semiring.inverse_of(loc.to_local(h)) is not None
     extent = spec.basic_open(g) <= spec.basic_open(h)
     if morphism != extent:
@@ -197,7 +189,7 @@ def theorem_A_check(R: FiniteSemiring):
     returns (flag, point pairs) with the canonical matching prime ->
     filter of opens around it."""
     spec = prime_spectrum(R)
-    frame, subschemes = lambda_X(R, spec)
+    frame, subschemes = lambda_X(R)
     dual, filters = stone_dual(frame)
     opens = spec.space.sorted_opens()
     images = []
@@ -254,12 +246,10 @@ def structure_sheaf_sections(R: FiniteSemiring, u: OpenSubscheme):
     return sections, projections
 
 
-def principal_sections_iso(R: FiniteSemiring, h: int,
-                           spec: Spectrum | None = None) -> SemiringHom:
+def principal_sections_iso(R: FiniteSemiring, h: int) -> SemiringHom:
     """The canonical map from R[1/h] to the sections over the saturated
     basic open U_h; raises unless it is an isomorphism."""
-    if spec is None:
-        spec = prime_spectrum(R)
+    spec = prime_spectrum(R)
     u = OpenSubscheme(
         R,
         tuple(g for g in range(R.n)

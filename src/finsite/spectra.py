@@ -18,6 +18,7 @@ from .semiring import (
     SemiringError,
     SemiringHom,
     Localization,
+    _memo,
     enumerate_congruences,
 )
 from .topology import (
@@ -68,7 +69,12 @@ def ideal_closure(R: FiniteSemiring, gens) -> frozenset[int]:
 
 
 def enumerate_ideals(R: FiniteSemiring) -> list[frozenset[int]]:
-    """All ideals: principal ideals closed under pairwise join."""
+    """All ideals: principal ideals closed under pairwise join.  Computed
+    once per semiring; each call returns a fresh list."""
+    return list(_memo(R, "ideals", lambda: _ideals(R)))
+
+
+def _ideals(R: FiniteSemiring) -> tuple[frozenset[int], ...]:
     found = {ideal_closure(R, [a]) for a in range(R.n)}
     changed = True
     while changed:
@@ -80,7 +86,7 @@ def enumerate_ideals(R: FiniteSemiring) -> list[frozenset[int]]:
                 if K not in found:
                     found.add(K)
                     changed = True
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
+    return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
 
 
 def is_k_ideal(R: FiniteSemiring, members) -> bool:
@@ -129,6 +135,11 @@ class Spectrum:
 
 
 def prime_spectrum(R: FiniteSemiring) -> Spectrum:
+    """Computed once per semiring: every call returns the same Spectrum."""
+    return _memo(R, "spectrum", lambda: _prime_spectrum(R))
+
+
+def _prime_spectrum(R: FiniteSemiring) -> Spectrum:
     ideals = enumerate_ideals(R)
     primes = tuple(I for I in ideals if is_prime_ideal(R, I))
     labels = tuple(set_label(R.elements, p) for p in primes)
@@ -138,12 +149,10 @@ def prime_spectrum(R: FiniteSemiring) -> Spectrum:
     return Spectrum(R, space, primes)
 
 
-def k_spectrum(R: FiniteSemiring,
-               spec: Spectrum | None = None) -> tuple[FiniteTopSpace, ContinuousMap]:
+def k_spectrum(R: FiniteSemiring) -> tuple[FiniteTopSpace, ContinuousMap]:
     """Subspace of the prime spectrum on the prime k-ideals, with its
     inclusion map."""
-    if spec is None:
-        spec = prime_spectrum(R)
+    spec = prime_spectrum(R)
     keep = [i for i, p in enumerate(spec.primes) if is_k_ideal(R, p)]
     return subspace(spec.space, keep)
 
@@ -183,7 +192,10 @@ def kernel_ideal(c: Congruence) -> frozenset[int]:
 
 
 def prime_congruences(R: FiniteSemiring, flavor: str) -> list[Congruence]:
-    return [c for c in enumerate_congruences(R) if primality(c, flavor)]
+    """The flavor-prime congruences, filtered from all congruences once per
+    semiring and flavor; each call returns a fresh list."""
+    return list(_memo(R, ("prime", flavor), lambda: tuple(
+        c for c in enumerate_congruences(R) if primality(c, flavor))))
 
 
 def _congruence_label(c: Congruence) -> str:
@@ -192,19 +204,12 @@ def _congruence_label(c: Congruence) -> str:
                    for block in c.block_members())
 
 
-def congruence_spectrum(R: FiniteSemiring, flavor: str,
-                        spec: Spectrum | None = None
+def congruence_spectrum(R: FiniteSemiring, flavor: str
                         ) -> tuple[FiniteTopSpace, ContinuousMap]:
     """Space of flavor-prime congruences plus the kernel map down to the
     prime spectrum."""
-    if spec is None:
-        spec = prime_spectrum(R)
-    return _congruence_space(R, prime_congruences(R, flavor), spec)
-
-
-def _congruence_space(R: FiniteSemiring, points: list[Congruence],
-                      spec: Spectrum) -> tuple[FiniteTopSpace, ContinuousMap]:
-    """The space on the prime congruences `points`, and its kernel map."""
+    spec = prime_spectrum(R)
+    points = prime_congruences(R, flavor)
     labels = tuple(_congruence_label(c) for c in points)
     basis = [frozenset(i for i, c in enumerate(points) if not c.related(a, b))
              for a in range(R.n) for b in range(R.n)]
@@ -238,15 +243,13 @@ class SpectraChain:
     unreached_k_points: tuple[str, ...]
 
 
-def visualization_chain(R: FiniteSemiring,
-                        spec: Spectrum | None = None) -> SpectraChain:
-    """Build the chain from one enumeration of the weak prime congruences;
-    `spec`, when given, is R's prime spectrum and is not rebuilt."""
-    if spec is None:
-        spec = prime_spectrum(R)
-    k_space, k_incl = k_spectrum(R, spec)
+def visualization_chain(R: FiniteSemiring) -> SpectraChain:
+    """Build the chain from the weak prime congruences; strong and twisted
+    primality are tested on the weak points only."""
+    spec = prime_spectrum(R)
+    k_space, k_incl = k_spectrum(R)
     weak_points = prime_congruences(R, "weak")
-    weak_space, weak_down = _congruence_space(R, weak_points, spec)
+    weak_space, weak_down = congruence_spectrum(R, "weak")
     strong_ids, twisted_ids = ([i for i, c in enumerate(weak_points)
                                 if primality(c, f)]
                                for f in ("strong", "twisted"))
@@ -275,14 +278,11 @@ def visualization_chain(R: FiniteSemiring,
     )
 
 
-def spectrum_pullback(f: SemiringHom, source_spec: Spectrum | None = None,
-                      target_spec: Spectrum | None = None) -> ContinuousMap:
+def spectrum_pullback(f: SemiringHom) -> ContinuousMap:
     """A hom f: R -> T induces the continuous map Spec T -> Spec R sending a
     prime to its preimage."""
-    if source_spec is None:
-        source_spec = prime_spectrum(f.source)
-    if target_spec is None:
-        target_spec = prime_spectrum(f.target)
+    source_spec = prime_spectrum(f.source)
+    target_spec = prime_spectrum(f.target)
     images = []
     for q in target_spec.primes:
         pre = frozenset(a for a in range(f.source.n) if f(a) in q)
@@ -323,15 +323,12 @@ def congruence_spectrum_pullback(f: SemiringHom, flavor: str
     return continuous_map(tgt_space, src_space, tuple(images))
 
 
-def localization_spectrum_map(loc: Localization,
-                              base_spec: Spectrum | None = None
+def localization_spectrum_map(loc: Localization
                               ) -> tuple[ContinuousMap, frozenset[int]]:
     """The pullback Spec R[1/h] -> Spec R together with the basic open U_h
     it lands on; the map is an open embedding with exactly that image."""
-    if base_spec is None:
-        base_spec = prime_spectrum(loc.base)
-    m = spectrum_pullback(loc.to_local, base_spec)
-    target = base_spec.basic_open(loc.h)
+    m = spectrum_pullback(loc.to_local)
+    target = prime_spectrum(loc.base).basic_open(loc.h)
     image = frozenset(m.images)
     if image != target or not m.is_injective():
         raise SemiringError(
@@ -345,7 +342,7 @@ def spectrum_report(R: FiniteSemiring) -> dict:
     """Machine-readable summary with a stable key order."""
     ideals = enumerate_ideals(R)
     spec = prime_spectrum(R)
-    chain = visualization_chain(R, spec)
+    chain = visualization_chain(R)
     report = {
         "elements": list(R.elements),
         "ideal_count": len(ideals),

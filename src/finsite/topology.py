@@ -11,7 +11,6 @@ that order picture.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 
 class TopologyError(Exception):
@@ -85,23 +84,11 @@ class FiniteTopSpace:
             seen[key] = x
         return True
 
-    def closed_sets(self) -> list[frozenset[int]]:
-        full = frozenset(range(self.n))
-        return sorted({full - u for u in self.opens},
-                      key=lambda c: (len(c), sorted(c)))
-
     def irreducible_closed_sets(self) -> list[frozenset[int]]:
-        closed = set(self.closed_sets())
-        out = []
-        for c in closed:
-            if not c:
-                continue
-            proper = [d for d in closed if d < c]
-            reducible = any(d1 | d2 == c for d1, d2 in
-                            combinations(proper, 2))
-            if not reducible:
-                out.append(c)
-        return sorted(out, key=lambda c: (len(c), sorted(c)))
+        """In a finite space these are exactly the point closures: a
+        nonempty closed set is the finite union of its points' closures."""
+        return sorted({self.closure({x}) for x in range(self.n)},
+                      key=lambda c: (len(c), sorted(c)))
 
     def generic_points(self, closed_set) -> list[int]:
         closed_set = frozenset(closed_set)

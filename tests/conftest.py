@@ -10,21 +10,17 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 @pytest.fixture
 def enumerations(monkeypatch):
-    """Counter of `enumerate_congruences` calls per semiring, counted in
-    every finsite module that imported the function."""
-    import finsite.cli  # noqa: F401  (bind every module that imports it)
-    import finsite.spectra
+    """Counter, per semiring, of congruence enumerations actually run: the
+    builds behind each semiring's derived-data record, not calls to the
+    public `enumerate_congruences`."""
+    import finsite.semiring
 
     counts = collections.Counter()
-    original = finsite.spectra.enumerate_congruences
+    original = finsite.semiring._congruences
 
     def counted(R):
         counts[R] += 1
         return original(R)
 
-    for name, module in list(sys.modules.items()):
-        if (name.split(".")[0] == "finsite"
-                and getattr(module, "enumerate_congruences", None)
-                is original):
-            monkeypatch.setattr(module, "enumerate_congruences", counted)
+    monkeypatch.setattr(finsite.semiring, "_congruences", counted)
     return counts

@@ -183,21 +183,20 @@ def test_criterion_03_stone_duality_and_sobriety():
             assert len(pairs) == spec.space.n
             sober, witness = is_sober(spec.space)
             assert sober, (name, witness)
-            frame, _ = lambda_X(R, spec)
+            frame, _ = lambda_X(R)
             assert spatiality_check(frame), name
 
 
 def test_criterion_04_sections_localize_and_glue():
     with criterion(4, limit=10.0):
         for name, R in catalog():
-            spec = prime_spectrum(R)
             for h in range(R.n):
-                iso = principal_sections_iso(R, h, spec)
+                iso = principal_sections_iso(R, h)
                 assert iso.is_bijective(), (name, h)
                 assert iso.source.n == localize(R, h).semiring.n
             # the full generator set recovers the semiring itself
             full, _ = structure_sheaf_sections(
-                R, open_subscheme(R, range(R.n), spec))
+                R, open_subscheme(R, range(R.n)))
             locs = [localize(R, h) for h in range(R.n)]
             images = []
             for r in range(R.n):
@@ -212,7 +211,7 @@ def test_criterion_04_sections_localize_and_glue():
             for g in range(R.n):
                 for h in range(g + 1, R.n):
                     two, proj = structure_sheaf_sections(
-                        R, open_subscheme(R, (g, h), spec))
+                        R, open_subscheme(R, (g, h)))
                     lg, lh = localize(R, g), localize(R, h)
                     lgh = localize(R, R.mul[g][h])
                     rg = lg.extend(lgh.to_local)
@@ -234,7 +233,7 @@ def test_criterion_05_basic_open_laws():
                 for h in range(R.n):
                     meet = spec.basic_open(g) & spec.basic_open(h)
                     assert meet == spec.basic_open(R.mul[g][h]), (name, g, h)
-                    below = intrinsic_order_check(R, g, h, spec)
+                    below = intrinsic_order_check(R, g, h)
                     assert below == (spec.basic_open(g)
                                      <= spec.basic_open(h)), (name, g, h)
 
@@ -298,7 +297,7 @@ def test_criterion_08_comparison_chain_per_entry():
                     assert pre in m.source.opens, name
             # recompute the reach of the kernel map from scratch
             spec = prime_spectrum(R)
-            k_space, k_incl = k_spectrum(R, spec)
+            k_space, k_incl = k_spectrum(R)
             kernels = {kernel_ideal(c)
                        for c in prime_congruences(R, "weak")}
             missing = tuple(

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import collections
 import hashlib
 import json
 
@@ -8,7 +9,8 @@ import pytest
 import finsite.glue
 from finsite.catalog import boolean, boolean_pair, zmod
 from finsite.cli import main
-from finsite.formats import parse_semiring, render_semiring
+from finsite.formats import parse_semiring, read_presentation, render_semiring
+from finsite.glue import VISUALIZATIONS, glue_space
 from finsite.semiring import are_isomorphic, localize
 
 
@@ -162,11 +164,37 @@ def test_verify_bundled_catalog(capsys):
     assert all(": pass" in line for line in out.splitlines()[:-1])
 
 
-def test_verify_enumerates_congruences_at_most_twice(enumerations, capsys):
+def test_verify_enumerates_congruences_once(enumerations, capsys):
     code, _, _ = run(capsys, "verify")
     assert code == 0
     assert len(enumerations) == 8
-    assert max(enumerations.values()) <= 2, enumerations
+    assert set(enumerations.values()) == {1}, enumerations
+
+
+def test_non_utf8_file_is_a_format_error(workdir, capsys):
+    bad = workdir / "bad.bin"
+    bad.write_bytes(b"\x00\xff")
+    for argv in (["check"], ["spectrum"], ["congruences"], ["locale"],
+                 ["stone"], ["localize", "0"], ["sheaf-check"], ["glue"],
+                 ["simplex"]):
+        code, out, err = run(capsys, argv[0], str(bad), *argv[1:])
+        assert code == 2, argv
+        assert out == "", argv
+        assert err.startswith("error: cannot read") and "UTF-8" in err, argv
+        assert "Traceback" not in err, argv
+
+
+def test_verify_reports_non_utf8_file(workdir, capsys):
+    cat = workdir / "cat"
+    cat.mkdir()
+    (cat / "b.sr").write_text(render_semiring(boolean()))
+    (cat / "bad.sr").write_bytes(b"\x00\xff")
+    code, out, _ = run(capsys, "verify", str(cat))
+    assert code == 1
+    failed = [line for line in out.splitlines() if ": fail" in line]
+    assert len(failed) == 1
+    assert failed[0].startswith("bad.sr axioms: fail (cannot read")
+    assert out.splitlines()[-1] == "6 checks, 1 failures"
 
 
 def test_verify_reports_broken_file(workdir, capsys):
@@ -235,6 +263,17 @@ def test_glue_single_node_passthrough(workdir, capsys):
     code, out, _ = run(capsys, "glue", str(pres))
     assert code == 0
     assert "glued space (prime): 2 points" in out.splitlines()
+
+
+def test_glue_enumerates_each_chart_congruences_once(workdir, enumerations):
+    pres = workdir / "doubled.pres"
+    pres.write_text("node A z6.sr\nnode B z6.sr\nnode O o.sr\n"
+                    "arrow O A localize-at 2\narrow O B localize-at 2\n")
+    P = read_presentation(str(pres))
+    for vis in VISUALIZATIONS:
+        glue_space(P, vis)
+    # A and B are two chart objects with equal tables: one enumeration each
+    assert enumerations == collections.Counter(P.semirings)
 
 
 def test_glue_budget_exceeded(workdir, capsys):

@@ -249,3 +249,17 @@ def test_glue_and_colimit_state_invariants_without_assert():
         asserts = [node.lineno for node in ast.walk(tree)
                    if isinstance(node, ast.Assert)]
         assert asserts == [], (path.name, asserts)
+
+
+def test_no_parameter_threads_derived_data():
+    # spectra and localizations are read from each semiring's own record;
+    # optional parameters carrying them by hand let callers redo the work
+    banned = {"Spectrum | None", "Localization | None"}
+    pkg = Path(finsite.__file__).parent
+    threaded = []
+    for path in sorted(pkg.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.arg) and node.annotation is not None
+                    and ast.unparse(node.annotation) in banned):
+                threaded.append((path.name, node.lineno, node.arg))
+    assert threaded == []

@@ -81,13 +81,12 @@ def test_cover_criterion_matches_bounded_sheaf_scan():
     """Families of up to two principal opens: covering the spectrum is
     exactly passing the sheaf check against every bench semiring."""
     for name, R in catalog():
-        spec = prime_spectrum(R)
         for r in (1, 2):
             for els in itertools.combinations(range(R.n), r):
                 fam = cover_family(R, els)
                 sheafy = all(sheaf_axiom_check(fam, Y)[0]
                              for _, Y in catalog())
-                assert covers(fam, spec) == sheafy, (name, els)
+                assert covers(fam) == sheafy, (name, els)
 
 
 def test_lambda_frames():
@@ -106,7 +105,7 @@ def test_lambda_frames():
 def test_lambda_elements_carry_generators():
     Z6 = zmod(6)
     spec = prime_spectrum(Z6)
-    frame, subs = lambda_X(Z6, spec)
+    frame, subs = lambda_X(Z6)
     for sub in subs:
         got = frozenset()
         for h in sub.generators:
@@ -129,10 +128,9 @@ def test_intrinsic_order_examples():
 
 def test_intrinsic_order_agreement_across_catalog():
     for name, R in catalog():
-        spec = prime_spectrum(R)
         for g in range(R.n):
             for h in range(R.n):
-                intrinsic_order_check(R, g, h, spec)  # raises on mismatch
+                intrinsic_order_check(R, g, h)  # raises on mismatch
 
 
 def test_theorem_A_on_catalog():
@@ -185,9 +183,8 @@ def test_sections_glue_along_overlaps():
 
 def test_principal_sections_iso_across_catalog():
     for name, R in catalog():
-        spec = prime_spectrum(R)
         for h in range(R.n):
-            iso = principal_sections_iso(R, h, spec)
+            iso = principal_sections_iso(R, h)
             assert iso.is_bijective(), (name, h)
 
 

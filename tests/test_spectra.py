@@ -25,6 +25,7 @@ from finsite.semiring import (
     localize,
     product_semiring,
     total_congruence,
+    validate_semiring,
 )
 from finsite.spectra import (
     FLAVORS,
@@ -169,7 +170,7 @@ def test_spectrum_dot_output():
 def test_k_spectrum_of_a_ring_is_everything():
     Z6 = zmod(6)
     spec = prime_spectrum(Z6)
-    k_space, incl = k_spectrum(Z6, spec)
+    k_space, incl = k_spectrum(Z6)
     assert k_space.n == spec.space.n
     assert incl.is_bijective()
 
@@ -240,7 +241,7 @@ def test_congruence_spectrum_maps_down_continuously():
     for name, R in catalog():
         spec = prime_spectrum(R)
         for flavor in FLAVORS:
-            space, down = congruence_spectrum(R, flavor, spec)
+            space, down = congruence_spectrum(R, flavor)
             assert down.is_continuous()
             assert down.target == spec.space
 
@@ -286,16 +287,16 @@ def test_spectrum_pullback_is_contravariantly_functorial():
     homs = enumerate_homs(Z6, Z6)
     spec = prime_spectrum(Z6)
     for f in homs:
-        m = spectrum_pullback(f, spec, spec)
+        m = spectrum_pullback(f)
         for i, q in enumerate(spec.primes):
             pre = frozenset(a for a in range(Z6.n) if f(a) in q)
             assert oracle_is_prime_ideal(Z6, pre)
             assert spec.primes[m(i)] == pre
         for g in homs:
             gf = g.compose(f)
-            left = spectrum_pullback(f, spec, spec).compose(
-                spectrum_pullback(g, spec, spec))
-            right = spectrum_pullback(gf, spec, spec)
+            left = spectrum_pullback(f).compose(
+                spectrum_pullback(g))
+            right = spectrum_pullback(gf)
             assert left.images == right.images
 
 
@@ -317,7 +318,7 @@ def test_localization_spectrum_is_an_open_embedding():
         spec = prime_spectrum(R)
         for h in range(R.n):
             loc = localize(R, h)
-            m, image = localization_spectrum_map(loc, spec)
+            m, image = localization_spectrum_map(loc)
             assert image == spec.basic_open(h), (name, h)
             assert m.is_open_embedding()
 
@@ -326,6 +327,25 @@ def test_spectrum_report_enumerates_congruences_once(enumerations):
     for name, R in catalog():
         spectrum_report(R)
         assert enumerations[R] == 1, name
+
+
+def test_derived_record_is_invisible():
+    R = zmod(6)
+    before = repr(R)
+    spectrum_report(R)
+    localize(R, 2)
+    fresh = validate_semiring(R.elements, R.add, R.mul, R.zero, R.one)
+    assert R == fresh and hash(R) == hash(fresh)
+    assert repr(R) == before == repr(fresh)
+    assert prime_spectrum(R) is prime_spectrum(R)
+    assert localize(R, 2) is localize(R, 2)
+    for listing in (enumerate_congruences, enumerate_ideals,
+                    lambda S: prime_congruences(S, "weak")):
+        got = listing(R)
+        expected = list(got)
+        got.append(got.pop(0))
+        got.append(None)
+        assert listing(R) == expected
 
 
 def test_spectrum_report_is_deterministic():
