@@ -144,6 +144,12 @@ def read_cover(path: str) -> CoverFamily:
         raise FormatError(str(e)) from None
 
 
+def _label(R: FiniteSemiring, token: str) -> int:
+    if token not in R.elements:
+        raise FormatError(f"unknown element label {token!r}")
+    return R.elements.index(token)
+
+
 def read_presentation(path: str) -> SPresentation:
     """Presentation file: `node <name> <semiring-file>` lines, then
     `arrow <src> <dst> localize-at <element>` or
@@ -159,6 +165,8 @@ def read_presentation(path: str) -> SPresentation:
             if len(line) != 3:
                 raise FormatError("node lines read: node <name> <file>")
             name, ref = line[1], line[2]
+            if name in table:
+                raise FormatError(f"duplicate node name {name!r}")
             R = read_semiring(os.path.join(base, ref))
             nodes.append((name, R))
             table[name] = R
@@ -172,7 +180,7 @@ def read_presentation(path: str) -> SPresentation:
             if kind == "localize-at":
                 if len(line) != 5:
                     raise FormatError("localize-at takes one element label")
-                loc = localize(table[dst], table[dst].index(line[4]))
+                loc = localize(table[dst], _label(table[dst], line[4]))
                 h = loc.to_local
                 if loc.semiring != table[src]:
                     iso = find_isomorphism(loc.semiring, table[src])
@@ -187,7 +195,7 @@ def read_presentation(path: str) -> SPresentation:
                     raise FormatError(
                         f"map needs {table[dst].n} image labels")
                 h = SemiringHom(table[dst], table[src],
-                                tuple(table[src].index(t) for t in images))
+                                tuple(_label(table[src], t) for t in images))
                 if hom_violation(h) is not None:
                     raise FormatError(
                         f"arrow {src} -> {dst} map does not preserve "

@@ -207,7 +207,12 @@ def _congruence_label(c: Congruence) -> str:
 def congruence_spectrum(R: FiniteSemiring, flavor: str
                         ) -> tuple[FiniteTopSpace, ContinuousMap]:
     """Space of flavor-prime congruences plus the kernel map down to the
-    prime spectrum."""
+    prime spectrum; computed once per semiring and flavor."""
+    return _memo(R, ("space", flavor), lambda: _congruence_spectrum(R, flavor))
+
+
+def _congruence_spectrum(R: FiniteSemiring, flavor: str
+                         ) -> tuple[FiniteTopSpace, ContinuousMap]:
     spec = prime_spectrum(R)
     points = prime_congruences(R, flavor)
     labels = tuple(_congruence_label(c) for c in points)

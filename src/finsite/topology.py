@@ -1,16 +1,19 @@
 """Finite topological spaces, continuous maps, quotients, and gluing.
 
-A finite space is stored as an explicit family of open point-sets.  Finite
-spaces are exactly preorders: x <= y holds when y lies in the closure of x,
-opens are the down-sets (stable under passing to more generic points),
-closed points sit at the top.  Constructions that need a topology on new
-points (disjoint unions, quotients, gluing spaces along maps) go through
-that order picture.
+Finite spaces are exactly preorders: x <= y holds when y lies in the
+closure of x, opens are the down-sets (stable under passing to more generic
+points), closed points sit at the top.  A space stores its family of open
+point-sets, and reads its specialization order off them once.  Every other
+operation works on that order: closures are up-sets, least opens are
+down-sets, T0 is antisymmetry, continuity is monotonicity, and subspaces,
+disjoint unions, quotients and glued spaces are built from the restricted,
+block-diagonal or identified order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class TopologyError(Exception):
@@ -26,6 +29,19 @@ def set_label(labels, members) -> str:
 class FiniteTopSpace:
     points: tuple[str, ...]
     opens: frozenset[frozenset[int]]
+
+    @cached_property
+    def _below(self) -> tuple[frozenset[int], ...]:
+        """The specialization order, read off the opens once: per point x,
+        its least open neighbourhood, the points y <= x.  A cached
+        attribute, so equality, hash and repr ignore it."""
+        return _least_opens(self.n, self.opens)
+
+    @cached_property
+    def _above(self) -> tuple[frozenset[int], ...]:
+        """Per point x, its closure: the points y >= x."""
+        return tuple(frozenset(y for y, below in enumerate(self._below)
+                               if x in below) for x in range(self.n))
 
     @property
     def n(self):
@@ -47,52 +63,34 @@ class FiniteTopSpace:
         return frozenset(range(self.n)) - frozenset(subset) in self.opens
 
     def closure(self, subset) -> frozenset:
-        subset = frozenset(subset)
-        out = frozenset(range(self.n))
-        for u in self.opens:
-            if not (u & subset):
-                out -= u
-        return out
+        """The up-set of subset."""
+        return frozenset().union(*(self._above[x] for x in subset))
 
     def interior(self, subset) -> frozenset:
+        """The points whose least open lies inside subset."""
         subset = frozenset(subset)
-        out = frozenset()
-        for u in self.opens:
-            if u <= subset:
-                out |= u
-        return out
+        return frozenset(x for x in range(self.n) if self._below[x] <= subset)
 
     def min_open(self, x: int) -> frozenset:
-        out = frozenset(range(self.n))
-        for u in self.opens:
-            if x in u:
-                out &= u
-        return out
+        return self._below[x]
 
     def specialization_leq(self) -> tuple[tuple[bool, ...], ...]:
         """leq[x][y] iff y is in the closure of x (closed points on top)."""
-        cls = [self.closure({x}) for x in range(self.n)]
-        return tuple(tuple(y in cls[x] for y in range(self.n))
-                     for x in range(self.n))
+        return tuple(tuple(y in above for y in range(self.n))
+                     for above in self._above)
 
     def is_t0(self) -> bool:
-        seen = {}
-        for x in range(self.n):
-            key = frozenset(u for u in self.opens if x in u)
-            if key in seen:
-                return False
-            seen[key] = x
-        return True
+        """The order is antisymmetric: no two points share a least open."""
+        return len(set(self._below)) == self.n
 
     def irreducible_closed_sets(self) -> list[frozenset[int]]:
         """In a finite space these are exactly the point closures: a
         nonempty closed set is the finite union of its points' closures."""
-        return sorted({self.closure({x}) for x in range(self.n)},
-                      key=lambda c: (len(c), sorted(c)))
+        return sorted(set(self._above), key=lambda c: (len(c), sorted(c)))
 
     def generic_points(self, closed_set) -> list[int]:
         closed_set = frozenset(closed_set)
-        return [x for x in range(self.n) if self.closure({x}) == closed_set]
+        return [x for x in range(self.n) if self._above[x] == closed_set]
 
     def specialization_edges(self) -> list[tuple[str, str]]:
         """Covering pairs of the specialization order by label, each from
@@ -147,54 +145,52 @@ def validate_topology(points, opens) -> FiniteTopSpace:
     return FiniteTopSpace(points, frozenset(fam))
 
 
+def _least_opens(n, family) -> tuple[frozenset[int], ...]:
+    """Per point, the intersection of the members of family containing it
+    (the whole point set when none does)."""
+    least = [frozenset(range(n))] * n
+    for u in family:
+        for x in u:
+            least[x] &= u
+    return tuple(least)
+
+
 def space_from_opens(points, opens) -> FiniteTopSpace:
-    """Close a family under union/intersection and validate."""
-    fam = {frozenset(u) for u in opens}
-    fam.add(frozenset())
-    fam.add(frozenset(range(len(points))))
-    changed = True
-    while changed:
-        changed = False
-        current = list(fam)
-        for i, u in enumerate(current):
-            for v in current[i + 1:]:
-                for w in (u | v, u & v):
-                    if w not in fam:
-                        fam.add(w)
-                        changed = True
-    return validate_topology(points, fam)
+    """The space a family of opens generates.  Its least open around x is
+    the intersection of the members containing x, and x <= y iff x lies in
+    the least open around y."""
+    n = len(points)
+    fam = [frozenset(u) for u in opens]
+    for u in fam:
+        for x in u:
+            if not (0 <= x < n):
+                raise TopologyError(f"open set mentions unknown point {x}")
+    below = _least_opens(n, fam)
+    return from_preorder(points, [[x in below[y] for y in range(n)]
+                                  for x in range(n)])
 
 
 def from_preorder(points, leq) -> FiniteTopSpace:
     """Space whose specialization order is the reflexive-transitive closure
     of leq; opens are the down-sets (leq[x][y] reads: y specializes x)."""
     n = len(points)
-    reach = [set([x]) for x in range(n)]
-    for x in range(n):
-        for y in range(n):
-            if leq[x][y]:
-                reach[x].add(y)
-    changed = True
-    while changed:
-        changed = False
+    reach = [{x} | {y for y in range(n) if leq[x][y]} for x in range(n)]
+    # Warshall: after step k, reach[x] holds every y reachable through
+    # points up to k
+    for k in range(n):
         for x in range(n):
-            for y in list(reach[x]):
-                if not reach[y] <= reach[x]:
-                    reach[x] |= reach[y]
-                    changed = True
+            if k in reach[x]:
+                reach[x] |= reach[k]
     # mutually reachable points always travel together, so enumerate
     # down-sets over the clusters
-    cluster_of = {}
     clusters: list[list[int]] = []
     for x in range(n):
-        for ci, c in enumerate(clusters):
+        for c in clusters:
             r = c[0]
             if x in reach[r] and r in reach[x]:
                 c.append(x)
-                cluster_of[x] = ci
                 break
         else:
-            cluster_of[x] = len(clusters)
             clusters.append([x])
     k = len(clusters)
     reps = [c[0] for c in clusters]
@@ -219,11 +215,15 @@ class ContinuousMap:
         return self.images[i]
 
     def continuity_violation(self):
-        for u in self.target.opens:
-            pre = frozenset(x for x in range(self.source.n)
-                            if self.images[x] in u)
-            if pre not in self.source.opens:
-                return u
+        """A target open whose preimage is not open, or None.  A map of
+        finite spaces is continuous iff it is monotone; for x <= y with
+        f(x) not <= f(y), the least open around f(y) holds f(y) but not
+        f(x), so its preimage holds y but not x and is no down-set."""
+        above = self.target._above
+        for x, ups in enumerate(self.source._above):
+            for y in ups:
+                if self.images[y] not in above[self.images[x]]:
+                    return self.target.min_open(self.images[y])
         return None
 
     def is_continuous(self) -> bool:
@@ -255,16 +255,13 @@ class ContinuousMap:
         return back.is_continuous()
 
     def is_open_embedding(self) -> bool:
-        if not (self.is_injective() and self.is_continuous()):
+        """Injective, and each least open goes onto the least open around
+        its image: f(min x) = min f(x)."""
+        if not self.is_injective():
             return False
-        image = frozenset(self.images)
-        if image not in self.target.opens:
-            return False
-        for u in self.source.opens:
-            fu = frozenset(self.images[x] for x in u)
-            if fu not in self.target.opens:
-                return False
-        return True
+        return all(frozenset(self.images[y] for y in self.source.min_open(x))
+                   == self.target.min_open(self.images[x])
+                   for x in range(self.source.n))
 
 
 def continuous_map(source, target, images) -> ContinuousMap:
@@ -280,38 +277,20 @@ def continuous_map(source, target, images) -> ContinuousMap:
 
 
 def subspace(X: FiniteTopSpace, subset) -> tuple[FiniteTopSpace, ContinuousMap]:
+    """The subset with the restricted specialization order."""
     subset = sorted(frozenset(subset))
-    back = {x: i for i, x in enumerate(subset)}
-    opens = {frozenset(back[x] for x in u if x in back) for u in X.opens}
-    S = validate_topology(tuple(X.points[x] for x in subset), opens)
+    S = from_preorder(tuple(X.points[x] for x in subset),
+                      [[y in X._above[x] for y in subset] for x in subset])
     incl = continuous_map(S, X, tuple(subset))
     return S, incl
 
 
 def disjoint_union(spaces, prefixes=None) -> tuple[FiniteTopSpace, tuple[ContinuousMap, ...]]:
+    """The spaces glued along no maps: the block-diagonal order, each point
+    labeled by its space's prefix."""
     if prefixes is None:
         prefixes = [str(i) for i in range(len(spaces))]
-    points = []
-    offsets = []
-    for pre, sp in zip(prefixes, spaces):
-        offsets.append(len(points))
-        points.extend(f"{pre}:{lab}" for lab in sp.points)
-    opens = set()
-    pieces = [sorted(sp.opens, key=lambda u: (len(u), sorted(u)))
-              for sp in spaces]
-
-    def build(i, acc):
-        if i == len(spaces):
-            opens.add(frozenset(acc))
-            return
-        for u in pieces[i]:
-            build(i + 1, acc | {offsets[i] + x for x in u})
-
-    build(0, set())
-    X = validate_topology(tuple(points), opens)
-    incls = tuple(continuous_map(sp, X,
-                                 tuple(offsets[i] + x for x in range(sp.n)))
-                  for i, sp in enumerate(spaces))
+    X, incls, _ = glue_along_maps(prefixes, spaces, ())
     return X, incls
 
 
@@ -344,11 +323,9 @@ def quotient_space(X: FiniteTopSpace, pairs, labels=None) -> tuple[FiniteTopSpac
     proj, reps = _classes(X.n, pairs)
     k = len(reps)
     leq = [[False] * k for _ in range(k)]
-    xleq = X.specialization_leq()
     for x in range(X.n):
-        for y in range(X.n):
-            if xleq[x][y]:
-                leq[proj[x]][proj[y]] = True
+        for y in X._above[x]:
+            leq[proj[x]][proj[y]] = True
     if labels is None:
         labels = tuple(X.points[r] for r in reps)
     Q = from_preorder(tuple(labels), leq)
@@ -390,11 +367,9 @@ def glue_along_maps(names, spaces, arrows):
 
     leq = [[i == j for j in range(k)] for i in range(k)]
     for ci, X in enumerate(spaces):
-        lo = X.specialization_leq()
         for x in range(X.n):
-            for y in range(X.n):
-                if lo[x][y]:
-                    leq[of[offsets[ci] + x]][of[offsets[ci] + y]] = True
+            for y in X._above[x]:
+                leq[of[offsets[ci] + x]][of[offsets[ci] + y]] = True
     glued = from_preorder(labels, leq)
     charts = tuple(
         continuous_map(X, glued,
@@ -404,13 +379,7 @@ def glue_along_maps(names, spaces, arrows):
 
 
 def kolmogorov_quotient(X: FiniteTopSpace) -> tuple[FiniteTopSpace, ContinuousMap]:
-    """Identify points contained in exactly the same opens."""
-    key = {}
-    pairs = []
-    for x in range(X.n):
-        k = frozenset(u for u in X.opens if x in u)
-        if k in key:
-            pairs.append((key[k], x))
-        else:
-            key[k] = x
-    return quotient_space(X, pairs)
+    """Identify x and y when x <= y <= x: points with the same least open."""
+    first = {}
+    return quotient_space(X, [(first.setdefault(below, x), x)
+                              for x, below in enumerate(X._below)])

@@ -165,3 +165,87 @@ def oracle_pushout(f, g):
     Q, _ = _quotient_by_pairs(
         T, [(inj_f(f(x)), inj_g(g(x))) for x in range(f.source.n)])
     return Q
+
+
+# -- finite spaces, straight from their families of opens ------------------
+
+
+def oracle_generated_opens(n, family) -> set[frozenset[int]]:
+    """The topology a family generates on range(n): add the empty and the
+    full set, then close under pairwise union and intersection."""
+    fam = {frozenset(u) for u in family} | {frozenset(), frozenset(range(n))}
+    changed = True
+    while changed:
+        changed = False
+        for u in list(fam):
+            for v in list(fam):
+                for w in (u | v, u & v):
+                    if w not in fam:
+                        fam.add(w)
+                        changed = True
+    return fam
+
+
+def oracle_closure(X, subset) -> frozenset[int]:
+    """The intersection of the closed sets containing subset."""
+    full = frozenset(range(X.n))
+    out = full
+    for u in X.opens:
+        if not u & frozenset(subset):
+            out &= full - u
+    return out
+
+
+def oracle_interior(X, subset) -> frozenset[int]:
+    """The union of the opens inside subset."""
+    return frozenset().union(*(u for u in X.opens if u <= frozenset(subset)))
+
+
+def oracle_min_open(X, x) -> frozenset[int]:
+    """The intersection of the opens containing x."""
+    out = frozenset(range(X.n))
+    for u in X.opens:
+        if x in u:
+            out &= u
+    return out
+
+
+def oracle_preimage(f, u) -> frozenset[int]:
+    return frozenset(x for x in range(f.source.n) if f.images[x] in u)
+
+
+def oracle_discontinuities(f) -> set[frozenset[int]]:
+    """The target opens whose preimage is not open."""
+    return {u for u in f.target.opens if oracle_preimage(f, u)
+            not in f.source.opens}
+
+
+def oracle_is_open_embedding(f) -> bool:
+    """Injective, continuous, and every open goes onto an open."""
+    return (len(set(f.images)) == len(f.images)
+            and not oracle_discontinuities(f)
+            and all(frozenset(f.images[x] for x in u) in f.target.opens
+                    for u in f.source.opens))
+
+
+def oracle_subspace_opens(X, subset) -> set[frozenset[int]]:
+    """The traces of X's opens on subset, renumbered in index order."""
+    back = {x: i for i, x in enumerate(sorted(subset))}
+    return {frozenset(back[x] for x in u if x in back) for u in X.opens}
+
+
+def oracle_disjoint_union_opens(spaces) -> set[frozenset[int]]:
+    """Unions of one open per space, each shifted to its block."""
+    offsets = list(itertools.accumulate((X.n for X in spaces), initial=0))
+    return {frozenset().union(*(frozenset(off + x for x in u)
+                                for off, u in zip(offsets, choice)))
+            for choice in itertools.product(*(X.opens for X in spaces))}
+
+
+def oracle_t0_classes(X) -> list[int]:
+    """Per point, the number of its class when points with the same open
+    neighbourhoods are identified, classes numbered by least member."""
+    number = {}
+    return [number.setdefault(frozenset(u for u in X.opens if x in u),
+                              len(number))
+            for x in range(X.n)]

@@ -7,6 +7,7 @@ import json
 import pytest
 
 import finsite.glue
+import finsite.spectra
 from finsite.catalog import boolean, boolean_pair, zmod
 from finsite.cli import main
 from finsite.formats import parse_semiring, read_presentation, render_semiring
@@ -276,6 +277,27 @@ def test_glue_enumerates_each_chart_congruences_once(workdir, enumerations):
     assert enumerations == collections.Counter(P.semirings)
 
 
+def test_glue_builds_each_congruence_space_once(workdir, monkeypatch):
+    pres = workdir / "doubled.pres"
+    pres.write_text("node A z6.sr\nnode B z6.sr\nnode O o.sr\n"
+                    "arrow O A localize-at 2\narrow O B localize-at 2\n")
+    builds = collections.Counter()
+    real = finsite.spectra._congruence_spectrum
+
+    def counted(R, flavor):
+        builds[R, flavor] += 1
+        return real(R, flavor)
+
+    monkeypatch.setattr(finsite.spectra, "_congruence_spectrum", counted)
+    P = read_presentation(str(pres))
+    flavors = ("weak", "strong", "twisted")
+    for vis in flavors:
+        glue_space(P, vis)
+    # A and B have equal tables, so their keys coincide: one build each
+    assert builds == collections.Counter(
+        (R, f) for R in P.semirings for f in flavors)
+
+
 def test_glue_budget_exceeded(workdir, capsys):
     pres = workdir / "doubled.pres"
     pres.write_text("node A z6.sr\nnode B z6.sr\nnode O o.sr\n"
@@ -304,11 +326,36 @@ def test_glue_checks_monodromy_once(workdir, capsys, monkeypatch):
 
 
 def test_glue_rejects_non_localization_arrow(workdir, capsys):
+    # a map that is no hom is a malformed file; a hom that is no
+    # localization is a well-formed presentation glue refuses
     pres = workdir / "diag.pres"
     pres.write_text("node X bxb.sr\nnode U b.sr\n"
                     "arrow U X map 0 1 1 1\n")
     code, _, err = run(capsys, "glue", str(pres))
-    assert code in (1, 2)
+    assert code == 2
+    assert "does not preserve the operations" in err
+    pres.write_text("node X bxb.sr\nnode U b.sr\n"
+                    "arrow X U map (0,0) (1,1)\n")
+    code, _, err = run(capsys, "glue", str(pres))
+    assert code == 1
+    assert err == "error: arrow X -> U is not a finite localization\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("node A z6.sr\nnode O o.sr\narrow O A localize-at 7\n",
+     "unknown element label '7'"),
+    ("node X bxb.sr\nnode U b.sr\narrow U X map 0 0 1 7\n",
+     "unknown element label '7'"),
+    ("node A z6.sr\nnode A z6.sr\n", "duplicate node name 'A'"),
+])
+def test_glue_presentation_mistakes_are_format_errors(workdir, capsys, text,
+                                                      message):
+    pres = workdir / "bad.pres"
+    pres.write_text(text)
+    code, out, err = run(capsys, "glue", str(pres))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_simplex_dimension_flag(workdir, capsys):

@@ -1,10 +1,16 @@
 """Finite spaces: validation, specialization order, maps, quotients."""
 
+import ast
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import finsite.topology
 from finsite.topology import (
+    ContinuousMap,
     TopologyError,
     continuous_map,
     disjoint_union,
@@ -14,6 +20,19 @@ from finsite.topology import (
     space_from_opens,
     subspace,
     validate_topology,
+)
+
+from oracles import (
+    oracle_closure,
+    oracle_discontinuities,
+    oracle_disjoint_union_opens,
+    oracle_generated_opens,
+    oracle_interior,
+    oracle_is_open_embedding,
+    oracle_min_open,
+    oracle_preimage,
+    oracle_subspace_opens,
+    oracle_t0_classes,
 )
 
 
@@ -90,6 +109,16 @@ def test_from_preorder_round_trips_specialization():
     for X in [sierpinski(), chain_space(3), discrete("abc")]:
         Y = from_preorder(X.points, X.specialization_leq())
         assert Y.opens == X.opens
+
+
+def test_order_cache_is_invisible():
+    C = chain_space(3)
+    fresh = validate_topology(C.points, C.opens)
+    before = repr(C)
+    assert C.closure({1}) == {1, 2}  # reads, and so caches, C's order
+    assert C == fresh
+    assert hash(C) == hash(fresh)
+    assert repr(C) == before
 
 
 def test_preorder_cycle_collapses_to_indiscrete_cluster():
@@ -218,3 +247,98 @@ def test_compose_and_identity():
     ident = continuous_map(C, C, (0, 1, 2))
     assert f.compose(ident).images == f.images
     assert ident.is_homeomorphism()
+
+
+def subsets(n):
+    return st.frozensets(st.integers(0, n - 1)) if n else st.just(frozenset())
+
+
+@st.composite
+def spaces(draw, max_points=6):
+    """A space on at most max_points points, from a random relation or a
+    random subbasis."""
+    n = draw(st.integers(1, max_points))
+    labels = tuple(f"p{i}" for i in range(n))
+    if draw(st.booleans()):
+        edges = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)),
+                              max_size=2 * n))
+        return from_preorder(labels, [[(x, y) in edges for y in range(n)]
+                                      for x in range(n)])
+    return space_from_opens(labels, draw(st.lists(subsets(n), max_size=6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6), st.data())
+def test_space_from_opens_matches_closure_oracle(n, data):
+    family = data.draw(st.lists(subsets(n), max_size=8))
+    X = space_from_opens(tuple(f"p{i}" for i in range(n)), family)
+    assert X.opens == oracle_generated_opens(n, family)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spaces(), st.data())
+def test_order_operations_match_open_set_oracles(X, data):
+    subset = data.draw(subsets(X.n))
+    assert X.closure(subset) == oracle_closure(X, subset)
+    assert X.interior(subset) == oracle_interior(X, subset)
+    for x in range(X.n):
+        assert X.min_open(x) == oracle_min_open(X, x)
+        assert X.specialization_leq()[x] == tuple(
+            y in oracle_closure(X, {x}) for y in range(X.n))
+    assert X.irreducible_closed_sets() == sorted(
+        {oracle_closure(X, {x}) for x in range(X.n)},
+        key=lambda c: (len(c), sorted(c)))
+    classes = oracle_t0_classes(X)
+    assert X.is_t0() == (len(set(classes)) == X.n)
+    K, pi = kolmogorov_quotient(X)
+    assert list(pi.images) == classes
+
+    S, incl = subspace(X, subset)
+    assert S.opens == oracle_subspace_opens(X, subset)
+    assert incl.is_open_embedding() == oracle_is_open_embedding(incl)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spaces(), spaces(), st.data())
+def test_continuity_matches_preimage_oracle(X, Y, data):
+    images = data.draw(st.lists(st.integers(0, Y.n - 1),
+                                min_size=X.n, max_size=X.n))
+    f = ContinuousMap(X, Y, tuple(images))
+    bad = f.continuity_violation()
+    assert (bad is None) == (not oracle_discontinuities(f))
+    if bad is not None:
+        assert bad in Y.opens
+        assert oracle_preimage(f, bad) not in X.opens
+    assert f.is_open_embedding() == oracle_is_open_embedding(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spaces(max_points=4), spaces(max_points=3))
+def test_disjoint_union_matches_product_oracle(X, Y):
+    U, incls = disjoint_union([X, Y])
+    assert U.opens == oracle_disjoint_union_opens([X, Y])
+    assert all(i.is_open_embedding() for i in incls)
+
+
+def test_operations_read_the_specialization_order():
+    # a finite space is its specialization order: only validation, the
+    # order's derivation, listing and membership tests, and the quotient's
+    # agreement check read the stored opens, and nothing closes a family
+    # of opens under a fixpoint loop
+    allowed = {"validate_topology", "_below", "sorted_opens", "is_open",
+               "is_closed", "quotient_space"}
+    tree = ast.parse(Path(finsite.topology.__file__).read_text())
+    readers = set()
+    fixpoints = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute) and node.attr == "opens":
+                readers.add(fn.name)
+            if isinstance(node, ast.While) and \
+                    ast.unparse(node.test) == "changed":
+                fixpoints.append(fn.name)
+    assert readers <= allowed, sorted(readers - allowed)
+    assert fixpoints == []
