@@ -7,3 +7,16 @@ a concrete witness.
 """
 
 __version__ = "0.1.0"
+
+_SUBMODULES = ("catalog", "cli", "colimit", "finset", "formats", "glue",
+               "locales", "semiring", "site", "spectra", "topology")
+
+
+def __getattr__(name):
+    """`finsite.<submodule>` imports the submodule on first use (PEP 562),
+    so `import finsite` alone loads none of them."""
+    if name in _SUBMODULES:
+        import importlib
+
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

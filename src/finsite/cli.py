@@ -5,6 +5,10 @@ Exit codes: 0 success, 1 check failure, 2 parse or IO error, 3 budget
 exceeded.  With `--format structured` every command prints one JSON
 document with stable key order; reports are byte-identical across runs
 on identical inputs.
+
+Each command imports the modules it calls when it runs, so a process
+compiles and executes only what its command needs: `check` and `localize`
+load no module beyond `formats` and `semiring`.
 """
 
 from __future__ import annotations
@@ -12,41 +16,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 
 from . import formats
-from .catalog import catalog
-from .colimit import DEFAULT_BUDGET, BudgetExceeded
-from .finset import FinSetError, face_space, finset, simplex_space
-from .glue import (VISUALIZATIONS, GlueError, _glue_checked,
-                   is_monodromy_free)
-from .locales import FrameError, is_sober, spatiality_check, stone_dual
-from .semiring import AxiomError, SemiringError, localize
-from .site import (
-    covers,
-    intrinsic_order_check,
-    lambda_X,
-    sheaf_axiom_check,
-    theorem_A_check,
-)
-from .spectra import (
-    congruence_spectrum,
-    is_k_ideal,
-    is_prime_ideal,
-    k_spectrum,
-    kernel_ideal,
-    prime_congruences,
-    prime_spectrum,
-    spectrum_report,
-    visualization_chain,
-)
-from .topology import set_label
+from .semiring import (DEFAULT_BUDGET, VISUALIZATIONS, AxiomError,
+                       SemiringError)
 
 
 def _space_listing(space, dot=None) -> tuple[list[str], dict]:
     """Report lines and structured data of a space, from one listing of its
     opens and covering edges; writes the `--dot` file when `dot` is set."""
+    from .topology import set_label
+
     opens = space.sorted_opens()
     edges = space.specialization_edges()
     if dot:
@@ -77,6 +58,8 @@ def cmd_check(ns):
 
 
 def cmd_spectrum(ns):
+    from .spectra import congruence_spectrum, k_spectrum, prime_spectrum
+
     R = formats.read_semiring(ns.file)
     spec = prime_spectrum(R)
     basic = None
@@ -108,6 +91,8 @@ def cmd_spectrum(ns):
 
 
 def cmd_congruences(ns):
+    from .spectra import spectrum_report
+
     R = formats.read_semiring(ns.file)
     report = spectrum_report(R)
     lines = [
@@ -135,6 +120,9 @@ def cmd_congruences(ns):
 
 
 def cmd_locale(ns):
+    from .locales import spatiality_check
+    from .site import lambda_X
+
     R = formats.read_semiring(ns.file)
     frame, _ = lambda_X(R)
     dump = formats.render_lattice(frame)
@@ -152,6 +140,8 @@ def cmd_locale(ns):
 
 
 def cmd_stone(ns):
+    from .locales import is_sober, spatiality_check, stone_dual
+
     frame = formats.read_lattice(ns.file)
     space, _ = stone_dual(frame)
     sober = is_sober(space)[0]
@@ -165,6 +155,8 @@ def cmd_stone(ns):
 
 
 def cmd_localize(ns):
+    from .semiring import localize
+
     R = formats.read_semiring(ns.file)
     try:
         h = R.index(ns.element)
@@ -182,6 +174,9 @@ def cmd_localize(ns):
 
 
 def cmd_sheaf_check(ns):
+    from .catalog import catalog
+    from .site import covers, sheaf_axiom_check
+
     S = formats.read_cover(ns.file)
     rows = [("covers spectrum", covers(S), "")]
     for name, Y in catalog():
@@ -200,6 +195,9 @@ def cmd_sheaf_check(ns):
 def _containment_rows(R):
     """Nesting of the three congruence classes plus primality and
     k-closedness of every weak kernel."""
+    from .spectra import (is_k_ideal, is_prime_ideal, kernel_ideal,
+                          prime_congruences)
+
     weak, strong, twisted = (prime_congruences(R, f)
                              for f in ("weak", "strong", "twisted"))
     if not ({c.blocks for c in twisted} <= {c.blocks for c in strong}
@@ -215,6 +213,9 @@ def _containment_rows(R):
 
 
 def _basis_law(R):
+    from .site import intrinsic_order_check
+    from .spectra import prime_spectrum
+
     spec = prime_spectrum(R)
     for g in range(R.n):
         for h in range(R.n):
@@ -230,6 +231,8 @@ def _basis_law(R):
 
 
 def _chain_row(R):
+    from .spectra import visualization_chain
+
     chain = visualization_chain(R)
     for m, name in zip(chain.maps, ("twisted-strong", "strong-weak",
                                     "weak-k", "k-prime")):
@@ -246,10 +249,14 @@ def _chain_row(R):
 
 
 def bundled_catalog_dir() -> Path:
+    from importlib import resources
+
     return Path(str(resources.files("finsite") / "data" / "catalog"))
 
 
 def cmd_verify(ns):
+    from .site import theorem_A_check
+
     base = Path(ns.directory) if ns.directory else bundled_catalog_dir()
     if not base.is_dir():
         raise formats.FormatError(f"{base} is not a directory")
@@ -285,6 +292,8 @@ def cmd_verify(ns):
 
 
 def cmd_glue(ns):
+    from .glue import _glue_checked, is_monodromy_free
+
     P = formats.read_presentation(ns.file)
     report = is_monodromy_free(P, bound=ns.path_bound, budget=ns.budget)
     lines = ["monodromy: " + report.verdict()]
@@ -314,9 +323,9 @@ def cmd_glue(ns):
 
 
 def cmd_simplex(ns):
+    from .finset import face_space, finset, simplex_space
+
     if ns.n is not None:
-        if ns.n < 0:
-            raise formats.FormatError("the dimension must be at least 0")
         A = finset(tuple(f"v{i}" for i in range(ns.n + 1)))
         space = simplex_space(A)
         head = f"simplex of dimension {ns.n}: {_count(space.n)}"
@@ -347,6 +356,20 @@ HANDLERS = {
     "glue": cmd_glue,
     "simplex": cmd_simplex,
 }
+
+
+def _natural(text: str) -> int:
+    """Argument type of the integer options, none of which may be
+    negative: a negative value is a usage error, exit 2, before any
+    command runs."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,32 +413,47 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("glue", "monodromy check, then the glued space of a presentation")
     p.add_argument("file")
     p.add_argument("--vis", default="prime", choices=VISUALIZATIONS)
-    p.add_argument("--path-bound", type=int, default=8)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--path-bound", type=_natural, default=8)
+    p.add_argument("--budget", type=_natural, default=DEFAULT_BUDGET)
     p.add_argument("--dot", metavar="PATH",
                    help="write the specialization graph here")
     p = add("simplex", "face poset of a simplex or a complex file")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=int, help="dimension of a full simplex")
+    group.add_argument("--n", type=_natural,
+                       help="dimension of a full simplex")
     group.add_argument("file", nargs="?")
     p.add_argument("--dot", metavar="PATH",
                    help="write the specialization graph here")
     return ap
 
 
+def _exit_code(e: Exception) -> int | None:
+    """Exit code of an expected failure, None for any other exception; the
+    error classes of the command modules are imported only here."""
+    if isinstance(e, formats.FormatError):
+        return 2
+    from .colimit import BudgetExceeded
+    from .finset import FinSetError
+    from .glue import GlueError
+    from .locales import FrameError
+
+    if isinstance(e, BudgetExceeded):
+        return 3
+    if isinstance(e, (GlueError, FrameError, FinSetError, SemiringError)):
+        return 1
+    return None
+
+
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         code, lines, data = HANDLERS[ns.command](ns)
-    except formats.FormatError as e:
+    except Exception as e:
+        code = _exit_code(e)
+        if code is None:
+            raise
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except BudgetExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (GlueError, FrameError, FinSetError, SemiringError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return code
     if ns.format == "structured":
         print(json.dumps(data, indent=2))
     else:

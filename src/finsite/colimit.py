@@ -35,11 +35,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .semiring import (FiniteSemiring, InvariantError, SemiringHom,
-                       TableError, congruence_closure, hom_violation,
-                       identity_hom, quotient, validate_semiring)
-
-DEFAULT_BUDGET = 10_000
+from .semiring import (DEFAULT_BUDGET, FiniteSemiring, InvariantError,
+                       SemiringHom, TableError, congruence_closure,
+                       hom_violation, identity_hom, quotient,
+                       validate_semiring)
 
 
 class BudgetExceeded(Exception):

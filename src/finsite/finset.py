@@ -362,10 +362,10 @@ def asc_presentation(K: AbstractSimplicialComplex) -> FinSetPresentation:
     return finset_presentation(list(zip(names, carriers)), arrows)
 
 
-def _face_map(f: Injection) -> ContinuousMap:
-    """An injection of vertex sets acts on faces, hence on simplices."""
-    src_space = simplex_space(f.source)
-    dst_space = simplex_space(f.target)
+def _face_map(f: Injection, src_space: FiniteTopSpace,
+              dst_space: FiniteTopSpace) -> ContinuousMap:
+    """An injection of vertex sets acts on faces, hence on the simplices
+    `src_space` and `dst_space` of its source and target."""
     src_faces = _subsets(f.source)
     dst_index = {s: i for i, s in enumerate(_subsets(f.target))}
     images = tuple(dst_index[frozenset(f(x) for x in face)]
@@ -387,7 +387,8 @@ def finset_glue_space(P: FinSetPresentation) -> FinSetGluedSpace:
     arrow face maps induce, with the quotient topology."""
     spaces = [simplex_space(A) for A in P.carriers]
     glued, charts, provenance = glue_along_maps(
-        P.names, spaces, [(si, di, _face_map(f)) for si, di, f in P.arrows])
+        P.names, spaces, [(si, di, _face_map(f, spaces[si], spaces[di]))
+                          for si, di, f in P.arrows])
     return FinSetGluedSpace(P, glued, tuple(spaces), charts, provenance)
 
 

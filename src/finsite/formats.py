@@ -4,15 +4,17 @@ presentations, lattice dumps, and simplicial complex descriptions.
 Every reader is whitespace-tolerant (blank lines are skipped, any run of
 whitespace separates tokens) and every writer emits the same format it
 reads, so localized tables and lattice dumps can be fed back in.
+
+Only `semiring` is imported with this module: each other reader imports
+the module it builds values of when it is called, so a command loads
+just the modules it uses.
 """
 
 from __future__ import annotations
 
 import os
+from typing import TYPE_CHECKING
 
-from .finset import AbstractSimplicialComplex, asc
-from .glue import SPresentation, presentation
-from .locales import FiniteFrame, frame_from_covers
 from .semiring import (
     FiniteSemiring,
     SemiringHom,
@@ -21,7 +23,12 @@ from .semiring import (
     localize,
     validate_semiring,
 )
-from .site import CoverFamily, cover_family
+
+if TYPE_CHECKING:
+    from .finset import AbstractSimplicialComplex
+    from .glue import SPresentation
+    from .locales import FiniteFrame
+    from .site import CoverFamily
 
 
 class FormatError(Exception):
@@ -130,6 +137,8 @@ def read_semiring(path: str) -> FiniteSemiring:
 def read_cover(path: str) -> CoverFamily:
     """Cover file: a `semiring: <path>` reference (relative to the cover
     file) plus a `cover: h1 h2 ...` line of element labels."""
+    from .site import cover_family
+
     lines = _logical_lines(_read_text(path))
     if len(lines) != 2:
         raise FormatError("cover file needs a semiring line and a cover line")
@@ -155,6 +164,8 @@ def read_presentation(path: str) -> SPresentation:
     `arrow <src> <dst> localize-at <element>` or
     `arrow <src> <dst> map <label-list>` lines.  An arrow src -> dst
     carries the algebra map of its head chart into its tail chart."""
+    from .glue import presentation
+
     lines = _logical_lines(_read_text(path))
     base = os.path.dirname(path) or "."
     nodes: list[tuple[str, FiniteSemiring]] = []
@@ -215,6 +226,8 @@ def render_lattice(L: FiniteFrame) -> str:
 
 
 def parse_lattice(text: str) -> FiniteFrame:
+    from .locales import frame_from_covers
+
     lines = _logical_lines(text)
     order: list[str] = []
     seen = set()
@@ -245,6 +258,8 @@ def read_lattice(path: str) -> FiniteFrame:
 def read_asc(path: str) -> AbstractSimplicialComplex:
     """ASC file: a `vertices: a b c` line, then `face: a b` lines; the
     subset closure is computed automatically."""
+    from .finset import asc
+
     lines = _logical_lines(_read_text(path))
     if not lines:
         raise FormatError("empty complex file")

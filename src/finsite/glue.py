@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 from .colimit import DEFAULT_BUDGET, SemiringDiagram, colimit
 from .semiring import (
+    FLAVORS,
+    VISUALIZATIONS,
     FiniteSemiring,
     InvariantError,
     SemiringHom,
@@ -23,7 +25,6 @@ from .semiring import (
 )
 from .site import CoverFamily, pairwise_overlaps
 from .spectra import (
-    FLAVORS,
     congruence_spectrum,
     congruence_spectrum_pullback,
     k_spectrum,
@@ -38,8 +39,6 @@ from .topology import (
     continuous_map,
     glue_along_maps,
 )
-
-VISUALIZATIONS = ("prime", "k") + FLAVORS
 
 CHAIN_LEVELS = ("twisted", "strong", "weak", "k", "prime")
 

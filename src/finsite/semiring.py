@@ -9,6 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+# Names the command-line parser needs, kept in the one module every command
+# loads: the congruence flavors, the five visualizations of a spectrum, and
+# the element budget of a colimit.
+FLAVORS = ("weak", "strong", "twisted")
+VISUALIZATIONS = ("prime", "k") + FLAVORS
+DEFAULT_BUDGET = 10_000
+
 
 class SemiringError(Exception):
     """Base class for semiring construction failures."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .semiring import (
+    FLAVORS,
     Congruence,
     FiniteSemiring,
     InvariantError,
@@ -29,8 +30,6 @@ from .topology import (
     space_from_opens,
     subspace,
 )
-
-FLAVORS = ("weak", "strong", "twisted")
 
 
 def is_ideal(R: FiniteSemiring, members) -> bool:

@@ -3,10 +3,19 @@
 import collections
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import finsite
+import finsite.cli
+import finsite.finset
 import finsite.glue
+import finsite.locales
+import finsite.semiring
 import finsite.spectra
 from finsite.catalog import boolean, boolean_pair, zmod
 from finsite.cli import main
@@ -386,6 +395,113 @@ def test_simplex_requires_one_input(workdir, capsys):
         main(["simplex"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ("glue", "doubled.pres", "--path-bound", "-1"),
+    ("glue", "doubled.pres", "--budget", "-5"),
+    ("simplex", "--n", "-1"),
+])
+def test_negative_counts_are_usage_errors(workdir, capsys, argv):
+    (workdir / "doubled.pres").write_text(
+        "node A z6.sr\nnode O o.sr\narrow O A localize-at 2\n")
+    with pytest.raises(SystemExit) as exc:
+        main([str(workdir / a) if a.endswith(".pres") else a for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{argv[-2]}: must be at least 0, got {argv[-1]}" in captured.err
+
+
+# exit 2 for a format error, 3 for a budget error and 1 for a glue error
+# are covered by real commands above; these errors no input file reaches
+@pytest.mark.parametrize("error", [
+    finsite.locales.FrameError("no frame"),
+    finsite.finset.FinSetError("no injection"),
+    finsite.semiring.SemiringError("no semiring"),
+])
+def test_error_exit_codes(workdir, capsys, monkeypatch, error):
+    def fail(ns):
+        raise error
+
+    monkeypatch.setitem(finsite.cli.HANDLERS, "check", fail)
+    assert main(["check", str(workdir / "b.sr")]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_unexpected_error_propagates(workdir, monkeypatch):
+    def fail(ns):
+        raise KeyError("bug")
+
+    monkeypatch.setitem(finsite.cli.HANDLERS, "check", fail)
+    with pytest.raises(KeyError):
+        main(["check", str(workdir / "b.sr")])
+
+
+# A fresh interpreter per command, importing finsite from this checkout by
+# an absolute path, as criterion 10 does.
+SRC = str(Path(finsite.__file__).resolve().parents[1])
+CHECK_MODULES = {"finsite", "finsite.cli", "finsite.formats",
+                 "finsite.semiring"}
+
+
+def _fresh(code, cwd, *argv):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True).stdout
+
+
+def loaded_modules(cwd, *argv):
+    """Exit code of one command run through `main` in a fresh interpreter,
+    and the finsite modules loaded by then."""
+    code = ("import contextlib, io, sys\n"
+            "from finsite.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            "        status = main(sys.argv[1:])\n"
+            "    except SystemExit as e:\n"
+            "        status = e.code\n"
+            "print(status, *sorted(m for m in sys.modules\n"
+            "                      if m.partition('.')[0] == 'finsite'))\n")
+    status, *modules = _fresh(code, cwd, *argv).split()
+    return int(status), set(modules)
+
+
+@pytest.mark.parametrize("argv", [("check", "z6.sr"),
+                                  ("localize", "z6.sr", "2"),
+                                  ("--help",)])
+def test_light_commands_load_only_formats_and_semiring(workdir, argv):
+    assert loaded_modules(workdir, *argv) == (0, CHECK_MODULES)
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (("simplex", "--n", "1"), {"spectra", "site", "glue", "colimit"}),
+    (("spectrum", "z6.sr"), {"glue", "colimit"}),
+    (("congruences", "z6.sr"), {"glue", "colimit"}),
+    (("stone", "chain.lat"), {"glue", "colimit"}),
+])
+def test_commands_load_only_what_they_call(workdir, argv, absent):
+    (workdir / "chain.lat").write_text("0 < a\na < 1\n")
+    status, modules = loaded_modules(workdir, *argv)
+    assert status == 0
+    assert not modules & {f"finsite.{name}" for name in absent}
+
+
+def test_submodules_import_on_attribute_access(tmp_path):
+    code = ("import pkgutil, sys\n"
+            "import finsite\n"
+            "print(*sorted(m for m in sys.modules\n"
+            "              if m.startswith('finsite')))\n"
+            "for m in pkgutil.iter_modules(finsite.__path__):\n"
+            "    if m.name != '__main__':\n"
+            "        mod = getattr(finsite, m.name)\n"
+            "        assert mod is sys.modules['finsite.' + m.name], m.name\n"
+            "        print(m.name)\n"
+            "assert not hasattr(finsite, 'nonexistent')\n")
+    first, *names = _fresh(code, tmp_path).splitlines()
+    assert first == "finsite"
+    assert tuple(names) == finsite._SUBMODULES
 
 
 def test_structured_reports_parse(workdir, capsys):

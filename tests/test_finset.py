@@ -1,10 +1,12 @@
 """Tests for the finite-set site: simplices, complexes, set-level gluing,
 and the covering/sheaf correspondence."""
 
+import collections
 import itertools
 
 import pytest
 
+import finsite.finset
 from finsite.finset import (
     FinSetError,
     all_injection_families,
@@ -176,6 +178,24 @@ def test_glued_space_equals_face_poset():
         assert G.space.points == tuple(f"{l}:{l}" for l in K.face_labels())
         assert G.space.specialization_leq() == F.specialization_leq()
         assert G.space.opens == F.opens
+
+
+def test_glue_builds_each_chart_simplex_once(monkeypatch):
+    K = asc("abcd", ["abc", "bcd"])
+    P = asc_presentation(K)
+    builds = collections.Counter()
+    real = finsite.finset.simplex_space
+
+    def counted(A):
+        builds[A] += 1
+        return real(A)
+
+    monkeypatch.setattr(finsite.finset, "simplex_space", counted)
+    finset_glue_space(P)
+    # the arrows' face maps reuse the chart spaces instead of rebuilding
+    # their source and target simplices
+    assert builds == collections.Counter(P.carriers)
+    assert sum(builds.values()) == len(P.carriers) < len(P.arrows)
 
 
 def test_glued_charts_are_open_embeddings():
