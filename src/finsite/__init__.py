@@ -6,17 +6,29 @@ values, outputs come in canonical order, and checks either verify or produce
 a concrete witness.
 """
 
+import importlib.util
+import pkgutil
+import sys
+
 __version__ = "0.1.0"
 
-_SUBMODULES = ("catalog", "cli", "colimit", "finset", "formats", "glue",
-               "locales", "semiring", "site", "spectra", "topology")
+
+def _lazy(name: str):
+    """The submodule `name`, registered in `sys.modules` but executed only
+    when one of its attributes is first read or it is imported by name."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
-def __getattr__(name):
-    """`finsite.<submodule>` imports the submodule on first use (PEP 562),
-    so `import finsite` alone loads none of them."""
-    if name in _SUBMODULES:
-        import importlib
-
-        return importlib.import_module(f"{__name__}.{name}")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# Every submodule is an attribute of the package from the start, but a
+# process compiles and runs only the ones it uses: `finsite check` executes
+# `cli`, `formats` and `semiring` alone.  Tools that enumerate `sys.modules`
+# still find the whole package, and inspecting a module loads it.
+for _info in pkgutil.iter_modules(__path__):
+    if _info.name != "__main__":
+        globals()[_info.name] = _lazy(_info.name)
+del _info

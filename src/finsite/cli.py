@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import formats
 from .semiring import (DEFAULT_BUDGET, VISUALIZATIONS, AxiomError,
-                       SemiringError)
+                       SemiringError, localize)
 
 
 def _space_listing(space, dot=None) -> tuple[list[str], dict]:
@@ -155,8 +155,6 @@ def cmd_stone(ns):
 
 
 def cmd_localize(ns):
-    from .semiring import localize
-
     R = formats.read_semiring(ns.file)
     try:
         h = R.index(ns.element)
@@ -427,20 +425,23 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _exit_code(e: Exception) -> int | None:
-    """Exit code of an expected failure, None for any other exception; the
-    error classes of the command modules are imported only here."""
-    if isinstance(e, formats.FormatError):
-        return 2
-    from .colimit import BudgetExceeded
-    from .finset import FinSetError
-    from .glue import GlueError
-    from .locales import FrameError
+# exit code of each expected failure, keyed by "module.class": an error is
+# classified by the names on its class's MRO, so classifying it loads no
+# module that the command did not
+EXIT_CODES = {"finsite.formats.FormatError": 2,
+              "finsite.colimit.BudgetExceeded": 3,
+              "finsite.finset.FinSetError": 1,
+              "finsite.glue.GlueError": 1,
+              "finsite.locales.FrameError": 1,
+              "finsite.semiring.SemiringError": 1}
 
-    if isinstance(e, BudgetExceeded):
-        return 3
-    if isinstance(e, (GlueError, FrameError, FinSetError, SemiringError)):
-        return 1
+
+def _exit_code(e: Exception) -> int | None:
+    """Exit code of an expected failure, None for any other exception."""
+    for cls in type(e).__mro__:
+        code = EXIT_CODES.get(f"{cls.__module__}.{cls.__qualname__}")
+        if code is not None:
+            return code
     return None
 
 

@@ -2,6 +2,7 @@
 
 import collections
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -452,27 +453,45 @@ def _fresh(code, cwd, *argv):
                           capture_output=True, text=True, check=True).stdout
 
 
+# Every finsite submodule sits in sys.modules from `import finsite` on; one
+# whose body has not run yet is still of a ModuleType subclass.
+EXECUTED = ("print(*sorted(n for n, m in list(sys.modules.items())\n"
+            "              if n.partition('.')[0] == 'finsite'\n"
+            "              and type(m) is types.ModuleType))\n")
+
+
 def loaded_modules(cwd, *argv):
     """Exit code of one command run through `main` in a fresh interpreter,
-    and the finsite modules loaded by then."""
-    code = ("import contextlib, io, sys\n"
+    and the finsite modules executed by then."""
+    code = ("import contextlib, io, sys, types\n"
             "from finsite.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    try:\n"
             "        status = main(sys.argv[1:])\n"
             "    except SystemExit as e:\n"
             "        status = e.code\n"
-            "print(status, *sorted(m for m in sys.modules\n"
-            "                      if m.partition('.')[0] == 'finsite'))\n")
+            "print(status)\n" + EXECUTED)
     status, *modules = _fresh(code, cwd, *argv).split()
     return int(status), set(modules)
 
 
 @pytest.mark.parametrize("argv", [("check", "z6.sr"),
-                                  ("localize", "z6.sr", "2"),
-                                  ("--help",)])
+                                  ("localize", "z6.sr", "2")])
 def test_light_commands_load_only_formats_and_semiring(workdir, argv):
     assert loaded_modules(workdir, *argv) == (0, CHECK_MODULES)
+
+
+def test_help_loads_no_more_than_check(workdir):
+    status, modules = loaded_modules(workdir, "--help")
+    assert status == 0
+    assert modules <= CHECK_MODULES
+
+
+def test_a_failing_light_command_loads_nothing_more(workdir):
+    (workdir / "bad.sr").write_text("elements: 0 1\n")
+    status, modules = loaded_modules(workdir, "check", "bad.sr")
+    assert status == 2
+    assert modules == CHECK_MODULES
 
 
 @pytest.mark.parametrize("argv, absent", [
@@ -488,20 +507,27 @@ def test_commands_load_only_what_they_call(workdir, argv, absent):
     assert not modules & {f"finsite.{name}" for name in absent}
 
 
-def test_submodules_import_on_attribute_access(tmp_path):
-    code = ("import pkgutil, sys\n"
-            "import finsite\n"
-            "print(*sorted(m for m in sys.modules\n"
-            "              if m.startswith('finsite')))\n"
+def test_every_submodule_is_an_attribute_of_the_package(tmp_path):
+    code = ("import pkgutil, sys, types\n"
+            "import finsite\n" + EXECUTED +
             "for m in pkgutil.iter_modules(finsite.__path__):\n"
             "    if m.name != '__main__':\n"
             "        mod = getattr(finsite, m.name)\n"
             "        assert mod is sys.modules['finsite.' + m.name], m.name\n"
-            "        print(m.name)\n"
+            "        assert mod.__doc__, m.name\n"
+            "        print(m.name, type(mod) is types.ModuleType)\n"
             "assert not hasattr(finsite, 'nonexistent')\n")
-    first, *names = _fresh(code, tmp_path).splitlines()
-    assert first == "finsite"
-    assert tuple(names) == finsite._SUBMODULES
+    executed, *rows = _fresh(code, tmp_path).splitlines()
+    assert executed == "finsite"
+    assert all(row.endswith(" True") for row in rows)
+    assert {"cli", "glue", "spectra"} <= {row.split()[0] for row in rows}
+
+
+def test_exit_codes_name_real_error_classes():
+    for key in finsite.cli.EXIT_CODES:
+        module, _, name = key.rpartition(".")
+        assert issubclass(getattr(importlib.import_module(module), name),
+                          Exception), key
 
 
 def test_structured_reports_parse(workdir, capsys):
