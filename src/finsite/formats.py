@@ -220,9 +220,10 @@ def read_presentation(path: str) -> SPresentation:
 
 
 def render_lattice(L: FiniteFrame) -> str:
-    """Hasse edge list, one `a < b` covering pair per line."""
+    """Hasse edge list, one `a < b` covering pair per line; a one-element
+    frame has no pairs, so its lone label makes the one line."""
     lines = [f"{L.elements[a]} < {L.elements[b]}" for a, b in L.covers()]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "\n".join(lines or L.elements) + "\n"
 
 
 def parse_lattice(text: str) -> FiniteFrame:
@@ -233,14 +234,16 @@ def parse_lattice(text: str) -> FiniteFrame:
     seen = set()
     pairs = []
     for line in lines:
-        if len(line) != 3 or line[1] != "<":
-            raise FormatError(f"lattice lines read: a < b, got "
-                              f"{' '.join(line)!r}")
-        for label in (line[0], line[2]):
+        if len(line) == 3 and line[1] == "<":
+            pairs.append((line[0], line[2]))
+        elif len(line) != 1:
+            raise FormatError(f"lattice lines read: a < b or a lone label, "
+                              f"got {' '.join(line)!r}")
+        # the labels: a pair's two ends, or the lone label
+        for label in line[::2]:
             if label not in seen:
                 seen.add(label)
                 order.append(label)
-        pairs.append((line[0], line[2]))
     if not order:
         raise FormatError("empty lattice dump")
     index = {e: i for i, e in enumerate(order)}

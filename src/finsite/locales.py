@@ -3,7 +3,9 @@
 At finite scale a frame is exactly a bounded distributive lattice, and the
 points of its Stone dual are the completely prime filters; each such filter
 is generated by a join-prime element, so the dual space is computed from
-those generators.
+those generators.  By Birkhoff duality a finite distributive lattice is the
+lattice of down-sets of its join-irreducibles (the elements with exactly
+one lower cover), and these are exactly its join-primes.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from .topology import (
     ContinuousMap,
     FiniteTopSpace,
     continuous_map,
+    cover_pairs,
+    order_closure,
     set_label,
     validate_topology,
 )
@@ -25,13 +29,14 @@ class FiniteFrame:
     """A validated finite bounded distributive lattice; build through
     `finite_frame`."""
 
-    def __init__(self, elements, leq, meet, join, bottom, top):
+    def __init__(self, elements, leq, meet, join, bottom, top, primes):
         self.elements = tuple(elements)
         self.leq = leq
         self.meet = meet
         self.join = join
         self.bottom = bottom
         self.top = top
+        self._primes = tuple(primes)
 
     @property
     def n(self):
@@ -46,28 +51,13 @@ class FiniteFrame:
 
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (a, b) with a strictly below b and nothing between."""
-        out = []
-        for a in range(self.n):
-            for b in range(self.n):
-                if a == b or not self.leq[a][b]:
-                    continue
-                if not any(self.leq[a][c] and self.leq[c][b]
-                           and c != a and c != b for c in range(self.n)):
-                    out.append((a, b))
-        return out
+        return cover_pairs(self.leq)
 
     def join_primes(self) -> list[int]:
         """Non-bottom elements m with m <= a v b forcing m <= a or m <= b;
-        these generate the completely prime filters."""
-        out = []
-        for m in range(self.n):
-            if m == self.bottom:
-                continue
-            if all(not self.leq[m][self.join[a][b]]
-                   or self.leq[m][a] or self.leq[m][b]
-                   for a in range(self.n) for b in range(self.n)):
-                out.append(m)
-        return out
+        these generate the completely prime filters.  In a distributive
+        lattice they are the join-irreducibles `finite_frame` found."""
+        return list(self._primes)
 
     def __eq__(self, other):
         return (isinstance(other, FiniteFrame)
@@ -91,6 +81,9 @@ def finite_frame(elements, leq) -> FiniteFrame:
     leq = tuple(tuple(bool(x) for x in row) for row in leq)
     if len(leq) != n or any(len(row) != n for row in leq):
         raise FrameError("order matrix shape mismatch")
+    # up[a] and down[a]: the elements above and below a, as bitmasks
+    up = [sum(1 << b for b in range(n) if leq[a][b]) for a in range(n)]
+    down = [sum(1 << a for a in range(n) if leq[a][b]) for b in range(n)]
     for a in range(n):
         if not leq[a][a]:
             raise FrameError(f"order not reflexive at {elements[a]}")
@@ -98,23 +91,26 @@ def finite_frame(elements, leq) -> FiniteFrame:
             if a != b and leq[a][b] and leq[b][a]:
                 raise FrameError(
                     f"order not antisymmetric on {elements[a]}, {elements[b]}")
-            for c in range(n):
-                if leq[a][b] and leq[b][c] and not leq[a][c]:
-                    raise FrameError(
-                        f"order not transitive through {elements[b]}")
+            # some c above b is not above a
+            if leq[a][b] and up[b] & ~up[a]:
+                raise FrameError(
+                    f"order not transitive through {elements[b]}")
+
+    # in a poset an element is fixed by its up-set: a v b, when it exists,
+    # is the element whose up-set is up(a) & up(b), and dually for meets
+    by_up = {u: c for c, u in enumerate(up)}
+    by_down = {d: c for c, d in enumerate(down)}
 
     def bound(a, b, below):
         if below:
-            cands = [c for c in range(n) if leq[c][a] and leq[c][b]]
-            best = [c for c in cands if all(leq[d][c] for d in cands)]
+            best = by_down.get(down[a] & down[b])
         else:
-            cands = [c for c in range(n) if leq[a][c] and leq[b][c]]
-            best = [c for c in cands if all(leq[c][d] for d in cands)]
-        if len(best) != 1:
+            best = by_up.get(up[a] & up[b])
+        if best is None:
             kind = "meet" if below else "join"
             raise FrameError(
                 f"no {kind} for {elements[a]}, {elements[b]}")
-        return best[0]
+        return best
 
     meet = tuple(tuple(bound(a, b, True) for b in range(n))
                  for a in range(n))
@@ -124,37 +120,35 @@ def finite_frame(elements, leq) -> FiniteFrame:
     tops = [a for a in range(n) if all(leq[b][a] for b in range(n))]
     if len(bottoms) != 1 or len(tops) != 1:
         raise FrameError("missing bottom or top")
+    # Birkhoff: a finite lattice is distributive iff each join-irreducible
+    # is join-prime, that is J(a v b) = J(a) | J(b) with J(x) the
+    # join-irreducibles below x.  A j below a v b but below neither a nor b
+    # has j ^ (a v b) = j above (j ^ a) v (j ^ b), which lies under j's
+    # one lower cover, so (j, a, b) witnesses the failure.
+    lower = [0] * n
+    for _, b in cover_pairs(leq):
+        lower[b] += 1
+    primes = [j for j in range(n) if lower[j] == 1]
+    irreducible = sum(1 << j for j in primes)
+    J = [d & irreducible for d in down]
     for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                lhs = meet[a][join[b][c]]
-                rhs = join[meet[a][b]][meet[a][c]]
-                if lhs != rhs:
-                    raise FrameError(
-                        "meet does not distribute over join at "
-                        f"({elements[a]}, {elements[b]}, {elements[c]})")
-    return FiniteFrame(elements, leq, meet, join, bottoms[0], tops[0])
+        for b in range(a + 1, n):
+            missed = J[join[a][b]] & ~(J[a] | J[b])
+            if missed:
+                j = (missed & -missed).bit_length() - 1
+                raise FrameError(
+                    "meet does not distribute over join at "
+                    f"({elements[j]}, {elements[a]}, {elements[b]})")
+    return FiniteFrame(elements, leq, meet, join, bottoms[0], tops[0], primes)
 
 
-def frame_from_covers(elements, cover_pairs) -> FiniteFrame:
+def frame_from_covers(elements, pairs) -> FiniteFrame:
     """Rebuild a frame from its covering pairs (a below b)."""
     elements = tuple(elements)
     n = len(elements)
-    leq = [[a == b for b in range(n)] for a in range(n)]
-    for a, b in cover_pairs:
-        leq[a][b] = True
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n):
-            for b in range(n):
-                if not leq[a][b]:
-                    continue
-                for c in range(n):
-                    if leq[b][c] and not leq[a][c]:
-                        leq[a][c] = True
-                        changed = True
-    return finite_frame(elements, leq)
+    rows = order_closure(n, pairs)
+    return finite_frame(elements, [[bool(r >> b & 1) for b in range(n)]
+                                   for r in rows])
 
 
 def frame_of_opens(X: FiniteTopSpace) -> FiniteFrame:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .colimit import DEFAULT_BUDGET, pushout
-from .locales import FiniteFrame, frame_of_opens, stone_dual
+from .locales import FiniteFrame, frame_of_opens, sobrification_unit
 from .semiring import (
     FiniteSemiring,
     InvariantError,
@@ -25,7 +25,6 @@ from .semiring import (
     validate_semiring,
 )
 from .spectra import prime_spectrum
-from .topology import continuous_map
 
 
 @dataclass(frozen=True)
@@ -187,25 +186,14 @@ def intrinsic_order_check(R: FiniteSemiring, g: int, h: int) -> bool:
 def theorem_A_check(R: FiniteSemiring):
     """The dual of the open-subscheme frame must be the prime spectrum;
     returns (flag, point pairs) with the canonical matching prime ->
-    filter of opens around it."""
-    spec = prime_spectrum(R)
-    frame, subschemes = lambda_X(R)
-    dual, filters = stone_dual(frame)
-    opens = spec.space.sorted_opens()
-    images = []
-    for p in range(len(spec.primes)):
-        around = frozenset(i for i, u in enumerate(opens) if p in u)
-        try:
-            images.append(filters.index(around))
-        except ValueError:
-            return False, ("prime has no matching filter point",
-                           spec.space.points[p])
-    m = continuous_map(spec.space, dual, tuple(images))
+    filter of opens around it, which is the sobrification unit of the
+    spectrum."""
+    X = prime_spectrum(R).space
+    m = sobrification_unit(X)
     if not m.is_homeomorphism():
         return False, ("canonical map is not a homeomorphism",
                        tuple(m.images))
-    pairs = tuple((spec.space.points[p], dual.points[m(p)])
-                  for p in range(spec.space.n))
+    pairs = tuple((X.points[p], m.target.points[m(p)]) for p in range(X.n))
     return True, pairs
 
 

@@ -95,19 +95,8 @@ class FiniteTopSpace:
     def specialization_edges(self) -> list[tuple[str, str]]:
         """Covering pairs of the specialization order by label, each from
         the more special point toward its generization."""
-        leq = self.specialization_leq()
-        n = self.n
-        edges = []
-        for x in range(n):
-            for y in range(n):
-                if x == y or not leq[x][y] or leq[y][x]:
-                    continue
-                between = any(leq[x][z] and leq[z][y] and z != x and z != y
-                              and not leq[z][x] and not leq[y][z]
-                              for z in range(n))
-                if not between:
-                    edges.append((self.points[y], self.points[x]))
-        return edges
+        return [(self.points[y], self.points[x])
+                for x, y in cover_pairs(self.specialization_leq())]
 
     def specialization_dot(self, edges=None) -> str:
         """Edges run from each closed point toward its generizations, one
@@ -170,38 +159,62 @@ def space_from_opens(points, opens) -> FiniteTopSpace:
                                   for x in range(n)])
 
 
+def order_closure(n: int, pairs) -> list[int]:
+    """The reflexive-transitive closure of the relation pairs on range(n),
+    as bitmask rows: bit y of row x is set iff (x, y) is in the closure."""
+    rows = [1 << x for x in range(n)]
+    for x, y in pairs:
+        rows[x] |= 1 << y
+    # Warshall: after step k, rows[x] holds every y reachable through
+    # points up to k
+    for k in range(n):
+        for x in range(n):
+            if rows[x] >> k & 1:
+                rows[x] |= rows[k]
+    return rows
+
+
+def cover_pairs(leq) -> list[tuple[int, int]]:
+    """The covering pairs (x, y) of the preorder leq, in index order: x
+    lies strictly below y (leq[x][y] but not leq[y][x]) and no point lies
+    strictly between them."""
+    n = len(leq)
+    strict = [sum(1 << y for y in range(n) if leq[x][y] and not leq[y][x])
+              for x in range(n)]
+    out = []
+    for x in range(n):
+        # y covers x when it lies strictly above x but not strictly above
+        # any point strictly above x
+        covers = strict[x]
+        for z in range(n):
+            if strict[x] >> z & 1:
+                covers &= ~strict[z]
+        out += [(x, y) for y in range(n) if covers >> y & 1]
+    return out
+
+
 def from_preorder(points, leq) -> FiniteTopSpace:
     """Space whose specialization order is the reflexive-transitive closure
     of leq; opens are the down-sets (leq[x][y] reads: y specializes x)."""
     n = len(points)
-    reach = [{x} | {y for y in range(n) if leq[x][y]} for x in range(n)]
-    # Warshall: after step k, reach[x] holds every y reachable through
-    # points up to k
-    for k in range(n):
-        for x in range(n):
-            if k in reach[x]:
-                reach[x] |= reach[k]
+    reach = order_closure(n, [(x, y) for x in range(n) for y in range(n)
+                              if leq[x][y]])
     # mutually reachable points always travel together, so enumerate
-    # down-sets over the clusters
-    clusters: list[list[int]] = []
+    # down-sets over the clusters; they are the points reaching the same set
+    groups: dict[int, list[int]] = {}
     for x in range(n):
-        for c in clusters:
-            r = c[0]
-            if x in reach[r] and r in reach[x]:
-                c.append(x)
-                break
-        else:
-            clusters.append([x])
+        groups.setdefault(reach[x], []).append(x)
+    clusters = list(groups.values())
     k = len(clusters)
     reps = [c[0] for c in clusters]
     below = [frozenset(cj for cj in range(k)
-                       if cj != ci and reps[ci] in reach[reps[cj]])
+                       if cj != ci and reach[reps[cj]] >> reps[ci] & 1)
              for ci in range(k)]
     order = sorted(range(k), key=lambda ci: (len(below[ci]), clusters[ci][0]))
     downs = {frozenset()}
     for ci in order:
         downs |= {d | {ci} for d in downs if below[ci] <= d}
-    opens = {frozenset(x for ci in d for x in clusters[ci]) for d in downs}
+    opens = {frozenset().union(*(clusters[ci] for ci in d)) for d in downs}
     return validate_topology(points, opens)
 
 

@@ -249,3 +249,115 @@ def oracle_t0_classes(X) -> list[int]:
     return [number.setdefault(frozenset(u for u in X.opens if x in u),
                               len(number))
             for x in range(X.n)]
+
+
+# -- finite frames and orders, by exhaustive search ------------------------
+
+
+def oracle_cover_pairs(leq) -> list[tuple[int, int]]:
+    """Covering pairs (x, y) of a preorder in index order: x strictly below
+    y, and no z strictly between them, by scanning every z."""
+    n = len(leq)
+    out = []
+    for x in range(n):
+        for y in range(n):
+            if x == y or not leq[x][y] or leq[y][x]:
+                continue
+            between = any(leq[x][z] and leq[z][y] and z != x and z != y
+                          and not leq[z][x] and not leq[y][z]
+                          for z in range(n))
+            if not between:
+                out.append((x, y))
+    return out
+
+
+def oracle_bound(leq, a, b, below):
+    """The meet (below) or join of a and b by searching all candidates:
+    the one lower (upper) bound that every other lies under (over), or
+    None."""
+    n = len(leq)
+    if below:
+        cands = [c for c in range(n) if leq[c][a] and leq[c][b]]
+        best = [c for c in cands if all(leq[d][c] for d in cands)]
+    else:
+        cands = [c for c in range(n) if leq[a][c] and leq[b][c]]
+        best = [c for c in cands if all(leq[c][d] for d in cands)]
+    return best[0] if len(best) == 1 else None
+
+
+def oracle_distributivity_failures(meet, join) -> list[tuple[int, int, int]]:
+    """Every triple (a, b, c) with a ^ (b v c) != (a ^ b) v (a ^ c)."""
+    n = len(meet)
+    return [(a, b, c) for a in range(n) for b in range(n) for c in range(n)
+            if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]]
+
+
+def oracle_frame(elements, leq):
+    """Validate an order matrix as a frame by scanning triples and
+    searching candidates, check by check in the order `finite_frame` uses.
+    Returns the message of the first failed check, or the tables
+    (meet, join, bottom, top)."""
+    n = len(elements)
+    for a in range(n):
+        if not leq[a][a]:
+            return f"order not reflexive at {elements[a]}"
+        for b in range(n):
+            if a != b and leq[a][b] and leq[b][a]:
+                return ("order not antisymmetric on "
+                        f"{elements[a]}, {elements[b]}")
+            for c in range(n):
+                if leq[a][b] and leq[b][c] and not leq[a][c]:
+                    return f"order not transitive through {elements[b]}"
+    tables = []
+    for below, kind in ((True, "meet"), (False, "join")):
+        table = [[oracle_bound(leq, a, b, below) for b in range(n)]
+                 for a in range(n)]
+        for a in range(n):
+            for b in range(n):
+                if table[a][b] is None:
+                    return f"no {kind} for {elements[a]}, {elements[b]}"
+        tables.append(table)
+    meet, join = tables
+    bottoms = [a for a in range(n) if all(leq[a][b] for b in range(n))]
+    tops = [a for a in range(n) if all(leq[b][a] for b in range(n))]
+    if len(bottoms) != 1 or len(tops) != 1:
+        return "missing bottom or top"
+    if oracle_distributivity_failures(meet, join):
+        return "meet does not distribute over join"
+    return meet, join, bottoms[0], tops[0]
+
+
+def oracle_join_primes(leq, join, bottom) -> list[int]:
+    """Non-bottom m with m <= a v b forcing m <= a or m <= b, scanning every
+    pair (a, b)."""
+    n = len(leq)
+    return [m for m in range(n) if m != bottom
+            and all(not leq[m][join[a][b]] or leq[m][a] or leq[m][b]
+                    for a in range(n) for b in range(n))]
+
+
+def oracle_is_spatial(leq, primes) -> bool:
+    """u -> the primes below u is injective and reflects the order."""
+    n = len(leq)
+    below = [frozenset(m for m in primes if leq[m][u]) for u in range(n)]
+    return len(set(below)) == n and all(
+        (below[a] <= below[b]) == leq[a][b]
+        for a in range(n) for b in range(n))
+
+
+def oracle_reflexive_transitive(n, pairs) -> list[list[bool]]:
+    """The reflexive-transitive closure of pairs on range(n), as a matrix,
+    by adding composites until none is new."""
+    leq = [[a == b for b in range(n)] for a in range(n)]
+    for a, b in pairs:
+        leq[a][b] = True
+    changed = True
+    while changed:
+        changed = False
+        for a in range(n):
+            for b in range(n):
+                for c in range(n):
+                    if leq[a][b] and leq[b][c] and not leq[a][c]:
+                        leq[a][c] = True
+                        changed = True
+    return leq

@@ -20,7 +20,8 @@ import finsite.semiring
 import finsite.spectra
 from finsite.catalog import boolean, boolean_pair, zmod
 from finsite.cli import main
-from finsite.formats import parse_semiring, read_presentation, render_semiring
+from finsite.formats import (parse_lattice, parse_semiring,
+                             read_presentation, render_semiring)
 from finsite.glue import VISUALIZATIONS, glue_space
 from finsite.semiring import are_isomorphic, localize
 
@@ -137,6 +138,22 @@ def test_locale_stone_pipeline(workdir, capsys):
     assert lines[0] == "dual space: 2 points"
     assert "sober: yes" in lines
     assert "spatial: yes" in lines
+
+
+def test_one_element_frame_round_trips(workdir, capsys):
+    # zero = one: the spectrum is empty and its frame has one element and
+    # no covering pairs
+    triv = workdir / "triv.sr"
+    triv.write_text("elements: 0\nzero: 0\none: 0\nadd:\n  0\nmul:\n  0\n")
+    dump = workdir / "t.lat"
+    code, out, _ = run(capsys, "locale", str(triv), "--dot", str(dump))
+    assert code == 0
+    assert out.splitlines()[0] == "frame of spectrum opens: 1 element"
+    assert dump.read_text() == "{}\n"
+    assert parse_lattice(dump.read_text()).elements == ("{}",)
+    code, out, _ = run(capsys, "stone", str(dump))
+    assert code == 0
+    assert out.splitlines()[0] == "dual space: 0 points"
 
 
 def test_localize_output_parses_back(workdir, capsys):

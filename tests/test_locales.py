@@ -1,10 +1,14 @@
 """Frames, Stone duality, sobriety, spatiality."""
 
+import re
 from itertools import combinations, product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from finsite.catalog import catalog, zmod
+from finsite.finset import asc, face_space, finset, simplex_space
 from finsite.locales import (
     FrameError,
     frame_from_covers,
@@ -25,6 +29,16 @@ from finsite.topology import (
     from_preorder,
     kolmogorov_quotient,
     validate_topology,
+)
+
+from oracles import (
+    oracle_bound,
+    oracle_cover_pairs,
+    oracle_distributivity_failures,
+    oracle_frame,
+    oracle_is_spatial,
+    oracle_join_primes,
+    oracle_reflexive_transitive,
 )
 
 
@@ -107,6 +121,20 @@ def test_frame_validation_rejects_bad_orders():
     with pytest.raises(FrameError) as err:
         finite_frame(("0", "x", "y", "z", "1"), leq)
     assert "distribute" in str(err.value)
+    assert_witness_fails(("0", "x", "y", "z", "1"), leq, err.value)
+
+
+def assert_witness_fails(elements, leq, error):
+    """The triple a distributivity error names must fail a ^ (b v c) =
+    (a ^ b) v (a ^ c) in the search-built tables."""
+    found = re.fullmatch(r"meet does not distribute over join at "
+                         r"\((.+), (.+), (.+)\)", str(error))
+    assert found, str(error)
+    a, b, c = (elements.index(x) for x in found.groups())
+    n = len(elements)
+    meet, join = ([[oracle_bound(leq, x, y, below) for y in range(n)]
+                   for x in range(n)] for below in (True, False))
+    assert (a, b, c) in oracle_distributivity_failures(meet, join)
 
 
 def test_frame_rejects_posets_without_meets():
@@ -267,3 +295,113 @@ def test_covers_round_trip():
 def test_covers_of_a_chain_are_consecutive():
     L = chain_frame(4)
     assert L.covers() == [(0, 1), (1, 2), (2, 3)]
+
+
+@st.composite
+def orders(draw, kinds=("raw", "reflexive", "poset", "bounded"), max_n=7):
+    """Labels and an order matrix on at most max_n elements: a random
+    relation, a random reflexive one, a random poset, or a random poset
+    with a bottom and a top added, its elements shuffled."""
+    kind = draw(st.sampled_from(kinds))
+    n = draw(st.integers(0, max_n))
+    if kind in ("raw", "reflexive"):
+        bits = draw(st.integers(0, 2 ** (n * n) - 1))
+        leq = [[bool(bits >> (n * a + b) & 1)
+                or (kind == "reflexive" and a == b) for b in range(n)]
+               for a in range(n)]
+    else:
+        index = st.integers(0, max(n - 1, 0))
+        # upward edges only, so the closure is antisymmetric
+        pairs = [(a, b) for a, b in draw(st.lists(st.tuples(index, index),
+                                                  max_size=2 * n)) if a < b]
+        if kind == "bounded" and n:
+            pairs += [(0, x) for x in range(n)]
+            pairs += [(x, n - 1) for x in range(n)]
+        closed = oracle_reflexive_transitive(n, pairs)
+        perm = draw(st.permutations(range(n)))
+        leq = [[closed[perm[a]][perm[b]] for b in range(n)]
+               for a in range(n)]
+    return tuple(f"e{i}" for i in range(n)), leq
+
+
+@settings(max_examples=400, deadline=None)
+@given(orders())
+def test_finite_frame_accepts_what_the_search_oracle_accepts(order):
+    elements, leq = order
+    expected = oracle_frame(elements, leq)
+    try:
+        finite_frame(elements, leq)
+    except FrameError as err:
+        assert isinstance(expected, str), str(err)
+        if not expected.startswith("meet does not distribute"):
+            assert str(err) == expected
+        else:
+            assert str(err).startswith(expected)
+        return
+    assert not isinstance(expected, str), expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(orders(kinds=("bounded",)))
+def test_frame_operations_match_the_search_oracle(order):
+    elements, leq = order
+    expected = oracle_frame(elements, leq)
+    assume(not isinstance(expected, str))
+    meet, join, bottom, top = expected
+    L = finite_frame(elements, leq)
+    assert [list(row) for row in L.meet] == meet
+    assert [list(row) for row in L.join] == join
+    assert (L.bottom, L.top) == (bottom, top)
+    primes = oracle_join_primes(leq, join, bottom)
+    assert L.join_primes() == primes
+    assert L.covers() == oracle_cover_pairs(leq)
+    assert spatiality_check(L) == oracle_is_spatial(leq, primes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(orders(kinds=("bounded",)))
+def test_distributivity_error_names_a_failing_triple(order):
+    elements, leq = order
+    expected = oracle_frame(elements, leq)
+    assume(isinstance(expected, str) and "distribute" in expected)
+    with pytest.raises(FrameError) as err:
+        finite_frame(elements, leq)
+    assert_witness_fails(elements, leq, err.value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(orders(kinds=("bounded",)))
+def test_covers_round_trip_on_random_frames(order):
+    elements, leq = order
+    assume(not isinstance(oracle_frame(elements, leq), str))
+    L = finite_frame(elements, leq)
+    assert frame_from_covers(L.elements, L.covers()) == L
+
+
+def assert_join_primes_are_least_opens(X):
+    # the paper's a-posteriori recovery: the points of X come back as the
+    # join-primes of its frame of opens, each the least open around one
+    # point
+    L = frame_of_opens(X)
+    opens = X.sorted_opens()
+    primes = [opens[m] for m in L.join_primes()]
+    assert len(primes) == X.n
+    assert set(primes) == {X.min_open(x) for x in range(X.n)}
+
+
+def test_join_primes_of_the_3_simplex_are_its_least_opens():
+    X = simplex_space(finset(tuple("abcd")))
+    assert len(X.opens) == 167
+    assert_join_primes_are_least_opens(X)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.frozensets(st.integers(0, n - 1), min_size=1),
+                         max_size=4))))
+def test_join_primes_of_face_spaces_are_least_opens(complex_spec):
+    n, faces = complex_spec
+    vertices = tuple("abcd"[:n])
+    faces = [[vertices[v] for v in f] for f in faces]
+    faces += [[v] for v in vertices]
+    assert_join_primes_are_least_opens(face_space(asc(vertices, faces)))

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import finsite.locales
 import finsite.topology
 from finsite.topology import (
     ContinuousMap,
     TopologyError,
     continuous_map,
+    cover_pairs,
     disjoint_union,
     from_preorder,
     kolmogorov_quotient,
@@ -24,6 +26,7 @@ from finsite.topology import (
 
 from oracles import (
     oracle_closure,
+    oracle_cover_pairs,
     oracle_discontinuities,
     oracle_disjoint_union_opens,
     oracle_generated_opens,
@@ -31,6 +34,7 @@ from oracles import (
     oracle_is_open_embedding,
     oracle_min_open,
     oracle_preimage,
+    oracle_reflexive_transitive,
     oracle_subspace_opens,
     oracle_t0_classes,
 )
@@ -342,3 +346,61 @@ def test_operations_read_the_specialization_order():
                 fixpoints.append(fn.name)
     assert readers <= allowed, sorted(readers - allowed)
     assert fixpoints == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                   st.integers(0, max(n - 1, 0))),
+                         max_size=2 * n))))
+def test_cover_pairs_match_the_between_scan(relation):
+    # random preorders: cycles in the relation make them non-T0
+    n, pairs = relation
+    leq = oracle_reflexive_transitive(n, pairs)
+    assert cover_pairs(leq) == oracle_cover_pairs(leq)
+
+
+def loop_depth(node) -> int:
+    """How deep for-loops and comprehension generators nest in node."""
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp,
+                         ast.DictComp)):
+        # each generator of a comprehension nests inside the one before
+        parts = [node.elt] if hasattr(node, "elt") else [node.key, node.value]
+        for gen in node.generators:
+            parts += [gen.iter, *gen.ifs]
+        return len(node.generators) + max(map(loop_depth, parts))
+    inner = max(map(loop_depth, ast.iter_child_nodes(node)), default=0)
+    return inner + isinstance(node, ast.For)
+
+
+def test_order_jobs_have_one_routine_each():
+    # covering pairs and reflexive-transitive closures are built only in
+    # topology's cover_pairs and order_closure; locales reads frames off
+    # bitmask up- and down-sets, with no fixpoint loop and no triple scan
+    tree = ast.parse(Path(finsite.locales.__file__).read_text())
+    assert not any(isinstance(node, ast.While) for node in ast.walk(tree))
+    functions = [fn for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef)]
+    assert [fn.name for fn in functions if loop_depth(fn) >= 3] == []
+
+    tree = ast.parse(Path(finsite.topology.__file__).read_text())
+    functions = {fn.name: fn for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef)}
+    # a Warshall step ORs one row into another
+    warshall = {name for name, fn in functions.items()
+                for node in ast.walk(fn)
+                if isinstance(node, ast.AugAssign)
+                and isinstance(node.op, ast.BitOr)
+                and isinstance(node.target, ast.Subscript)
+                and isinstance(node.value, ast.Subscript)}
+    assert warshall == {"order_closure"}
+    # a between scan nests three loops; glue_along_maps' three loops copy
+    # each chart's order into the glued one and close nothing
+    deep = {name for name, fn in functions.items() if loop_depth(fn) >= 3}
+    assert deep == {"glue_along_maps"}
+    calls = {name: {node.func.id for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)}
+             for name, fn in functions.items()}
+    assert "cover_pairs" in calls["specialization_edges"]
+    assert "order_closure" in calls["from_preorder"]
