@@ -1,12 +1,20 @@
 """Independent brute-force oracles used to freeze expected values.
 
 These deliberately re-derive everything from the raw tables with plain
-loops, sharing no logic with the package internals.
+loops, sharing no logic with the package internals.  The one exception is
+the coproduct engine (`tensor`), a reference construction built on the
+package's semiring tables, homs and congruence quotients.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
+
+from finsite.colimit import BudgetExceeded
+from finsite.semiring import (DEFAULT_BUDGET, FiniteSemiring, SemiringHom,
+                              TableError, congruence_closure, hom_violation,
+                              quotient, validate_semiring)
 
 
 def oracle_is_semiring(labels, add, mul, zero, one) -> bool:
@@ -154,17 +162,262 @@ def oracle_is_prime_congruence(R, blocks, flavor) -> bool:
     raise ValueError(flavor)
 
 
+# -- coproducts, by coset enumeration -------------------------------------
+#
+# The coproduct of two semirings is presented on the monoid of pure products
+# (one factor from each side): formal sums of those monomials modulo the
+# additive relations of both sides, each relation rescaled by every monomial.
+# The presented additive monoid is closed coset-enumeration style: a state is
+# a canonical set of monomials (a duplicated monomial carries into its double
+# inside one factor, and monomials with a zero slot are dropped outright),
+# transitions add one monomial, and every relation instance is enforced at
+# every state through a worklist until nothing merges.  An explicit element
+# budget turns runaway growth into a clean error instead of a hang.
+
+
+class _Engine:
+    """Quotient of sums of monomials from a finite commutative monoid by
+    vector relations closed under monomial rescaling.
+
+    mul_table: monomial products.  dbl[m]: the monomial equal to m + m.
+    dead[m]: monomials equal to the empty sum.  relations: pairs of
+    multiplicity vectors (tuples of (monomial, count)).
+    """
+
+    def __init__(self, n_monos, mul_table, unit, dbl, dead, relations, budget):
+        self.n_monos = n_monos
+        self.mul_table = mul_table
+        self.unit = unit
+        self.dbl = dbl
+        self.dead = dead
+        self.budget = budget
+        self.sets: list[frozenset[int]] = []
+        self.ids: dict[frozenset[int], int] = {}
+        self.parent: list[int] = []
+        self.trans: list[dict[int, int]] = []
+        self.pending: list[tuple[int, int]] = []
+        self.queue: deque[int] = deque()
+        self.inq: list[bool] = []
+        self.relations = self._scale_relations(relations)
+        self._state(frozenset())
+
+    def _scale(self, vec, m):
+        acc: dict[int, int] = {}
+        for mono, c in vec:
+            p = self.mul_table[m][mono]
+            if not self.dead[p]:
+                acc[p] = acc.get(p, 0) + c
+        return tuple(sorted(acc.items()))
+
+    def _scale_relations(self, relations):
+        seen = set()
+        out = []
+        for u, v in relations:
+            for m in range(self.n_monos):
+                su = self._scale(u, m)
+                sv = self._scale(v, m)
+                if su == sv:
+                    continue
+                key = (su, sv) if su < sv else (sv, su)
+                if key not in seen:
+                    seen.add(key)
+                    out.append(key)
+        return out
+
+    def _state(self, fs):
+        s = self.ids.get(fs)
+        if s is not None:
+            return s
+        if len(self.sets) >= self.budget:
+            raise BudgetExceeded(
+                f"coproduct closure: element budget {self.budget} exceeded")
+        s = len(self.sets)
+        self.sets.append(fs)
+        self.ids[fs] = s
+        self.parent.append(s)
+        self.trans.append({})
+        self.inq.append(False)
+        self.enqueue(s)
+        return s
+
+    def enqueue(self, s):
+        s = self.find(s)
+        if not self.inq[s]:
+            self.inq[s] = True
+            self.queue.append(s)
+
+    def find(self, s):
+        parent = self.parent
+        while parent[s] != s:
+            parent[s] = parent[parent[s]]
+            s = parent[s]
+        return s
+
+    def step(self, s, m):
+        """The state for (class of s) + m."""
+        if self.dead[m]:
+            return self.find(s)
+        s = self.find(s)
+        t = self.trans[s].get(m)
+        if t is not None:
+            return self.find(t)
+        fs = self.sets[s]
+        if m in fs:
+            t = self.step(self._state(fs - {m}), self.dbl[m])
+        else:
+            t = self._state(fs | {m})
+        self.trans[s][m] = t
+        return self.find(t)
+
+    def walk(self, s, vec):
+        for m, c in vec:
+            for _ in range(c):
+                s = self.step(s, m)
+        return s
+
+    def union(self, a, b):
+        a, b = self.find(a), self.find(b)
+        if a == b:
+            return
+        if b < a:
+            a, b = b, a
+        self.parent[b] = a
+        self.pending.append((a, b))
+        while self.pending:
+            ra, rb = self.pending.pop()
+            ra = self.find(ra)
+            moved = self.trans[rb]
+            self.trans[rb] = {}
+            for m, t in moved.items():
+                t = self.find(t)
+                cur = self.trans[ra].get(m)
+                if cur is None:
+                    self.trans[ra][m] = t
+                else:
+                    cur = self.find(cur)
+                    if cur != t:
+                        if t < cur:
+                            cur, t = t, cur
+                        self.parent[t] = cur
+                        self.pending.append((cur, t))
+                        self.enqueue(cur)
+            self.enqueue(ra)
+
+    def close(self):
+        while self.queue:
+            s = self.queue.popleft()
+            self.inq[s] = False
+            s = self.find(s)
+            for m in range(self.n_monos):
+                self.step(s, m)
+            # adding monomials must commute as an action on classes; the
+            # set representation only makes this automatic when no carry
+            # fires, so enforce it
+            for m1 in range(self.n_monos):
+                for m2 in range(m1 + 1, self.n_monos):
+                    a = self.step(self.step(s, m1), m2)
+                    b = self.step(self.step(s, m2), m1)
+                    if self.find(a) != self.find(b):
+                        self.union(a, b)
+            for u, v in self.relations:
+                a = self.walk(s, u)
+                b = self.walk(s, v)
+                if self.find(a) != self.find(b):
+                    self.union(a, b)
+
+    def result(self):
+        """Extract the semiring after closing, plus a sum locator."""
+        live = sorted((s for s in range(len(self.sets)) if self.find(s) == s),
+                      key=lambda s: (len(self.sets[s]), sorted(self.sets[s])))
+        index = {s: i for i, s in enumerate(live)}
+        k = len(live)
+        add = [[0] * k for _ in range(k)]
+        mul = [[0] * k for _ in range(k)]
+        for i, s in enumerate(live):
+            ms = sorted(self.sets[s])
+            for j, t in enumerate(live):
+                mt = sorted(self.sets[t])
+                add[i][j] = index[self.walk(s, [(m, 1) for m in mt])]
+                prod: dict[int, int] = {}
+                for m1 in ms:
+                    for m2 in mt:
+                        p = self.mul_table[m1][m2]
+                        if not self.dead[p]:
+                            prod[p] = prod.get(p, 0) + 1
+                mul[i][j] = index[self.walk(0, sorted(prod.items()))]
+        zero = index[self.find(0)]
+        one = index[self.walk(0, [(self.unit, 1)])]
+        labels = tuple(f"e{i}" for i in range(k))
+        S = validate_semiring(labels, add, mul, zero, one)
+        return S, lambda vec: index[self.walk(0, vec)]
+
+
+def tensor(A: FiniteSemiring, B: FiniteSemiring,
+           budget: int = DEFAULT_BUDGET) -> tuple[FiniteSemiring, SemiringHom, SemiringHom]:
+    """Coproduct A (+) B with its two injections."""
+    nb = B.n
+
+    def mono(a, b):
+        return a * nb + b
+
+    n_monos = A.n * B.n
+    mul_table = [[0] * n_monos for _ in range(n_monos)]
+    for a1 in range(A.n):
+        for b1 in range(B.n):
+            for a2 in range(A.n):
+                for b2 in range(B.n):
+                    mul_table[mono(a1, b1)][mono(a2, b2)] = \
+                        mono(A.mul[a1][a2], B.mul[b1][b2])
+    unit = mono(A.one, B.one)
+    dbl = [0] * n_monos
+    dead = [False] * n_monos
+    for a in range(A.n):
+        for b in range(B.n):
+            dbl[mono(a, b)] = mono(A.add[a][a], b)
+            dead[mono(a, b)] = a == A.zero or b == B.zero
+    relations = []
+    # diagonal pairs stay in: the carry rule normalizes a duplicate by
+    # doubling in the first factor, but a sum reached in another order
+    # needs the doubling available as a rewrite too
+    for a1 in range(A.n):
+        for a2 in range(a1, A.n):
+            if a1 == a2:
+                u = ((mono(a1, B.one), 2),)
+            else:
+                u = tuple(sorted(((mono(a1, B.one), 1), (mono(a2, B.one), 1))))
+            relations.append((u, ((mono(A.add[a1][a2], B.one), 1),)))
+    for b1 in range(B.n):
+        for b2 in range(b1, B.n):
+            if b1 == b2:
+                u = ((mono(A.one, b1), 2),)
+            else:
+                u = tuple(sorted(((mono(A.one, b1), 1), (mono(A.one, b2), 1))))
+            relations.append((u, ((mono(A.one, B.add[b1][b2]), 1),)))
+
+    eng = _Engine(n_monos, mul_table, unit, dbl, dead, relations, budget)
+    for m in range(n_monos):
+        eng.walk(0, [(m, 1)])
+    eng.close()
+    T, locate = eng.result()
+    inj_a = SemiringHom(A, T, tuple(locate([(mono(a, B.one), 1)])
+                                    for a in range(A.n)))
+    inj_b = SemiringHom(B, T, tuple(locate([(mono(A.one, b), 1)])
+                                    for b in range(B.n)))
+    for h in (inj_a, inj_b):
+        if hom_violation(h) is not None:
+            raise TableError("coproduct injection failed to be a hom")
+    return T, inj_a, inj_b
+
+
 def oracle_pushout(f, g):
     """Pushout of f.target <- f.source -> g.target the long way: the full
     coproduct f.target (+) g.target, then the quotient identifying f(x)
-    with g(x).  Unlike the oracles above this reuses the package's
-    coproduct engine, so that the quotient steps of `colimit` are checked
-    against the route they replace."""
-    from finsite.colimit import _quotient_by_pairs, tensor
+    with g(x).  This is the general route the quotient steps of `colimit`
+    replace, so the package's pushouts are checked against it."""
     T, inj_f, inj_g = tensor(f.target, g.target)
-    Q, _ = _quotient_by_pairs(
+    c = congruence_closure(
         T, [(inj_f(f(x)), inj_g(g(x))) for x in range(f.source.n)])
-    return Q
+    return quotient(T, c)[0]
 
 
 # -- finite spaces, straight from their families of opens ------------------
