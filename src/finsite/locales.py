@@ -15,9 +15,9 @@ from .topology import (
     FiniteTopSpace,
     continuous_map,
     cover_pairs,
+    from_preorder,
     order_closure,
     set_label,
-    validate_topology,
 )
 
 
@@ -225,16 +225,15 @@ def opens_pullback(f: ContinuousMap) -> FrameMorphism:
 
 
 def stone_dual(L: FiniteFrame) -> tuple[FiniteTopSpace, tuple[frozenset[int], ...]]:
-    """The space of completely prime filters of L; each filter is the
-    up-set of a join-prime element, and the opens are the sets
-    O_u = filters containing u."""
+    """The space of completely prime filters of L, each the up-set of a
+    join-prime; built from the join-prime order, whose down-sets are the
+    O_u = filters containing u, so the O_u generate the same topology."""
     gens = L.join_primes()
     filters = tuple(frozenset(u for u in range(L.n) if L.leq[m][u])
                     for m in gens)
     labels = tuple(L.elements[m] for m in gens)
-    opens = {frozenset(i for i, m in enumerate(gens) if L.leq[m][u])
-             for u in range(L.n)}
-    space = validate_topology(labels, opens)
+    # O_u = join-primes below u, and by Birkhoff every down-set is some O_u
+    space = from_preorder(labels, [[L.leq[m][k] for k in gens] for m in gens])
     return space, filters
 
 

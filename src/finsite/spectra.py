@@ -1,10 +1,10 @@
 """Ideals, prime ideals, k-ideals, and the spectra built from them.
 
-The prime spectrum carries the topology generated by the basic opens
-U_h = set of primes avoiding h.  Congruences give three finer point sets
-(weak, strong, twisted prime congruences); each carries the topology
-generated by U_{a,b} = set of congruences separating a and b, and all of
-them map down to the prime spectrum through the kernel ideal.
+The prime spectrum is built from inclusion of primes, whose down-sets are
+the opens the basic opens U_h = primes avoiding h generate.  Congruences
+give three finer point sets (weak, strong, twisted prime congruences), built
+from refinement, whose down-sets are the opens the U_{a,b} = congruences
+separating a and b generate; all map down to Spec through the kernel ideal.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .topology import (
     ContinuousMap,
     FiniteTopSpace,
     continuous_map,
+    from_preorder,
     set_label,
-    space_from_opens,
     subspace,
 )
 
@@ -141,11 +141,19 @@ def prime_spectrum(R: FiniteSemiring) -> Spectrum:
 def _prime_spectrum(R: FiniteSemiring) -> Spectrum:
     ideals = enumerate_ideals(R)
     primes = tuple(I for I in ideals if is_prime_ideal(R, I))
-    labels = tuple(set_label(R.elements, p) for p in primes)
-    basis = [frozenset(i for i, p in enumerate(primes) if h not in p)
-             for h in range(R.n)]
-    space = space_from_opens(labels, basis)
+    labels = _distinct_labels([set_label(R.elements, p) for p in primes])
+    # least open around q: the meet of the U_h over h not in q, {p : p <= q}
+    space = from_preorder(labels, [[p <= q for q in primes] for p in primes])
     return Spectrum(R, space, primes)
+
+
+def _distinct_labels(labels) -> tuple[str, ...]:
+    """Refuse element labels with commas that print two points alike."""
+    first = {}
+    for i, label in enumerate(labels):
+        if first.setdefault(label, i) != i:
+            raise SemiringError(f"two spectrum points are labeled {label}")
+    return tuple(labels)
 
 
 def k_spectrum(R: FiniteSemiring) -> tuple[FiniteTopSpace, ContinuousMap]:
@@ -214,10 +222,9 @@ def _congruence_spectrum(R: FiniteSemiring, flavor: str
                          ) -> tuple[FiniteTopSpace, ContinuousMap]:
     spec = prime_spectrum(R)
     points = prime_congruences(R, flavor)
-    labels = tuple(_congruence_label(c) for c in points)
-    basis = [frozenset(i for i, c in enumerate(points) if not c.related(a, b))
-             for a in range(R.n) for b in range(R.n)]
-    space = space_from_opens(labels, basis)
+    labels = _distinct_labels([_congruence_label(c) for c in points])
+    # least open around d: the meet of the U_{a,b} d separates, {c : c <= d}
+    space = from_preorder(labels, [[c <= d for d in points] for c in points])
     images = tuple(spec.point_of(kernel_ideal(c)) for c in points)
     down = continuous_map(space, spec.space, images)
     # the preimage of a basic open U_h must be the basic open U_{h,0}

@@ -35,7 +35,11 @@ class FiniteTopSpace:
         """The specialization order, read off the opens once: per point x,
         its least open neighbourhood, the points y <= x.  A cached
         attribute, so equality, hash and repr ignore it."""
-        return _least_opens(self.n, self.opens)
+        least = [frozenset(range(self.n))] * self.n
+        for u in self.opens:
+            for x in u:
+                least[x] &= u
+        return tuple(least)
 
     @cached_property
     def _above(self) -> tuple[frozenset[int], ...]:
@@ -132,31 +136,6 @@ def validate_topology(points, opens) -> FiniteTopSpace:
                 raise TopologyError(
                     f"opens not closed under intersection: {sorted(u)} & {sorted(v)}")
     return FiniteTopSpace(points, frozenset(fam))
-
-
-def _least_opens(n, family) -> tuple[frozenset[int], ...]:
-    """Per point, the intersection of the members of family containing it
-    (the whole point set when none does)."""
-    least = [frozenset(range(n))] * n
-    for u in family:
-        for x in u:
-            least[x] &= u
-    return tuple(least)
-
-
-def space_from_opens(points, opens) -> FiniteTopSpace:
-    """The space a family of opens generates.  Its least open around x is
-    the intersection of the members containing x, and x <= y iff x lies in
-    the least open around y."""
-    n = len(points)
-    fam = [frozenset(u) for u in opens]
-    for u in fam:
-        for x in u:
-            if not (0 <= x < n):
-                raise TopologyError(f"open set mentions unknown point {x}")
-    below = _least_opens(n, fam)
-    return from_preorder(points, [[x in below[y] for y in range(n)]
-                                  for x in range(n)])
 
 
 def order_closure(n: int, pairs) -> list[int]:

@@ -614,3 +614,28 @@ def oracle_reflexive_transitive(n, pairs) -> list[list[bool]]:
                         leq[a][c] = True
                         changed = True
     return leq
+
+
+def oracle_order_isomorphism(a, b) -> tuple[int, ...] | None:
+    """A bijection f with a[x][y] == b[f(x)][f(y)] for all x, y, found by
+    backtracking over the points of a in index order, or None."""
+    n = len(a)
+    if len(b) != n:
+        return None
+    f = []
+
+    def extend():
+        x = len(f)
+        if x == n:
+            return True
+        for y in range(n):
+            if y not in f and a[x][x] == b[y][y] and all(
+                    a[x][z] == b[y][f[z]] and a[z][x] == b[f[z]][y]
+                    for z in range(x)):
+                f.append(y)
+                if extend():
+                    return True
+                f.pop()
+        return False
+
+    return tuple(f) if extend() else None

@@ -240,6 +240,37 @@ def test_verify_reports_broken_file(workdir, capsys):
     assert lines[-1] == "6 checks, 1 failures"
 
 
+# B x B with element labels holding commas: check accepts it, but both
+# primes print as {s,m,s}
+COMMA_LABELS = """elements: s,m s m,s 1
+zero: s
+one: 1
+add:
+  s,m s,m 1 1
+  s,m s m,s 1
+  1 m,s m,s 1
+  1 1 1 1
+mul:
+  s,m s s s,m
+  s s s s
+  s s m,s m,s
+  s,m s m,s 1
+"""
+
+
+def test_repeated_point_labels_are_errors(workdir, capsys):
+    commas = workdir / "commas"
+    commas.mkdir()
+    (commas / "bxb.sr").write_text(COMMA_LABELS)
+    assert run(capsys, "check", str(commas / "bxb.sr"))[0] == 0
+    for argv in (["spectrum", str(commas / "bxb.sr")],
+                 ["verify", str(commas)]):
+        code, _, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert err.startswith("error: ") and "{s,m,s}" in err, argv
+        assert "Traceback" not in err, argv
+
+
 def test_verify_empty_directory(workdir, capsys):
     empty = workdir / "empty"
     empty.mkdir()

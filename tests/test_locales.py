@@ -360,6 +360,21 @@ def test_frame_operations_match_the_search_oracle(order):
 
 @settings(max_examples=150, deadline=None)
 @given(orders(kinds=("bounded",)))
+def test_stone_dual_built_from_join_primes_has_the_opens_o_u(order):
+    # the dual is built from L's order on its join-primes; its opens must
+    # be exactly the O_u = join-primes below u, one per element u
+    elements, leq = order
+    assume(not isinstance(oracle_frame(elements, leq), str))
+    L = finite_frame(elements, leq)
+    dual, _ = stone_dual(L)
+    gens = L.join_primes()
+    opens = {frozenset(i for i, m in enumerate(gens) if L.leq[m][u])
+             for u in range(L.n)}
+    assert dual == validate_topology(dual.points, opens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(orders(kinds=("bounded",)))
 def test_distributivity_error_names_a_failing_triple(order):
     elements, leq = order
     expected = oracle_frame(elements, leq)

@@ -16,6 +16,7 @@ from finsite.catalog import (
     truncated_naturals,
     zmod,
 )
+from finsite.finset import finset, simplex_space
 from finsite.semiring import (
     Congruence,
     SemiringError,
@@ -47,10 +48,11 @@ from finsite.spectra import (
     spectrum_report,
     visualization_chain,
 )
-from finsite.topology import subspace
+from finsite.topology import subspace, validate_topology
 
-from oracles import (oracle_ideals, oracle_is_k_ideal,
-                     oracle_is_prime_congruence, oracle_is_prime_ideal)
+from oracles import (oracle_generated_opens, oracle_ideals, oracle_is_k_ideal,
+                     oracle_is_prime_congruence, oracle_is_prime_ideal,
+                     oracle_order_isomorphism)
 
 # (name, ideal count, k-ideal count, chain sizes (t, s, w, k, prime), opens)
 FROZEN_TABLE = [
@@ -207,6 +209,59 @@ def test_primality_matches_definition_oracle():
 def test_primality_matches_oracle_on_products(factors):
     _assert_primality_matches_oracle(functools.reduce(product_semiring,
                                                       factors))
+
+
+def _assert_spaces_are_generated_by_their_basic_opens(R):
+    # each spectrum is built from its order; the space its basic opens
+    # generate, closed by the oracle, must be the same space
+    spec = prime_spectrum(R)
+    basis = [spec.basic_open(h) for h in range(R.n)]
+    assert spec.space == validate_topology(
+        spec.space.points, oracle_generated_opens(spec.space.n, basis))
+    for flavor in FLAVORS:
+        space, _ = congruence_spectrum(R, flavor)
+        points = prime_congruences(R, flavor)
+        basis = [frozenset(i for i, c in enumerate(points)
+                           if not c.related(a, b))
+                 for a in range(R.n) for b in range(R.n)]
+        assert space == validate_topology(
+            space.points, oracle_generated_opens(space.n, basis)), flavor
+
+
+def test_order_built_spectra_equal_their_subbasis_spaces():
+    bench = ([R for _, R in catalog()]
+             + [chain(k) for k in range(2, 6)]
+             + [zmod(m) for m in range(2, 13)]
+             + [truncated_naturals(top) for top in range(1, 6)])
+    for R in bench:
+        _assert_spaces_are_generated_by_their_basic_opens(R)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.sampled_from([R for _, R in catalog()]), min_size=2,
+                max_size=3)
+       .filter(lambda fs: math.prod(R.n for R in fs) <= 12))
+def test_order_built_spectra_equal_their_subbasis_spaces_on_products(
+        factors):
+    _assert_spaces_are_generated_by_their_basic_opens(
+        functools.reduce(product_semiring, factors))
+
+
+@pytest.mark.parametrize("k, points, opens", [
+    (2, 1, 2), (3, 3, 5), (4, 7, 19), (5, 15, 167)])
+def test_weak_spectrum_of_a_chain_is_the_opposite_simplex(k, points, opens):
+    # the scale ladder's two families are one poset: weak Spec chain(k),
+    # ordered by refinement, is the face poset of the simplex on k - 1
+    # vertices turned upside down
+    weak, _ = congruence_spectrum(chain(k), "weak")
+    simplex = simplex_space(finset([f"v{i}" for i in range(k - 1)]))
+    assert (weak.n, len(weak.opens)) == (points, opens)
+    assert (simplex.n, len(simplex.opens)) == (points, opens)
+    leq = simplex.specialization_leq()
+    opposite = [[leq[y][x] for y in range(simplex.n)]
+                for x in range(simplex.n)]
+    assert oracle_order_isomorphism(weak.specialization_leq(),
+                                    opposite) is not None
 
 
 def test_primality_witness_cases():

@@ -19,7 +19,6 @@ from finsite.topology import (
     from_preorder,
     kolmogorov_quotient,
     quotient_space,
-    space_from_opens,
     subspace,
     validate_topology,
 )
@@ -43,6 +42,12 @@ from oracles import (
 def sierpinski():
     # generic point g is open, c is the closed point
     return validate_topology(("g", "c"), [set(), {0}, {0, 1}])
+
+
+def space_from_opens(points, opens):
+    """The space a family of opens generates, through the closure oracle."""
+    return validate_topology(points,
+                             oracle_generated_opens(len(points), opens))
 
 
 def chain_space(n):
@@ -260,7 +265,8 @@ def subsets(n):
 @st.composite
 def spaces(draw, max_points=6):
     """A space on at most max_points points, from a random relation or a
-    random subbasis."""
+    random subbasis; the subbasis branch hands _below an arbitrary family
+    of opens rather than the down-sets of an order."""
     n = draw(st.integers(1, max_points))
     labels = tuple(f"p{i}" for i in range(n))
     if draw(st.booleans()):
@@ -270,14 +276,6 @@ def spaces(draw, max_points=6):
         return from_preorder(labels, [[(x, y) in edges for y in range(n)]
                                       for x in range(n)])
     return space_from_opens(labels, draw(st.lists(subsets(n), max_size=6)))
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 6), st.data())
-def test_space_from_opens_matches_closure_oracle(n, data):
-    family = data.draw(st.lists(subsets(n), max_size=8))
-    X = space_from_opens(tuple(f"p{i}" for i in range(n)), family)
-    assert X.opens == oracle_generated_opens(n, family)
 
 
 @settings(max_examples=150, deadline=None)
@@ -404,3 +402,29 @@ def test_order_jobs_have_one_routine_each():
              for name, fn in functions.items()}
     assert "cover_pairs" in calls["specialization_edges"]
     assert "order_closure" in calls["from_preorder"]
+
+
+def test_every_space_is_built_from_its_order():
+    # from_preorder is the one constructor in src/finsite: the subbasis
+    # route is gone, and only it calls validate_topology, which no other
+    # module imports
+    defined, callers, importers = set(), set(), set()
+    for path in Path(finsite.topology.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            if isinstance(node, ast.ImportFrom) and any(
+                    alias.name == "validate_topology" for alias in node.names):
+                importers.add(path.stem)
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and "validate_topology" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    callers.add((path.stem, fn.name))
+    assert not defined & {"space_from_opens", "_least_opens"}
+    assert callers == {("topology", "from_preorder")}
+    assert importers == set()
