@@ -17,14 +17,14 @@ Arrows left over after the tree are coequalized at the end.  Every step
 keeps one leg surjective (the root's, until a step of the third kind hands
 that role to B's), so the colimit is the image of that leg.
 
-A finite localization R -> R[1/s] is surjective: s is a unit of the finite
-monoid (R[1/s], *), so s**r == 1 for some r >= 1, 1/s = s**(r-1)/1, and
-every a/s**k comes from R.  Gluing arrows are finite localizations, so the
-walk diagrams of a presentation take the first two steps only, and the
-pushout of a localization along any hom (base change) takes the second,
-then the third.  A diagram whose colimit needs a coproduct -- a
-disconnected one, or a tree step where neither h nor the leg is surjective
--- raises ValueError.
+A finite localization R -> R[1/s] is surjective: some power e of s is
+idempotent, R[1/s] is the corner eR, and the canonical map a -> e*a
+reaches every element e*x == x of eR.  Gluing arrows are finite
+localizations, so the walk diagrams of a presentation take the first two
+steps only, and the pushout of a localization along any hom (base
+change) takes the second, then the third.  A diagram whose colimit needs
+a coproduct -- a disconnected one, or a tree step where neither h nor the
+leg is surjective -- raises ValueError.
 """
 
 from __future__ import annotations

@@ -505,19 +505,21 @@ def product_semiring(A: FiniteSemiring, B: FiniteSemiring) -> FiniteSemiring:
 
 @dataclass(frozen=True)
 class Localization:
-    """R with h made invertible, realized on classes of pairs (a, h**k).
+    """R with h made invertible, realized on the corner eR.
 
-    Two pairs (a, p) and (b, q) with p, q powers of h are identified when
-    r*q*a == r*p*b for some power r of h; the powers of h cycle, so the
-    quantifier ranges over a finite set.  `reps` holds the least (element,
-    power) pair of each class, in class order.
+    Some power e of h is idempotent (e == 1 when h is a unit), and e*h is a
+    unit of the semiring eR = {e*a}, whose one is e.  A fraction a/h**k
+    equals e*a*h**j, where e*h**(k+j) == e, so a -> e*a maps R onto
+    R[1/h] and R[1/h] is eR with R's operations.  Each class is labelled
+    by the least element of R mapping to it, and classes are in the order
+    of those elements; `corner` holds the element of eR behind each class.
     """
 
     base: FiniteSemiring
     h: int
     semiring: FiniteSemiring
     to_local: SemiringHom           # the canonical map R -> R[1/h]
-    reps: tuple[tuple[int, int], ...]
+    corner: tuple[int, ...]
 
     def extend(self, g: SemiringHom) -> SemiringHom:
         """Universal property: factor g: base -> T through to_local, given
@@ -525,16 +527,11 @@ class Localization:
         if g.source != self.base:
             raise TableError("extend expects a hom out of the base")
         T = g.target
-        inv = T.inverse_of(g(self.h))
-        if inv is None:
+        if T.inverse_of(g(self.h)) is None:
             raise TableError("image of the inverted element is not invertible")
-        images = []
-        for a, p in self.reps:
-            ip = T.inverse_of(g(p))
-            if ip is None:
-                raise TableError("image of a denominator is not invertible")
-            images.append(T.mul[g(a)][ip])
-        out = SemiringHom(self.semiring, T, tuple(images))
+        # g(e) is a power of g(h), so an invertible idempotent: g(e) == 1,
+        # and g(x) == g(a)/g(h**k) for the class x of a/h**k
+        out = SemiringHom(self.semiring, T, tuple(g(x) for x in self.corner))
         if hom_violation(out) is not None:
             raise AxiomError("localization-extension", (self.h,),
                              "extension through the localization failed")
@@ -542,79 +539,30 @@ class Localization:
 
 
 def localize(R: FiniteSemiring, h: int) -> Localization:
-    """R[1/h] by pair classes; deterministic labels a or a/p.  Computed
-    once per semiring and element."""
+    """R[1/h] as the corner eR (see `Localization`).  Computed once per
+    semiring and element."""
     return _memo(R, ("localize", h), lambda: _localization(R, h))
 
 
 def _localization(R: FiniteSemiring, h: int) -> Localization:
     if not 0 <= h < R.n:
         raise TableError("element index out of range")
-    powers = R.powers_of(h)          # distinct power values, exponent order
-    pset = sorted(set(powers))
-    pairs = [(a, p) for a in range(R.n) for p in pset]
-    pos = {pq: i for i, pq in enumerate(pairs)}
-
-    def related(x, y):
-        (a, p), (b, q) = x, y
-        return any(R.mul[R.mul[r][q]][a] == R.mul[R.mul[r][p]][b] for r in pset)
-
-    parent = list(range(len(pairs)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            if find(i) != find(j) and related(pairs[i], pairs[j]):
-                ri, rj = find(i), find(j)
-                parent[max(ri, rj)] = min(ri, rj)
-    classes: dict[int, list[int]] = {}
-    for i in range(len(pairs)):
-        classes.setdefault(find(i), []).append(i)
-
-    def rep_key(i):
-        a, p = pairs[i]
-        return (p != R.one, a, p)    # prefer denominator-free representatives
-
-    roots = sorted(classes, key=lambda r: min(rep_key(i) for i in classes[r]))
-    reps = tuple(pairs[min(classes[r], key=rep_key)] for r in roots)
-    class_of = {}
-    for ci, r in enumerate(roots):
-        for i in classes[r]:
-            class_of[pairs[i]] = ci
-
-    def label(rep):
-        a, p = rep
-        if p == R.one:
-            return R.elements[a]
-        return f"{R.elements[a]}/{R.elements[p]}"
-
-    labels = [label(rep) for rep in reps]
-    if len(set(labels)) != len(labels):     # pathological label collision
-        labels = [f"c{i}_{lab}" for i, lab in enumerate(labels)]
-    k = len(reps)
-    add = [[0] * k for _ in range(k)]
-    mul = [[0] * k for _ in range(k)]
-    for i, (a, p) in enumerate(reps):
-        for j, (b, q) in enumerate(reps):
-            add[i][j] = class_of[(R.add[R.mul[q][a]][R.mul[p][b]], R.mul[p][q])]
-            mul[i][j] = class_of[(R.mul[a][b], R.mul[p][q])]
-    L = validate_semiring(tuple(labels), add, mul,
-                          class_of[(R.zero, R.one)], class_of[(R.one, R.one)])
-    lam = SemiringHom(R, L, tuple(class_of[(a, R.one)] for a in range(R.n)))
+    e = next((p for p in R.powers_of(h)[1:] if R.mul[p][p] == p), R.one)
+    least: dict[int, int] = {}      # x in eR -> least a with e*a == x
+    for a, x in enumerate(R.mul[e]):
+        least.setdefault(x, a)
+    corner = tuple(least)
+    index = {x: i for i, x in enumerate(corner)}
+    labels = tuple(R.elements[a] for a in least.values())
+    add = [[index[R.add[x][y]] for y in corner] for x in corner]
+    mul = [[index[R.mul[x][y]] for y in corner] for x in corner]
+    L = validate_semiring(labels, add, mul, index[R.zero], index[e])
+    lam = SemiringHom(R, L, tuple(index[x] for x in R.mul[e]))
     if hom_violation(lam) is not None:
-        raise AxiomError("localization-map", (h,),
-                         "canonical map to the localization is not a hom")
-    loc = Localization(R, h, L, lam, reps)
-    # the inverted element must actually be invertible in the result
+        raise InvariantError("canonical map to the localization is not a hom")
     if L.inverse_of(lam(h)) is None:
-        raise AxiomError("localization-invertibility", (h,),
-                         "inverted element has no inverse in the result")
-    return loc
+        raise InvariantError("inverted element has no inverse in the result")
+    return Localization(R, h, L, lam, corner)
 
 
 def is_finite_localization(h: SemiringHom) -> int | None:

@@ -19,6 +19,7 @@ from .semiring import (
     SemiringError,
     SemiringHom,
     Localization,
+    _canon_blocks,
     _memo,
     enumerate_congruences,
 )
@@ -307,15 +308,7 @@ def congruence_pullback(f: SemiringHom, c: Congruence) -> Congruence:
     related; pulls every primality flavor back."""
     if c.semiring is not f.target and c.semiring != f.target:
         raise SemiringError("congruence lives on the wrong semiring")
-    n = f.source.n
-    block_of = {}
-    blocks = []
-    for a in range(n):
-        key = c.blocks[f(a)]
-        if key not in block_of:
-            block_of[key] = len(block_of)
-        blocks.append(block_of[key])
-    return Congruence(f.source, tuple(blocks))
+    return Congruence(f.source, _canon_blocks(c.blocks[b] for b in f.images))
 
 
 def congruence_spectrum_pullback(f: SemiringHom, flavor: str

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from dataclasses import dataclass
 
 from finsite.colimit import BudgetExceeded
-from finsite.semiring import (DEFAULT_BUDGET, FiniteSemiring, SemiringHom,
-                              TableError, congruence_closure, hom_violation,
-                              quotient, validate_semiring)
+from finsite.semiring import (DEFAULT_BUDGET, AxiomError, FiniteSemiring,
+                              SemiringError, SemiringHom, TableError,
+                              congruence_closure, hom_violation, quotient,
+                              validate_semiring)
 
 
 def oracle_is_semiring(labels, add, mul, zero, one) -> bool:
@@ -418,6 +420,123 @@ def oracle_pushout(f, g):
     c = congruence_closure(
         T, [(inj_f(f(x)), inj_g(g(x))) for x in range(f.source.n)])
     return quotient(T, c)[0]
+
+
+# -- localization, straight from the pair classes ---------------------------
+
+
+@dataclass(frozen=True)
+class OracleLocalization:
+    """R[1/h] as raw tables on classes of pairs; `reps` holds the least
+    (element, power) pair of each class, in class order, and `class_of`
+    the class of every pair."""
+
+    base: FiniteSemiring
+    h: int
+    elements: tuple[str, ...]
+    add: tuple[tuple[int, ...], ...]
+    mul: tuple[tuple[int, ...], ...]
+    zero: int
+    one: int
+    to_local: tuple[int, ...]
+    reps: tuple[tuple[int, int], ...]
+    class_of: dict
+
+
+def _oracle_inverse(T, x):
+    return next((y for y in range(T.n) if T.mul[x][y] == T.one), None)
+
+
+def oracle_localization(R, h) -> OracleLocalization:
+    """R[1/h] by its definition: pairs (a, p) with p a power of h, where
+    (a, p) and (b, q) are identified when r*q*a == r*p*b for some power r.
+    Classes are ordered and labelled by their least pair, preferring the
+    denominator-free ones; colliding labels get a class-number prefix."""
+    powers = []
+    acc = R.one
+    while acc not in powers:
+        powers.append(acc)
+        acc = R.mul[acc][h]
+    pset = sorted(powers)
+    pairs = [(a, p) for a in range(R.n) for p in pset]
+
+    def related(x, y):
+        (a, p), (b, q) = x, y
+        return any(R.mul[R.mul[r][q]][a] == R.mul[R.mul[r][p]][b]
+                   for r in pset)
+
+    parent = list(range(len(pairs)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(pairs)):
+        for j in range(i + 1, len(pairs)):
+            if find(i) != find(j) and related(pairs[i], pairs[j]):
+                ri, rj = find(i), find(j)
+                parent[max(ri, rj)] = min(ri, rj)
+    classes: dict[int, list[int]] = {}
+    for i in range(len(pairs)):
+        classes.setdefault(find(i), []).append(i)
+
+    def rep_key(i):
+        a, p = pairs[i]
+        return (p != R.one, a, p)
+
+    roots = sorted(classes, key=lambda r: min(rep_key(i) for i in classes[r]))
+    reps = tuple(pairs[min(classes[r], key=rep_key)] for r in roots)
+    class_of = {pairs[i]: ci for ci, r in enumerate(roots) for i in classes[r]}
+    labels = [R.elements[a] if p == R.one
+              else f"{R.elements[a]}/{R.elements[p]}" for a, p in reps]
+    if len(set(labels)) != len(labels):
+        labels = [f"c{i}_{lab}" for i, lab in enumerate(labels)]
+    add = tuple(tuple(class_of[(R.add[R.mul[q][a]][R.mul[p][b]], R.mul[p][q])]
+                      for b, q in reps) for a, p in reps)
+    mul = tuple(tuple(class_of[(R.mul[a][b], R.mul[p][q])] for b, q in reps)
+                for a, p in reps)
+    return OracleLocalization(
+        R, h, tuple(labels), add, mul, class_of[(R.zero, R.one)],
+        class_of[(R.one, R.one)],
+        tuple(class_of[(a, R.one)] for a in range(R.n)), reps, class_of)
+
+
+def oracle_extend(loc: OracleLocalization, g) -> tuple[int, ...]:
+    """Images of g: R -> T factored through R -> R[1/h], by a/p -> g(a)/g(p).
+    Raises TableError when g(h) or a denominator's image has no inverse,
+    and AxiomError when the factor is not a hom."""
+    if g.source != loc.base:
+        raise TableError("extend expects a hom out of the base")
+    T = g.target
+    if _oracle_inverse(T, g(loc.h)) is None:
+        raise TableError("image of the inverted element is not invertible")
+    images = []
+    for a, p in loc.reps:
+        ip = _oracle_inverse(T, g(p))
+        if ip is None:
+            raise TableError("image of a denominator is not invertible")
+        images.append(T.mul[g(a)][ip])
+    k = len(images)
+    if (images[loc.zero] != T.zero or images[loc.one] != T.one
+            or any(images[loc.add[i][j]] != T.add[images[i]][images[j]]
+                   or images[loc.mul[i][j]] != T.mul[images[i]][images[j]]
+                   for i in range(k) for j in range(k))):
+        raise AxiomError("localization-extension", (loc.h,),
+                         "extension through the localization failed")
+    return tuple(images)
+
+
+def oracle_finite_localization(g) -> int | None:
+    """Least x whose localization, extended along g, is a bijection."""
+    for x in range(g.source.n):
+        try:
+            images = oracle_extend(oracle_localization(g.source, x), g)
+        except SemiringError:
+            continue
+        if len(set(images)) == g.target.n == len(images):
+            return x
+    return None
 
 
 # -- finite spaces, straight from their families of opens ------------------

@@ -262,13 +262,23 @@ def test_repeated_point_labels_are_errors(workdir, capsys):
     commas = workdir / "commas"
     commas.mkdir()
     (commas / "bxb.sr").write_text(COMMA_LABELS)
+    (commas / "b.sr").write_text(render_semiring(boolean()))
     assert run(capsys, "check", str(commas / "bxb.sr"))[0] == 0
-    for argv in (["spectrum", str(commas / "bxb.sr")],
-                 ["verify", str(commas)]):
-        code, _, err = run(capsys, *argv)
-        assert code == 1, argv
-        assert err.startswith("error: ") and "{s,m,s}" in err, argv
-        assert "Traceback" not in err, argv
+    code, _, err = run(capsys, "spectrum", str(commas / "bxb.sr"))
+    assert code == 1
+    assert err.startswith("error: ") and "{s,m,s}" in err
+    assert "Traceback" not in err
+    # verify reports the error as a failed check and keeps going
+    code, out, err = run(capsys, "verify", str(commas))
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert all(line.startswith("b.sr") and ": pass" in line
+               for line in lines[:5])
+    failed = [line for line in lines if ": fail" in line]
+    assert failed == [f"bxb.sr {check}: fail (two spectrum points are "
+                      "labeled {s,m,s})"
+                      for check in ("theorem-A", "basis-law", "chain")]
+    assert lines[-1] == "10 checks, 3 failures"
 
 
 def test_verify_empty_directory(workdir, capsys):
@@ -499,6 +509,23 @@ def _fresh(code, cwd, *argv):
     return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd,
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, check=True).stdout
+
+
+def test_closed_stdout_ends_quietly(workdir):
+    # the child waits on stdin until its stdout pipe is closed
+    code = ("import sys\n"
+            "sys.stdin.read()\n"
+            "from finsite.cli import main\n"
+            "raise SystemExit(main(sys.argv[1:]))\n")
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [sys.executable, "-c", code, "localize", "z6.sr", "5"], cwd=workdir,
+        env=dict(os.environ, PYTHONPATH=path), stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    child.stdout.close()
+    _, err = child.communicate("", timeout=60)
+    assert "Traceback" not in err
+    assert (child.returncode, err) == (0, "")
 
 
 # Every finsite submodule sits in sys.modules from `import finsite` on; one

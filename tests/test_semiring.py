@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from finsite.catalog import boolean, boolean_pair, catalog, chain, trivial, \
     truncated_naturals, zmod
-from finsite.semiring import (AxiomError, Congruence, SemiringHom, TableError,
+import finsite.semiring
+from finsite.semiring import (AxiomError, Congruence, InvariantError,
+                              SemiringError, SemiringHom, TableError,
                               are_isomorphic, congruence_closure,
                               diagonal_congruence, enumerate_congruences,
                               enumerate_homs, find_isomorphism, hom_kernel,
@@ -17,9 +19,10 @@ from finsite.semiring import (AxiomError, Congruence, SemiringHom, TableError,
                               product_semiring, quotient, total_congruence,
                               validate_semiring)
 
-from oracles import (all_partitions, oracle_congruences, oracle_homs,
+from oracles import (all_partitions, oracle_congruences, oracle_extend,
+                     oracle_finite_localization, oracle_homs,
                      oracle_is_semiring, oracle_isomorphic,
-                     oracle_stable_partition)
+                     oracle_localization, oracle_stable_partition)
 
 CATALOG = catalog()
 
@@ -269,19 +272,97 @@ def test_localize_z6_at_two_is_z3():
 
 def test_localize_pair_class_law():
     # the pair (a, p) ~ (b, q) iff r*q*a == r*p*b for some power r;
-    # spot-check against the definition on Z/6 at 2
+    # spot-check the oracle's classes on Z/6 at 2, then the corner e*Z/6
+    # (e == 4) the package puts behind them
     Z6 = zmod(6)
-    loc = localize(Z6, 2)
-    powers = sorted(set(Z6.powers_of(2)))
-    assert powers == [1, 2, 4]
+    pairs = oracle_localization(Z6, 2).class_of
+    assert sorted({p for _, p in pairs}) == [1, 2, 4]
+    assert pairs[(1, 2)] == pairs[(2, 1)]   # 1/2 == 2 since 2*2 == 1 mod 3
+    assert pairs[(3, 1)] == pairs[(0, 1)]   # 3 dies
+    assert pairs[(1, 1)] != pairs[(2, 1)]
+    assert localize(Z6, 2).corner == (0, 4, 2)
 
-    def related(a, p, b, q):
-        return any(Z6.mul[Z6.mul[r][q]][a] == Z6.mul[Z6.mul[r][p]][b]
-                   for r in powers)
 
-    assert related(1, 2, 2, 1)       # 1/2 == 2 since 2*2 == 4 == 1 mod 3
-    assert related(3, 1, 0, 1)       # 3 dies
-    assert not related(1, 1, 2, 1)
+def localization_pool():
+    """The catalog, small families, products and quotients.  Z/m with a
+    long cycle of units (m = 19, 21..23, 25..29) is left out: the pair-class
+    oracle alone takes about 35 s on those."""
+    cat = [R for _, R in CATALOG]
+    pool = cat + [zmod(m) for m in (*range(2, 19), 20, 24, 30)]
+    pool += [chain(k) for k in range(2, 9)]
+    pool += [truncated_naturals(t) for t in range(1, 8)]
+    pool += [product_semiring(A, B) for A, B in [
+        (boolean(), zmod(3)), (zmod(2), zmod(3)), (chain(3), zmod(2)),
+        (truncated_naturals(2), boolean()), (zmod(4), chain(2)),
+        (zmod(3), zmod(3))]]
+    for R in cat + [zmod(12), zmod(8), chain(4), truncated_naturals(4)]:
+        pool += [quotient(R, c)[0] for c in enumerate_congruences(R)]
+    return pool
+
+
+def assert_localizations_match_oracle(R):
+    for h in range(R.n):
+        loc, want = localize(R, h), oracle_localization(R, h)
+        L = loc.semiring
+        assert (L.elements, L.add, L.mul, L.zero, L.one) == (
+            want.elements, want.add, want.mul, want.zero, want.one), (R, h)
+        assert loc.to_local.images == want.to_local, (R, h)
+
+
+def outcome(extension):
+    """The images `extension()` returns, or the class of its error."""
+    try:
+        return extension()
+    except SemiringError as e:
+        return type(e)
+
+
+def assert_extensions_match_oracle(R, targets):
+    for T in targets:
+        for g in enumerate_homs(R, T):
+            assert is_finite_localization(g) == oracle_finite_localization(g)
+            for x in range(R.n):
+                loc, want = localize(R, x), oracle_localization(R, x)
+                assert outcome(lambda: loc.extend(g).images) == outcome(
+                    lambda: oracle_extend(want, g)), (R, x, g)
+
+
+def test_localize_matches_pair_class_oracle():
+    for R in localization_pool():
+        assert_localizations_match_oracle(R)
+
+
+def test_extend_matches_pair_class_oracle():
+    targets = [R for _, R in CATALOG]
+    for R in localization_pool():
+        if R.n <= 6:
+            assert_extensions_match_oracle(R, targets)
+
+
+@st.composite
+def catalog_built(draw):
+    """A quotient of a catalog entry, or the product of two such."""
+    def factor():
+        _, R = draw(st.sampled_from(CATALOG))
+        return quotient(R, draw(st.sampled_from(enumerate_congruences(R))))[0]
+
+    R = factor()
+    return product_semiring(R, factor()) if draw(st.booleans()) else R
+
+
+@settings(max_examples=30, deadline=None)
+@given(catalog_built(), st.sampled_from(CATALOG))
+def test_localization_of_built_semirings_matches_oracle(R, target):
+    assert_localizations_match_oracle(R)
+    assert_extensions_match_oracle(R, [target[1]])
+
+
+def test_localization_self_checks_are_invariants(monkeypatch):
+    # to_local is a hom by construction, so a failed check is a bug
+    monkeypatch.setattr(finsite.semiring, "hom_violation",
+                        lambda h: ("add", (0, 0)))
+    with pytest.raises(InvariantError):
+        finsite.semiring._localization(zmod(6), 2)
 
 
 def test_localize_iterated_equals_direct():
