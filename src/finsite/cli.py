@@ -460,6 +460,9 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return code
     try:
+        # labels are UTF-8 text in every locale, as the input files are
+        if hasattr(sys.stdout, "reconfigure"):
+            sys.stdout.reconfigure(encoding="utf-8", errors=sys.stdout.errors)
         if ns.format == "structured":
             print(json.dumps(data, indent=2))
         else:

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING
 
 from .semiring import (
     FiniteSemiring,
+    SemiringError,
     SemiringHom,
     find_isomorphism,
     hom_violation,
@@ -149,7 +150,7 @@ def read_cover(path: str) -> CoverFamily:
     labels = _keyword(lines[1], "cover")
     try:
         return cover_family(R, tuple(R.index(t) for t in labels))
-    except Exception as e:
+    except SemiringError as e:
         raise FormatError(str(e)) from None
 
 
@@ -163,24 +164,27 @@ def read_presentation(path: str) -> SPresentation:
     """Presentation file: `node <name> <semiring-file>` lines, then
     `arrow <src> <dst> localize-at <element>` or
     `arrow <src> <dst> map <label-list>` lines.  An arrow src -> dst
-    carries the algebra map of its head chart into its tail chart."""
+    carries the algebra map of its head chart into its tail chart.  Each
+    file is read once, and nodes with equal semirings share one object."""
     from .glue import presentation
 
     lines = _logical_lines(_read_text(path))
     base = os.path.dirname(path) or "."
-    nodes: list[tuple[str, FiniteSemiring]] = []
-    table = {}
+    files: dict[str, FiniteSemiring] = {}
+    canon: dict[FiniteSemiring, FiniteSemiring] = {}
+    table: dict[str, FiniteSemiring] = {}
     arrows = []
     for line in lines:
         if line[0] == "node":
             if len(line) != 3:
                 raise FormatError("node lines read: node <name> <file>")
-            name, ref = line[1], line[2]
+            name, ref = line[1], os.path.join(base, line[2])
             if name in table:
                 raise FormatError(f"duplicate node name {name!r}")
-            R = read_semiring(os.path.join(base, ref))
-            nodes.append((name, R))
-            table[name] = R
+            if ref not in files:
+                R = read_semiring(ref)
+                files[ref] = canon.setdefault(R, R)
+            table[name] = files[ref]
         elif line[0] == "arrow":
             if len(line) < 4:
                 raise FormatError("arrow lines read: arrow <src> <dst> ...")
@@ -216,7 +220,7 @@ def read_presentation(path: str) -> SPresentation:
             arrows.append((src, dst, h))
         else:
             raise FormatError(f"unknown directive {line[0]!r}")
-    return presentation(nodes, arrows)
+    return presentation(table, arrows)
 
 
 def render_lattice(L: FiniteFrame) -> str:
@@ -227,7 +231,7 @@ def render_lattice(L: FiniteFrame) -> str:
 
 
 def parse_lattice(text: str) -> FiniteFrame:
-    from .locales import frame_from_covers
+    from .locales import FrameError, frame_from_covers
 
     lines = _logical_lines(text)
     order: list[str] = []
@@ -250,7 +254,7 @@ def parse_lattice(text: str) -> FiniteFrame:
     try:
         return frame_from_covers(tuple(order),
                                  [(index[a], index[b]) for a, b in pairs])
-    except Exception as e:
+    except FrameError as e:
         raise FormatError(str(e)) from None
 
 
@@ -261,7 +265,7 @@ def read_lattice(path: str) -> FiniteFrame:
 def read_asc(path: str) -> AbstractSimplicialComplex:
     """ASC file: a `vertices: a b c` line, then `face: a b` lines; the
     subset closure is computed automatically."""
-    from .finset import asc
+    from .finset import FinSetError, asc
 
     lines = _logical_lines(_read_text(path))
     if not lines:
@@ -272,13 +276,13 @@ def read_asc(path: str) -> AbstractSimplicialComplex:
         faces.append(_keyword(line, "face"))
     try:
         return asc(vertices, faces)
-    except Exception as e:
+    except FinSetError as e:
         raise FormatError(str(e)) from None
 
 
 def write_text(path: str, text: str) -> None:
     try:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as e:
         raise FormatError(f"cannot write {path}: {e.strerror}") from None

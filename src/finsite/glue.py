@@ -69,12 +69,14 @@ class SPresentation:
 def presentation(nodes, arrows) -> SPresentation:
     """Build a presentation from (name, semiring) pairs and
     (src_name, dst_name, hom) triples, checking every hom is a finite
-    localization of the dst chart's algebra."""
+    localization of the dst chart's algebra.  Charts with equal semirings
+    share one object, so they share its derived data."""
     items = list(nodes.items()) if isinstance(nodes, dict) else list(nodes)
     names = tuple(name for name, _ in items)
     if len(set(names)) != len(names):
         raise GlueError("duplicate chart name")
-    semirings = tuple(R for _, R in items)
+    canon: dict[FiniteSemiring, FiniteSemiring] = {}
+    semirings = tuple(canon.setdefault(R, R) for _, R in items)
     index = {name: i for i, name in enumerate(names)}
     packed = []
     for src, dst, h in arrows:
@@ -85,11 +87,12 @@ def presentation(nodes, arrows) -> SPresentation:
             raise GlueError(
                 f"arrow {src} -> {dst} must carry a map from the algebra "
                 "of its head chart to the algebra of its tail chart")
+        # rebound onto the chart objects first, so the localizations the
+        # check computes land in the charts' derived data
+        h = SemiringHom(semirings[di], semirings[si], h.images)
         if is_finite_localization(h) is None:
             raise GlueError(f"arrow {src} -> {dst} is not a finite localization")
-        # rebound onto the chart objects, so arrows read their derived data
-        packed.append((si, di, SemiringHom(semirings[di], semirings[si],
-                                           h.images)))
+        packed.append((si, di, h))
     return SPresentation(names, semirings, tuple(packed))
 
 

@@ -14,6 +14,7 @@ import pytest
 import finsite
 import finsite.cli
 import finsite.finset
+import finsite.formats
 import finsite.glue
 import finsite.locales
 import finsite.semiring
@@ -23,7 +24,7 @@ from finsite.cli import main
 from finsite.formats import (parse_lattice, parse_semiring,
                              read_presentation, render_semiring)
 from finsite.glue import VISUALIZATIONS, glue_space
-from finsite.semiring import are_isomorphic, localize
+from finsite.semiring import are_isomorphic, localize, validate_semiring
 
 
 @pytest.fixture
@@ -341,8 +342,9 @@ def test_glue_enumerates_each_chart_congruences_once(workdir, enumerations):
     P = read_presentation(str(pres))
     for vis in VISUALIZATIONS:
         glue_space(P, vis)
-    # A and B are two chart objects with equal tables: one enumeration each
-    assert enumerations == collections.Counter(P.semirings)
+    # A and B share one chart object: one enumeration per distinct chart
+    assert P.semirings[0] is P.semirings[1]
+    assert enumerations == collections.Counter(set(P.semirings))
 
 
 def test_glue_builds_each_congruence_space_once(workdir, monkeypatch):
@@ -361,9 +363,47 @@ def test_glue_builds_each_congruence_space_once(workdir, monkeypatch):
     flavors = ("weak", "strong", "twisted")
     for vis in flavors:
         glue_space(P, vis)
-    # A and B have equal tables, so their keys coincide: one build each
+    # one build per distinct chart and flavor
     assert builds == collections.Counter(
-        (R, f) for R in P.semirings for f in flavors)
+        (R, f) for R in set(P.semirings) for f in flavors)
+
+
+def test_equal_chart_files_share_one_object(workdir):
+    (workdir / "z6copy.sr").write_text(render_semiring(zmod(6)))
+    pres = workdir / "copies.pres"
+    pres.write_text("node A z6.sr\nnode B z6copy.sr\nnode O o.sr\n"
+                    "arrow O A localize-at 2\narrow O B localize-at 2\n")
+    P = read_presentation(str(pres))
+    A, B, O = P.semirings
+    assert A is B and A is not O
+    for si, di, h in P.arrows:
+        assert h.source is P.semirings[di] and h.target is P.semirings[si]
+
+
+def test_presentation_reads_each_file_once(workdir, monkeypatch):
+    reads = collections.Counter()
+    validations = []
+    real_read = finsite.formats._read_text
+    real_validate = finsite.formats.validate_semiring
+
+    def counted_read(path):
+        reads[Path(path).name] += 1
+        return real_read(path)
+
+    def counted_validate(*args):
+        validations.append(args[0])
+        return real_validate(*args)
+
+    monkeypatch.setattr(finsite.formats, "_read_text", counted_read)
+    monkeypatch.setattr(finsite.formats, "validate_semiring", counted_validate)
+    pres = workdir / "doubled.pres"
+    pres.write_text("node A z6.sr\nnode B z6.sr\nnode C z6.sr\nnode O o.sr\n"
+                    "arrow O A localize-at 2\narrow O B localize-at 2\n")
+    P = read_presentation(str(pres))
+    assert reads == {"doubled.pres": 1, "z6.sr": 1, "o.sr": 1}
+    assert validations == [zmod(6).elements,
+                           localize(zmod(6), 2).semiring.elements]
+    assert len({id(R) for R in P.semirings}) == 2
 
 
 def test_glue_budget_exceeded(workdir, capsys):
@@ -504,11 +544,16 @@ CHECK_MODULES = {"finsite", "finsite.cli", "finsite.formats",
                  "finsite.semiring"}
 
 
-def _fresh(code, cwd, *argv):
+def _child_env(**extra):
+    """This environment with the code under test first on PYTHONPATH."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def _fresh(code, cwd, *argv):
     return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd,
-                          env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, check=True).stdout
+                          env=_child_env(), capture_output=True, text=True,
+                          check=True).stdout
 
 
 def test_closed_stdout_ends_quietly(workdir):
@@ -517,15 +562,84 @@ def test_closed_stdout_ends_quietly(workdir):
             "sys.stdin.read()\n"
             "from finsite.cli import main\n"
             "raise SystemExit(main(sys.argv[1:]))\n")
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     child = subprocess.Popen(
         [sys.executable, "-c", code, "localize", "z6.sr", "5"], cwd=workdir,
-        env=dict(os.environ, PYTHONPATH=path), stdin=subprocess.PIPE,
+        env=_child_env(), stdin=subprocess.PIPE,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     child.stdout.close()
     _, err = child.communicate("", timeout=60)
     assert "Traceback" not in err
     assert (child.returncode, err) == (0, "")
+
+
+def _greek_pair():
+    """B x B with its elements labelled 0 α β 1."""
+    BB = boolean_pair()
+    return validate_semiring(("0", "α", "β", "1"), BB.add, BB.mul, BB.zero,
+                             BB.one)
+
+
+def _run_posix(cwd, *argv):
+    """`python -m finsite` in the POSIX locale, whose encoding is ASCII;
+    stdout and stderr come back decoded as UTF-8."""
+    env = _child_env(LC_ALL="POSIX", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    env.pop("PYTHONIOENCODING", None)
+    child = subprocess.run([sys.executable, "-m", "finsite", *argv],
+                           cwd=cwd, env=env, capture_output=True, timeout=60)
+    return (child.returncode, child.stdout.decode("utf-8"),
+            child.stderr.decode("utf-8"))
+
+
+@pytest.mark.parametrize("fmt", ["human", "structured"])
+def test_reports_and_dot_files_are_utf8_in_a_posix_locale(tmp_path, capsys,
+                                                           fmt):
+    (tmp_path / "ab.sr").write_text(render_semiring(_greek_pair()),
+                                    encoding="utf-8")
+    code, out, err = _run_posix(tmp_path, "spectrum", "ab.sr",
+                                "--dot", "ab.dot", "--format", fmt)
+    assert (code, err) == (0, "")
+    here = run(capsys, "spectrum", str(tmp_path / "ab.sr"),
+               "--dot", str(tmp_path / "here.dot"), "--format", fmt)
+    assert (code, out) == here[:2]
+    dot = (tmp_path / "ab.dot").read_bytes()
+    assert dot == (tmp_path / "here.dot").read_bytes()
+    assert '"{0,α}";'.encode("utf-8") in dot
+
+
+def test_locale_dump_reads_back_with_stone_in_a_posix_locale(tmp_path):
+    (tmp_path / "ab.sr").write_text(render_semiring(_greek_pair()),
+                                    encoding="utf-8")
+    code, out, err = _run_posix(tmp_path, "locale", "ab.sr", "--dot", "ab.lat")
+    assert (code, err) == (0, "")
+    dump = (tmp_path / "ab.lat").read_text(encoding="utf-8")
+    assert "{{0,α}} < {{0,α},{0,β}}" in dump.splitlines()
+    assert dump.splitlines() == out.splitlines()[3:]
+    code, out, err = _run_posix(tmp_path, "stone", "ab.lat")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:3] == ["dual space: 2 points",
+                                    "point {{0,α}}", "point {{0,β}}"]
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (("sheaf-check", "cov.txt"), "semiring: z6.sr\ncover: 2 9\n",
+     "unknown element label '9'"),
+    (("stone", "cyc.lat"), "a < b\nb < a\n",
+     "order not antisymmetric on a, b"),
+    (("stone", "m3.lat"), "0 < a\n0 < b\n0 < c\na < 1\nb < 1\nc < 1\n",
+     "meet does not distribute over join at (c, a, b)"),
+    (("stone", "vee.lat"), "a < b\na < c\n", "no join for b, c"),
+    (("simplex", "lone.asc"), "vertices: a b\nface: a\n",
+     "every vertex must lie in some face"),
+    (("simplex", "unknown.asc"), "vertices: a b\nface: a c\n",
+     "face uses unknown vertex 'c'"),
+    (("simplex", "twice.asc"), "vertices: a a\nface: a\n",
+     "duplicate vertex label"),
+])
+def test_malformed_cover_lattice_and_complex_files_exit_2(workdir, capsys,
+                                                          argv, text, message):
+    (workdir / argv[1]).write_text(text)
+    code, out, err = run(capsys, argv[0], str(workdir / argv[1]))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 # Every finsite submodule sits in sys.modules from `import finsite` on; one

@@ -2,6 +2,9 @@
 
 import pytest
 
+import finsite.finset
+import finsite.locales
+import finsite.site
 from finsite.catalog import catalog, zmod
 from finsite.formats import (
     FormatError,
@@ -9,13 +12,14 @@ from finsite.formats import (
     parse_semiring,
     read_asc,
     read_cover,
+    read_lattice,
     read_presentation,
     read_semiring,
     render_lattice,
     render_semiring,
 )
 from finsite.locales import frame_of_opens
-from finsite.semiring import AxiomError, localize
+from finsite.semiring import AxiomError, InvariantError, localize
 from finsite.site import lambda_X
 from finsite.spectra import prime_spectrum
 
@@ -150,3 +154,23 @@ def test_missing_files_raise_format_errors(tmp_path):
     for reader in (read_semiring, read_cover, read_presentation, read_asc):
         with pytest.raises(FormatError):
             reader(str(tmp_path / "absent.file"))
+
+
+@pytest.mark.parametrize("module, name, reader, text", [
+    (finsite.site, "cover_family", read_cover, "semiring: z6.sr\ncover: 2\n"),
+    (finsite.locales, "frame_from_covers", read_lattice, "a < b\n"),
+    (finsite.finset, "asc", read_asc, "vertices: a\nface: a\n"),
+], ids=["cover", "lattice", "complex"])
+def test_invariant_errors_are_not_format_errors(tmp_path, monkeypatch, module,
+                                                name, reader, text):
+    """Each reader turns only its callee's input errors into FormatError;
+    a broken invariant inside the callee propagates as itself."""
+    (tmp_path / "z6.sr").write_text(render_semiring(zmod(6)))
+    (tmp_path / "input").write_text(text)
+
+    def broken(*args):
+        raise InvariantError("broken invariant")
+
+    monkeypatch.setattr(module, name, broken)
+    with pytest.raises(InvariantError, match="broken invariant"):
+        reader(str(tmp_path / "input"))

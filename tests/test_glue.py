@@ -3,12 +3,16 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import finsite.glue
 from finsite.catalog import boolean, boolean_pair, catalog, trivial, zmod
 from finsite.glue import (
+    VISUALIZATIONS,
     DiagramPath,
     GlueError,
+    SPresentation,
     affine_glue_check,
     atlas,
     closed_walks,
@@ -21,7 +25,8 @@ from finsite.glue import (
     visualization_map,
     visualization_space,
 )
-from finsite.semiring import SemiringHom, find_isomorphism, localize
+from finsite.semiring import (SemiringHom, find_isomorphism, localize,
+                               validate_semiring)
 from finsite.site import cover_family, covers
 from finsite.spectra import prime_spectrum, visualization_chain
 from finsite.topology import disjoint_union, quotient_space
@@ -130,6 +135,62 @@ def test_atlas_shapes():
     single = atlas(cover_family(Z6, [1]))
     assert single.names == ("U0",)
     assert single.arrows == ()
+
+
+def test_equal_charts_share_one_object():
+    # Z6[1/2], Z6[1/4] and their overlap Z6[1/8] are one semiring
+    P = atlas(cover_family(zmod(6), (2, 4)))
+    assert len(P.semirings) == 3
+    assert len({id(R) for R in P.semirings}) == 1
+    assert all(h.source is h.target is P.semirings[0] for _, _, h in P.arrows)
+    Q = doubled_point_presentation()
+    assert Q.semirings[0] is Q.semirings[1]
+
+
+def _fresh(R):
+    return validate_semiring(R.elements, R.add, R.mul, R.zero, R.one)
+
+
+def unshared(P):
+    """P with one fresh semiring per node, built without `presentation`, so
+    no two nodes share derived data."""
+    copies = tuple(_fresh(R) for R in P.semirings)
+    return SPresentation(P.names, copies, tuple(
+        (si, di, SemiringHom(copies[di], copies[si], h.images))
+        for si, di, h in P.arrows))
+
+
+@st.composite
+def shared_presentations(draw):
+    """Atlases of catalog families, and doubled points: two equal charts
+    glued along one localization."""
+    R = draw(st.sampled_from([R for _, R in catalog()]))
+    elements = draw(st.lists(st.integers(0, R.n - 1), min_size=1,
+                             max_size=3))
+    if draw(st.booleans()):
+        return atlas(cover_family(R, elements))
+    loc = localize(R, elements[0])
+    return presentation(
+        [("A", R), ("B", _fresh(R)), ("O", loc.semiring)],
+        [("O", "A", loc.to_local), ("O", "B", loc.to_local)])
+
+
+def glued_listing(P, vis):
+    try:
+        G = glue_space(P, vis)
+    except GlueError as e:
+        return str(e)
+    return (G.point_table(), G.space.sorted_opens(),
+            G.space.specialization_edges(), G.monodromy.verdict())
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_presentations())
+def test_shared_charts_glue_as_unshared_copies(P):
+    assert len({id(R) for R in P.semirings}) == len(set(P.semirings))
+    Q = unshared(P)
+    for vis in VISUALIZATIONS:
+        assert glued_listing(P, vis) == glued_listing(Q, vis), vis
 
 
 def test_walk_validation_and_description():
