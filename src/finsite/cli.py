@@ -157,14 +157,19 @@ def cmd_stone(ns):
 
 def cmd_localize(ns):
     R = formats.read_semiring(ns.file)
+    # labels are UTF-8, as in files, but argv was decoded by the locale
     try:
-        h = R.index(ns.element)
+        element = os.fsencode(ns.element).decode("utf-8")
+    except UnicodeError:
+        element = ns.element
+    try:
+        h = R.index(element)
     except SemiringError as e:
         raise formats.FormatError(str(e)) from None
     loc = localize(R, h)
     T = loc.semiring
     text = formats.render_semiring(T)
-    data = {"element": ns.element, "size": T.n,
+    data = {"element": element, "size": T.n,
             "elements": list(T.elements),
             "zero": T.elements[T.zero], "one": T.elements[T.one],
             "add": [[T.elements[v] for v in row] for row in T.add],

@@ -67,21 +67,13 @@ class FiniteSemiring:
         except ValueError:
             raise TableError(f"unknown element label {label!r}") from None
 
-    def power(self, i: int, k: int) -> int:
-        """i**k with the convention i**0 == 1."""
-        acc = self.one
-        for _ in range(k):
+    def idempotent_power(self, i: int) -> int:
+        """The one idempotent among i, i**2, ... (1 when i is a unit): the
+        powers end in a cycle, and a finite cyclic group has one."""
+        acc = i
+        while self.mul[acc][acc] != acc:
             acc = self.mul[acc][i]
         return acc
-
-    def powers_of(self, i: int) -> list[int]:
-        """Distinct values of i**0, i**1, ... in exponent order."""
-        seen = []
-        acc = self.one
-        while acc not in seen:
-            seen.append(acc)
-            acc = self.mul[acc][i]
-        return seen
 
     def inverse_of(self, i: int) -> int | None:
         """Multiplicative inverse of i, or None."""
@@ -203,14 +195,6 @@ class SemiringHom:
             raise TableError("composition endpoints do not match")
         return SemiringHom(other.source, self.target,
                            tuple(self.images[i] for i in other.images))
-
-    def inverse(self) -> "SemiringHom":
-        if not self.is_bijective():
-            raise TableError("only bijective homs invert")
-        inv = [0] * self.target.n
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return SemiringHom(self.target, self.source, tuple(inv))
 
 
 def hom_violation(h: SemiringHom):
@@ -547,7 +531,7 @@ def localize(R: FiniteSemiring, h: int) -> Localization:
 def _localization(R: FiniteSemiring, h: int) -> Localization:
     if not 0 <= h < R.n:
         raise TableError("element index out of range")
-    e = next((p for p in R.powers_of(h)[1:] if R.mul[p][p] == p), R.one)
+    e = R.idempotent_power(h)
     least: dict[int, int] = {}      # x in eR -> least a with e*a == x
     for a, x in enumerate(R.mul[e]):
         least.setdefault(x, a)
@@ -567,16 +551,14 @@ def _localization(R: FiniteSemiring, h: int) -> Localization:
 
 def is_finite_localization(h: SemiringHom) -> int | None:
     """If h: B -> A factors as a localization of B at some element followed
-    by an isomorphism, return the least such element index, else None."""
-    B = h.source
-    for x in range(B.n):
-        if h.target.inverse_of(h(x)) is None:
-            continue
-        loc = localize(B, x)
-        try:
-            induced = loc.extend(h)
-        except SemiringError:
-            continue
-        if induced.is_bijective():
+    by an isomorphism, return the least such element index, else None.
+    B -> B[1/x] is b -> e*b onto eB, so h factors exactly when it is a
+    surjective hom with the same kernel: h(b) == h(b') iff e*b == e*b'."""
+    if not h.is_surjective() or hom_violation(h) is not None:
+        return None
+    for x in range(h.source.n):
+        corner = h.source.mul[h.source.idempotent_power(x)]
+        # equal kernels: pairing the maps separates no more than either
+        if len(set(zip(corner, h.images))) == len(set(corner)) == h.target.n:
             return x
     return None

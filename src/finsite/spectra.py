@@ -167,12 +167,14 @@ def k_spectrum(R: FiniteSemiring) -> tuple[FiniteTopSpace, ContinuousMap]:
 
 def primality(c: Congruence, flavor: str) -> bool:
     """Whether c is a prime congruence of the given flavor; always demands
-    properness (1 and 0 in different blocks)."""
+    properness (1 and 0 in different blocks).  Each condition reads only
+    the blocks of its variables, and c is stable under + and *, so one
+    member per block stands for the whole block."""
     R = c.semiring
     if not c.is_proper():
         return False
     k, add, mul, z = c.blocks, R.add, R.mul, c.blocks[R.zero]
-    rng = range(R.n)
+    rng = [block[0] for block in c.block_members()]
     if flavor == "weak":
         return all(k[mul[a][b]] != z or k[a] == z or k[b] == z
                    for a in rng for b in rng)

@@ -1,9 +1,13 @@
 """Independent brute-force oracles used to freeze expected values.
 
 These deliberately re-derive everything from the raw tables with plain
-loops, sharing no logic with the package internals.  The one exception is
-the coproduct engine (`tensor`), a reference construction built on the
-package's semiring tables, homs and congruence quotients.
+loops, sharing no logic with the package internals.  The exceptions are
+reference constructions built on the package's own routines: the
+coproduct engine (`tensor`) on its semiring tables, homs and congruence
+quotients; the monodromy comparison map (`loop_comparison`) from two
+colimits; the finite-localization search that builds and extends every
+candidate localization (`search_finite_localization`); and primality
+quantified over every element (`full_primality`).
 """
 
 from __future__ import annotations
@@ -12,11 +16,12 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 
-from finsite.colimit import BudgetExceeded
+from finsite.colimit import BudgetExceeded, colimit
+from finsite.glue import _walk_diagram
 from finsite.semiring import (DEFAULT_BUDGET, AxiomError, FiniteSemiring,
                               SemiringError, SemiringHom, TableError,
-                              congruence_closure, hom_violation, quotient,
-                              validate_semiring)
+                              congruence_closure, hom_violation, localize,
+                              quotient, validate_semiring)
 
 
 def oracle_is_semiring(labels, add, mul, zero, one) -> bool:
@@ -537,6 +542,59 @@ def oracle_finite_localization(g) -> int | None:
         if len(set(images)) == g.target.n == len(images):
             return x
     return None
+
+
+def search_finite_localization(h) -> int | None:
+    """Least x such that h extends along B -> B[1/x] to a bijection, found
+    by building each candidate localization and extending h through it."""
+    B = h.source
+    for x in range(B.n):
+        if h.target.inverse_of(h(x)) is None:
+            continue
+        try:
+            induced = localize(B, x).extend(h)
+        except SemiringError:
+            continue
+        if induced.is_bijective():
+            return x
+    return None
+
+
+# -- monodromy and primality, the long way ----------------------------------
+
+
+def loop_comparison(p, budget: int = DEFAULT_BUDGET) -> SemiringHom:
+    """The unique algebra map from the cut-open colimit of a closed walk to
+    the loop colimit that is compatible with the visit legs; the loop is
+    glue-safe exactly when this map is an isomorphism."""
+    closed = colimit(_walk_diagram(p, True), budget=budget)
+    opened = colimit(_walk_diagram(p, False), budget=budget)
+    k = len(p.steps)
+    m = k if k else 1
+    legs = [closed.cocones[t % m] for t in range(k + 1)]
+    return opened.induced_hom(legs, closed.semiring)
+
+
+def full_primality(c, flavor) -> bool:
+    """Flavor primality of a congruence quantified over every element,
+    not one member per block."""
+    R = c.semiring
+    if not c.is_proper():
+        return False
+    k, add, mul, z = c.blocks, R.add, R.mul, c.blocks[R.zero]
+    rng = range(R.n)
+    if flavor == "weak":
+        return all(k[mul[a][b]] != z or k[a] == z or k[b] == z
+                   for a in rng for b in rng)
+    if flavor == "strong":
+        return all(k[mul[a][b]] != k[mul[a][d]] or k[a] == z or k[b] == k[d]
+                   for a in rng for b in rng for d in rng)
+    if flavor == "twisted":
+        return all(
+            k[add[mul[a][x]][mul[b][y]]] != k[add[mul[a][y]][mul[b][x]]]
+            or k[a] == k[b] or k[x] == k[y]
+            for a in rng for b in rng for x in rng for y in rng)
+    raise ValueError(flavor)
 
 
 # -- finite spaces, straight from their families of opens ------------------

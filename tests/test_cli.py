@@ -579,10 +579,16 @@ def _greek_pair():
                              BB.one)
 
 
-def _run_posix(cwd, *argv):
-    """`python -m finsite` in the POSIX locale, whose encoding is ASCII;
-    stdout and stderr come back decoded as UTF-8."""
-    env = _child_env(LC_ALL="POSIX", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+POSIX_LOCALE = {"LC_ALL": "POSIX", "PYTHONUTF8": "0",
+                "PYTHONCOERCECLOCALE": "0"}
+UTF8_LOCALE = {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"}
+
+
+def _run_posix(cwd, *argv, locale=POSIX_LOCALE):
+    """`python -m finsite` in the POSIX locale, whose encoding is ASCII, or
+    in the given locale settings; stdout and stderr come back decoded as
+    UTF-8."""
+    env = _child_env(**locale)
     env.pop("PYTHONIOENCODING", None)
     child = subprocess.run([sys.executable, "-m", "finsite", *argv],
                            cwd=cwd, env=env, capture_output=True, timeout=60)
@@ -604,6 +610,20 @@ def test_reports_and_dot_files_are_utf8_in_a_posix_locale(tmp_path, capsys,
     dot = (tmp_path / "ab.dot").read_bytes()
     assert dot == (tmp_path / "here.dot").read_bytes()
     assert '"{0,α}";'.encode("utf-8") in dot
+
+
+@pytest.mark.parametrize("fmt", ["human", "structured"])
+def test_command_line_labels_are_utf8_in_every_locale(tmp_path, fmt):
+    (tmp_path / "ab.sr").write_text(render_semiring(_greek_pair()),
+                                    encoding="utf-8")
+    # the label goes out as UTF-8 bytes, whatever this process's locale
+    argv = ("localize", "ab.sr", "α".encode("utf-8"), "--format", fmt)
+    posix = _run_posix(tmp_path, *argv)
+    utf8 = _run_posix(tmp_path, *argv, locale=UTF8_LOCALE)
+    assert posix == utf8
+    code, out, err = posix
+    assert (code, err) == (0, "")
+    assert ("α" if fmt == "human" else "\\u03b1") in out
 
 
 def test_locale_dump_reads_back_with_stone_in_a_posix_locale(tmp_path):

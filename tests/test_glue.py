@@ -18,18 +18,22 @@ from finsite.glue import (
     closed_walks,
     glue_space,
     glued_chain,
+    MonodromyReport,
     is_monodromy_free,
-    loop_comparison,
     path_limit,
     presentation,
     visualization_map,
     visualization_space,
 )
-from finsite.semiring import (SemiringHom, find_isomorphism, localize,
+from finsite.colimit import DEFAULT_BUDGET, BudgetExceeded
+from finsite.semiring import (SemiringHom, enumerate_homs, find_isomorphism,
+                               is_finite_localization, localize,
                                validate_semiring)
 from finsite.site import cover_family, covers
 from finsite.spectra import prime_spectrum, visualization_chain
 from finsite.topology import disjoint_union, quotient_space
+
+from oracles import loop_comparison
 
 
 def oracle_homeomorphic(X, Y):
@@ -253,6 +257,109 @@ def test_single_arrow_doublings_always_pass():
             start = P.arrows[ai][0]
             doubling = DiagramPath(P, start, ((ai, True), (ai, False)))
             assert loop_comparison(doubling).is_bijective()
+
+
+def there_and_back(p):
+    return len(p.steps) == 2 and p.steps[0] == (p.steps[1][0],
+                                                not p.steps[1][1])
+
+
+def assert_monodromy_matches_oracle(P, bound=8):
+    """Each walk's equal-legs verdict against the comparison map of its two
+    colimits, and the whole report against one built from those maps."""
+    walks, truncated = finsite.glue._closed_walks(P, bound)
+    witness = None
+    for p in walks:
+        free = loop_comparison(p).is_bijective()
+        assert finsite.glue._loop_is_free(p, DEFAULT_BUDGET) == free, \
+            p.describe()
+        assert free or not there_and_back(p), p.describe()
+        if not free and witness is None:
+            witness = p
+    want = MonodromyReport(witness is None, witness,
+                           witness is not None or not truncated, len(walks))
+    assert is_monodromy_free(P, bound) == want
+
+
+def catalog_atlases():
+    """The atlas of every covering family of at most two elements of each
+    catalog semiring, plus the three-element families above."""
+    out = []
+    for _, R in catalog():
+        for size in (1, 2):
+            for els in itertools.combinations(range(R.n), size):
+                S = cover_family(R, els)
+                if covers(S):
+                    out.append(atlas(S))
+    return out + [atlas(cover_family(R, els))
+                  for _, R, els in COVERING_FAMILIES]
+
+
+def test_monodromy_matches_two_colimit_oracle():
+    presentations = [doubled_point_presentation(), swap_presentation(),
+                     wedge_presentation(), cycle_presentation(2),
+                     cycle_presentation(3)] + catalog_atlases()
+    for P in presentations:
+        assert_monodromy_matches_oracle(P)
+    assert_monodromy_matches_oracle(atlas(cover_family(zmod(6), [1, 2, 3])),
+                                    bound=5)
+
+
+@st.composite
+def mapped_presentations(draw):
+    """Charts drawn from a catalog semiring and its localizations, joined by
+    arrows whose maps are drawn from every finite localization between the
+    two charts, automorphisms and self-loops included.  Half the draws are
+    over BxB, the one catalog semiring with a nontrivial automorphism."""
+    R = draw(st.one_of(st.just(boolean_pair()),
+                       st.sampled_from([R for _, R in catalog()])))
+    pool = [R] + [localize(R, x).semiring for x in range(R.n)]
+    charts = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    names = [f"C{i}" for i in range(len(charts))]
+    arrows = []
+    for _ in range(draw(st.integers(0, 4))):
+        si = draw(st.integers(0, len(charts) - 1))
+        di = draw(st.integers(0, len(charts) - 1))
+        maps = [h for h in enumerate_homs(charts[di], charts[si])
+                if is_finite_localization(h) is not None]
+        if maps:
+            arrows.append((names[si], names[di], draw(st.sampled_from(maps))))
+    return presentation(list(zip(names, charts)), arrows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mapped_presentations())
+def test_monodromy_matches_oracle_on_mapped_presentations(P):
+    assert_monodromy_matches_oracle(P)
+
+
+def test_there_and_back_walks_keep_the_budget_order():
+    # the first walk is a there-and-back doubling: it raises the same
+    # budget error, naming the largest chart, as its two colimits would
+    P = doubled_point_presentation()
+    first = closed_walks(P)[0]
+    assert there_and_back(first)
+    for budget in (2, 4, 5):
+        with pytest.raises(BudgetExceeded) as want:
+            loop_comparison(first, budget)
+        with pytest.raises(BudgetExceeded) as got:
+            is_monodromy_free(P, budget=budget)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("table size: ")
+    assert is_monodromy_free(P, budget=6).free
+
+
+def test_there_and_back_along_a_non_surjection_takes_the_colimit():
+    # the diagonal B -> BxB is no localization, so only a presentation
+    # built by hand carries it; its doubling needs a coproduct, as at the
+    # colimit of the cut-open walk
+    B, BB = boolean(), boolean_pair()
+    P = SPresentation(("X", "U"), (BB, B),
+                      ((0, 1, SemiringHom(B, BB, (0, 3))),))
+    with pytest.raises(ValueError, match="coproduct"):
+        loop_comparison(closed_walks(P)[0])
+    with pytest.raises(ValueError, match="coproduct"):
+        is_monodromy_free(P)
 
 
 def test_atlases_are_monodromy_free():

@@ -22,7 +22,8 @@ from finsite.semiring import (AxiomError, Congruence, InvariantError,
 from oracles import (all_partitions, oracle_congruences, oracle_extend,
                      oracle_finite_localization, oracle_homs,
                      oracle_is_semiring, oracle_isomorphic,
-                     oracle_localization, oracle_stable_partition)
+                     oracle_localization, oracle_stable_partition,
+                     search_finite_localization)
 
 CATALOG = catalog()
 
@@ -382,6 +383,15 @@ def test_localization_universal_property():
     induced = loc.extend(g)
     assert induced.compose(loc.to_local).images == g.images
     assert induced.is_bijective()
+
+
+def test_finite_localization_kernel_test_matches_search():
+    bench = ([R for _, R in CATALOG] + [zmod(m) for m in (4, 8, 10, 12)]
+             + [chain(3), truncated_naturals(4)])
+    homs = [g for A in bench for B in bench for g in enumerate_homs(A, B)]
+    assert len(homs) > 50
+    for g in homs:
+        assert is_finite_localization(g) == search_finite_localization(g), g
 
 
 def test_is_finite_localization_flags():

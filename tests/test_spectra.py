@@ -25,6 +25,7 @@ from finsite.semiring import (
     enumerate_homs,
     localize,
     product_semiring,
+    quotient,
     total_congruence,
     validate_semiring,
 )
@@ -50,7 +51,7 @@ from finsite.spectra import (
 )
 from finsite.topology import subspace, validate_topology
 
-from oracles import (oracle_generated_opens, oracle_ideals, oracle_is_k_ideal,
+from oracles import (full_primality, oracle_generated_opens, oracle_ideals, oracle_is_k_ideal,
                      oracle_is_prime_congruence, oracle_is_prime_ideal,
                      oracle_order_isomorphism)
 
@@ -209,6 +210,31 @@ def test_primality_matches_definition_oracle():
 def test_primality_matches_oracle_on_products(factors):
     _assert_primality_matches_oracle(functools.reduce(product_semiring,
                                                       factors))
+
+
+@st.composite
+def generated_semirings(draw):
+    """A quotient of a catalog entry, or the product of two such, with at
+    most 12 elements."""
+    def factor():
+        _, R = draw(st.sampled_from(catalog()))
+        return quotient(R, draw(st.sampled_from(enumerate_congruences(R))))[0]
+
+    R = factor()
+    if draw(st.booleans()):
+        S = factor()
+        if R.n * S.n <= 12:
+            return product_semiring(R, S)
+    return R
+
+
+@settings(max_examples=40, deadline=None)
+@given(generated_semirings())
+def test_block_primality_matches_full_quantifier(R):
+    for c in enumerate_congruences(R):
+        for flavor in FLAVORS:
+            assert primality(c, flavor) == full_primality(c, flavor), \
+                (R.elements, c.blocks, flavor)
 
 
 def _assert_spaces_are_generated_by_their_basic_opens(R):
