@@ -447,6 +447,10 @@ class OracleLocalization:
     reps: tuple[tuple[int, int], ...]
     class_of: dict
 
+    @property
+    def n(self) -> int:
+        return len(self.elements)
+
 
 def _oracle_inverse(T, x):
     return next((y for y in range(T.n) if T.mul[x][y] == T.one), None)
@@ -595,6 +599,63 @@ def full_primality(c, flavor) -> bool:
             or k[a] == k[b] or k[x] == k[y]
             for a in rng for b in rng for x in rng for y in rng)
     raise ValueError(flavor)
+
+
+# -- matching families and descent, straight from the definitions ----------
+
+
+def oracle_matching_tuples(candidates, links) -> list[tuple]:
+    """Every tuple of the product of the candidate lists, in product order,
+    that satisfies key_j(t[j]) == key_i(t[i]) for every link
+    (j, i, key_j, key_i)."""
+    return [t for t in itertools.product(*candidates)
+            if all(key_j(t[j]) == key_i(t[i])
+                   for j, i, key_j, key_i in links)]
+
+
+def oracle_descent(base, families):
+    """Verdict on restriction from base maps to matching families: `base`
+    lists (label, restriction) pairs in order.  The first label whose
+    restriction an earlier label already has fails injectivity, against
+    the first label with that restriction; else the first family that is
+    no restriction fails surjectivity."""
+    restrictions = [key for _, key in base]
+    for b, (label, key) in enumerate(base):
+        if key in restrictions[:b]:
+            return False, ("not injective",
+                           base[restrictions.index(key)][0], label)
+    missed = [m for m in families if m not in restrictions]
+    if missed:
+        return False, ("not surjective", missed[0])
+    return True, None
+
+
+def oracle_restriction(loc: OracleLocalization,
+                       finer: OracleLocalization) -> tuple[int, ...]:
+    """R[1/h] -> R[1/hg] on classes: a/p goes to (a/1) * (p/1)^-1."""
+    return tuple(finer.mul[finer.to_local[a]][
+                     _oracle_inverse(finer, finer.to_local[p])]
+                 for a, p in loc.reps)
+
+
+def oracle_site_descent(R, elements, Y):
+    """Descent for the principal opens of R at `elements` against Y: homs
+    Y -> R, labelled by their images, restrict to tuples of homs into the
+    localizations; a tuple matches when each pair of entries agrees in the
+    localization at the product of the two elements."""
+    locs = [oracle_localization(R, h) for h in elements]
+    base = [(f, tuple(tuple(loc.to_local[x] for x in f) for loc in locs))
+            for f in oracle_homs(Y, R)]
+    agree = []
+    for i, j in itertools.combinations(range(len(locs)), 2):
+        finer = oracle_localization(R, R.mul[elements[i]][elements[j]])
+        agree.append((i, j, oracle_restriction(locs[i], finer),
+                      oracle_restriction(locs[j], finer)))
+    families = [t for t in itertools.product(*(oracle_homs(Y, loc)
+                                                 for loc in locs))
+                if all(tuple(ri[x] for x in t[i]) == tuple(rj[x] for x in t[j])
+                       for i, j, ri, rj in agree)]
+    return oracle_descent(base, families)
 
 
 # -- finite spaces, straight from their families of opens ------------------

@@ -31,38 +31,35 @@ from finsite.finset import (
 )
 from finsite.locales import is_sober, sobrification_unit
 
+from oracles import oracle_descent
+
 
 def letters(n):
     return finset(tuple("abcd"[:n]))
 
 
 def oracle_matching_families(family, Y):
-    """Brute force: every tuple of maps, filtered by pairwise agreement."""
-    spaces = [list(itertools.product(range(Y.size), repeat=f.source.size))
-              for f in family]
-    out = []
-    for combo in itertools.product(*spaces):
-        ok = True
-        for i, fi in enumerate(family):
-            for j, fj in enumerate(family):
-                for b in range(fi.source.size):
-                    for c in range(fj.source.size):
-                        if fi(b) == fj(c) and combo[i][b] != combo[j][c]:
-                            ok = False
-        if ok:
-            out.append(combo)
+    """Every tuple of maps that agree wherever two members hit one target
+    element, in product order.  A prefix of a matching tuple matches, so
+    the product is filtered one member at a time."""
+    out = [()]
+    for i, fi in enumerate(family):
+        out = [combo + (g,) for combo in out
+               for g in itertools.product(range(Y.size), repeat=fi.source.size)
+               if all(combo[j][c] == g[b]
+                      for j, fj in enumerate(family[:i])
+                      for b in range(fi.source.size)
+                      for c in range(fj.source.size) if fi(b) == fj(c))]
     return out
 
 
 def oracle_sheaf(family, Y, target):
-    """Independent verdict: restriction to matching families is bijective."""
-    matchings = oracle_matching_families(family, Y)
-    restrictions = [tuple(tuple(h[f(b)] for b in range(f.source.size))
-                          for f in family)
-                    for h in itertools.product(range(Y.size),
-                                               repeat=target.size)]
-    return (len(set(restrictions)) == len(restrictions)
-            and set(restrictions) == set(matchings))
+    """Independent verdict and witness: restriction from maps target -> Y,
+    in product order, onto the matching families."""
+    base = [(h, tuple(tuple(h[f(b)] for b in range(f.source.size))
+                      for f in family))
+            for h in itertools.product(range(Y.size), repeat=target.size)]
+    return oracle_descent(base, oracle_matching_families(family, Y))
 
 
 def test_finset_and_injection_validation():
@@ -251,6 +248,27 @@ def test_path_limits_open_and_closed():
         finset_path_limit(P, P.node("{a,b}"), ((a_ab, True),), "opened")
 
 
+def test_path_limit_labels_in_product_order_and_self_arrows():
+    X = finset(("x", "y", "z"))
+    U = finset(("p", "q"))
+    P = finset_presentation([("X", X), ("U", U)], [
+        ("U", "X", injection(U, X, (0, 1))),
+        ("U", "X", injection(U, X, (0, 2))),
+        ("X", "X", injection(X, X, (1, 0, 2)))])
+    span = ((0, False), (1, True))
+    assert finset_path_limit(P, 0, span, "opened").labels == (
+        "(x,p,x)", "(y,q,z)")
+    assert finset_path_limit(P, 0, span, "closed").labels == ("(x,p)",)
+    swap = ((2, True),)
+    assert finset_path_limit(P, 0, swap, "opened").labels == (
+        "(x,y)", "(y,x)", "(z,z)")
+    # a one-step closed walk along a self-arrow keeps the fixed points
+    for step in (swap, ((2, False),)):
+        assert finset_path_limit(P, 0, step, "closed").labels == ("(z)",)
+    assert finset_path_limit(P, 0, swap * 2, "closed").labels == (
+        "(x,y)", "(y,x)", "(z,z)")
+
+
 def test_wedge_counterexample():
     report = monodromy_wedge_counterexample()
     assert report.closed_limit.size == 0
@@ -261,23 +279,30 @@ def test_wedge_counterexample():
 
 
 def test_sheaf_check_against_bruteforce_oracle():
-    A = letters(2)
-    for family in all_injection_families(A):
-        for ysize in range(3):
-            Y = finset(tuple(f"y{j}" for j in range(ysize)))
-            got, _ = sheaf_axiom_check(family, Y, A)
-            assert got == oracle_sheaf(family, Y, A)
+    """The whole verdict, witness included, for every injection family
+    into a set of at most three elements against every test set of at
+    most three elements."""
+    verdicts = collections.Counter()
+    for size in (1, 2, 3):
+        A = letters(size)
+        for family in all_injection_families(A):
+            for ysize in range(4):
+                Y = finset(tuple(f"y{j}" for j in range(ysize)))
+                got = sheaf_axiom_check(family, Y, A)
+                assert got == oracle_sheaf(family, Y, A), (family, ysize)
+                verdicts[got[1] and got[1][0]] += 1
+    assert verdicts == {None: 1003, "not injective": 86, "not surjective": 3}
+    # members out of canonical order, where the first witness moves
     B = letters(3)
     spot = [
-        [face_injection(B, [0, 1]), face_injection(B, [1, 2])],
+        [face_injection(B, [1, 2]), face_injection(B, [0, 1])],
         [face_injection(B, [0]), face_injection(B, [1, 2]),
          face_injection(B, [])],
-        [face_injection(B, [0, 1, 2])],
+        [face_injection(B, [0, 1, 2]), face_injection(B, [2])],
     ]
     Y = letters(2)
     for family in spot:
-        got, _ = sheaf_axiom_check(family, Y, B)
-        assert got == oracle_sheaf(family, Y, B)
+        assert sheaf_axiom_check(family, Y, B) == oracle_sheaf(family, Y, B)
 
 
 def test_sheaf_condition_tracks_joint_surjectivity_small():
