@@ -8,21 +8,25 @@ closed point.  Covering data is a family of injections into a common
 target; the sheaf condition for plain maps of sets turns out to track
 joint surjectivity of the family, and the pretopology that demands a
 bijective member is strictly smaller.  Face charts glue through
-`topology.glue_along_maps`, the routine that also glues semiring charts.
+`topology.glue_along_maps`; descent and walk limits share
+`matching_tuples` and `descent_verdict` there with the semiring site.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .semiring import InvariantError
 from .topology import (
     ContinuousMap,
     FiniteTopSpace,
     continuous_map,
+    descent_verdict,
     from_preorder,
     glue_along_maps,
+    matching_tuples,
     set_label,
 )
 
@@ -76,19 +80,22 @@ def identity_injection(A: FinSet) -> Injection:
     return injection(A, A, range(A.size))
 
 
-def is_jointly_surjective(family, target: FinSet | None = None) -> bool:
-    """True when every element of the common target is hit by some member."""
-    family = list(family)
+def _common_target(family, target):
+    """The target all members share; an empty family must be given one."""
     if target is None:
         if not family:
             raise FinSetError("empty family needs an explicit target")
         target = family[0].target
-    hit = set()
-    for f in family:
-        if f.target != target:
-            raise FinSetError("family members have different targets")
-        hit.update(f.images)
-    return len(hit) == target.size
+    if any(f.target != target for f in family):
+        raise FinSetError("family members have different targets")
+    return target
+
+
+def is_jointly_surjective(family, target: FinSet | None = None) -> bool:
+    """True when every element of the common target is hit by some member."""
+    family = list(family)
+    target = _common_target(family, target)
+    return len(set().union(*(f.images for f in family))) == target.size
 
 
 def contains_bijection(family) -> bool:
@@ -137,65 +144,23 @@ def sheaf_axiom_check(family, Y: FinSet, target: FinSet | None = None):
     where tuples match when they agree on every pairwise overlap; returns
     (True, None) for a bijection and (False, witness) otherwise."""
     family = list(family)
-    if target is None:
-        if not family:
-            raise FinSetError("empty family needs an explicit target")
-        target = family[0].target
-    for f in family:
-        if f.target != target:
-            raise FinSetError("family members have different targets")
-
-    # constraints[i][c] lists pairs (j, b) with family[j](b) == family[i](c),
-    # so in a matching family the value at c is already pinned by member j.
-    constraints = [[[] for _ in range(f.source.size)] for f in family]
-    for i, fi in enumerate(family):
-        hits = {fi(c): c for c in range(fi.source.size)}
-        for j in range(i):
-            fj = family[j]
-            for b in range(fj.source.size):
-                c = hits.get(fj(b))
-                if c is not None:
-                    constraints[i][c].append((j, b))
-
-    matching = []
-
-    def extend(partial):
-        i = len(partial)
-        if i == len(family):
-            matching.append(tuple(partial))
-            return
-        slots = []
-        for c in range(family[i].source.size):
-            forced = None
-            for j, b in constraints[i][c]:
-                v = partial[j][b]
-                if forced is None:
-                    forced = v
-                elif forced != v:
-                    return
-            slots.append(forced)
-        free = [c for c, v in enumerate(slots) if v is None]
-        for vals in itertools.product(range(Y.size), repeat=len(free)):
-            g = list(slots)
-            for c, v in zip(free, vals):
-                g[c] = v
-            partial.append(tuple(g))
-            extend(partial)
-            partial.pop()
-
-    extend([])
-
-    seen = {}
-    for h in itertools.product(range(Y.size), repeat=target.size):
-        key = tuple(tuple(h[f(b)] for b in range(f.source.size))
-                    for f in family)
-        if key in seen:
-            return False, ("not injective", seen[key], h)
-        seen[key] = h
-    for m in matching:
-        if m not in seen:
-            return False, ("not surjective", m)
-    return True, None
+    target = _common_target(family, target)
+    # equality is transitive, so linking each member's value at a target
+    # element to the first member hitting it forces every pairwise overlap
+    first: dict[int, tuple[int, int]] = {}
+    links = []
+    for i, f in enumerate(family):
+        for b, a in enumerate(f.images):
+            j, c = first.setdefault(a, (i, b))
+            if j != i:
+                links.append((j, i, itemgetter(c), itemgetter(b)))
+    families = matching_tuples(
+        [itertools.product(range(Y.size), repeat=f.source.size)
+         for f in family], links)
+    return descent_verdict(
+        ((h, tuple(tuple(h[a] for a in f.images) for f in family))
+         for h in itertools.product(range(Y.size), repeat=target.size)),
+        families)
 
 
 def all_injection_families(A: FinSet):
@@ -240,7 +205,11 @@ def _subset_orbit_reps(size: int):
 def subcanonicity_sweep(max_a: int = 4, max_y: int = 3) -> dict:
     """For every family of injections into a set of at most max_a elements
     (up to relabeling), compare the sheaf condition against all test sets
-    of at most max_y elements with joint surjectivity of the family."""
+    of at most max_y elements with joint surjectivity of the family.  The
+    orbit tables cover the 16 subsets of a 4-set, and no more."""
+    if max_a > 4:
+        raise ValueError(f"subcanonicity_sweep covers sets of at most 4 "
+                         f"elements, not {max_a}")
     families = 0
     disagreements = []
     for a in range(1, max_a + 1):
@@ -392,6 +361,10 @@ def finset_glue_space(P: FinSetPresentation) -> FinSetGluedSpace:
     return FinSetGluedSpace(P, glued, tuple(spaces), charts, provenance)
 
 
+def _same(x):
+    return x
+
+
 def finset_path_limit(P: FinSetPresentation, start: int, steps,
                       mode: str = "closed") -> FinSet:
     """Limit of a walk through the chart diagram: one element per visit,
@@ -414,21 +387,16 @@ def finset_path_limit(P: FinSetPresentation, start: int, steps,
     else:
         m = len(steps) + 1
     carriers = [P.carriers[seq[t]] for t in range(m)]
-    elements = []
-    for combo in itertools.product(*(range(c.size) for c in carriers)):
-        ok = True
-        for t, (ai, forward) in enumerate(steps):
-            _, _, f = P.arrows[ai]
-            a, b = combo[t % m], combo[(t + 1) % m]
-            if forward:
-                if f(a) != b:
-                    ok = False
-                    break
-            elif f(b) != a:
-                ok = False
-                break
-        if ok:
-            elements.append(combo)
+    # step t links visit t to visit t + 1; a closed walk's last step links
+    # back to the first visit, or to itself when it has one visit
+    links = []
+    for t, (ai, forward) in enumerate(steps):
+        f = P.arrows[ai][2]
+        ends, keys = (t, (t + 1) % m), (f, _same) if forward else (_same, f)
+        if ends[0] > ends[1]:
+            ends, keys = ends[::-1], keys[::-1]
+        links.append((*ends, *keys))
+    elements = matching_tuples([range(c.size) for c in carriers], links)
     labels = tuple("(" + ",".join(carriers[t].labels[x]
                                   for t, x in enumerate(combo)) + ")"
                    for combo in elements)

@@ -5,7 +5,8 @@ A principal open of Spec R is the localization R -> R[1/h].  A family of
 principal opens covers when its basic opens exhaust the prime spectrum; the
 sheaf condition asks the restriction map from Hom(Y, R) to compatible
 tuples of homs into the R[1/h_i], with overlaps taken at products h_i*h_j,
-to be a bijection.
+to be a bijection.  Tuples and verdict come from `topology`, which the
+finite-set site shares: `matching_tuples` and `descent_verdict`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .colimit import DEFAULT_BUDGET, pushout
 from .locales import FiniteFrame, frame_of_opens, sobrification_unit
 from .semiring import (
     FiniteSemiring,
-    InvariantError,
     Localization,
     SemiringError,
     SemiringHom,
@@ -25,6 +25,7 @@ from .semiring import (
     validate_semiring,
 )
 from .spectra import prime_spectrum
+from .topology import descent_verdict, matching_tuples
 
 
 @dataclass(frozen=True)
@@ -95,61 +96,23 @@ def pairwise_overlaps(locs) -> dict:
     return out
 
 
-def _matching_tuples(candidates, agree) -> list[tuple]:
-    """Every tuple with one entry from each candidates[i] such that
-    agree(j, a, i, b) holds whenever an earlier slot j holds a and slot i
-    holds b, in the order of the candidate lists."""
-    out = []
-    chosen = []
-
-    def extend(i):
-        if i == len(candidates):
-            out.append(tuple(chosen))
-            return
-        for c in candidates[i]:
-            if all(agree(j, chosen[j], i, c) for j in range(i)):
-                chosen.append(c)
-                extend(i + 1)
-                chosen.pop()
-
-    extend(0)
-    return out
+def _after(r: SemiringHom):
+    """The images of r after a hom, as a function of the hom's images."""
+    return lambda images: tuple(r.images[x] for x in images)
 
 
 def sheaf_axiom_check(S: CoverFamily, Y: FiniteSemiring):
     """Whether restriction identifies Hom(Y, R) with the matching tuples of
     homs into the member localizations; returns (flag, witness)."""
-    base_homs = enumerate_homs(Y, S.base)
-    member_homs = [enumerate_homs(Y, m.semiring) for m in S.members]
     overlaps = pairwise_overlaps([m.localization for m in S.members])
-
-    def agree(j, gj, i, gi):
-        _, rj, ri = overlaps[j, i]
-        return rj.compose(gj).images == ri.compose(gi).images
-
-    families = _matching_tuples(member_homs, agree)
-    images = []
-    for f in base_homs:
-        images.append(tuple(m.to_local.compose(f) for m in S.members))
-    image_keys = [tuple(tuple(g.images) for g in fam) for fam in images]
-    family_keys = [tuple(tuple(g.images) for g in fam) for fam in families]
-
-    seen = {}
-    for f, key in zip(base_homs, image_keys):
-        if key in seen:
-            return False, ("not injective",
-                           seen[key].images, f.images)
-        seen[key] = f
-    for fam, key in zip(families, family_keys):
-        if key not in seen:
-            return False, ("not surjective",
-                           tuple(tuple(g.images) for g in fam))
-    # injective and every matching family is hit; every image is itself
-    # matching, because both restrictions factor through the base
-    matching = set(family_keys)
-    if not all(key in matching for key in image_keys):
-        raise InvariantError("a restricted base hom is not a matching family")
-    return True, None
+    families = matching_tuples(
+        [[g.images for g in enumerate_homs(Y, m.semiring)]
+         for m in S.members],
+        [(j, i, _after(rj), _after(ri))
+         for (j, i), (_, rj, ri) in overlaps.items()])
+    restrict = [_after(m.to_local) for m in S.members]
+    return descent_verdict(((f.images, tuple(r(f.images) for r in restrict))
+                            for f in enumerate_homs(Y, S.base)), families)
 
 
 def lambda_X(R: FiniteSemiring
@@ -206,10 +169,10 @@ def structure_sheaf_sections(R: FiniteSemiring, u: OpenSubscheme):
     if not gens:
         T = validate_semiring(("*",), ((0,),), ((0,),), 0, 0)
         return T, ()
-    overlaps = pairwise_overlaps(locs)
-    tuples = _matching_tuples(
+    tuples = matching_tuples(
         [range(loc.semiring.n) for loc in locs],
-        lambda j, a, i, b: overlaps[j, i][1](a) == overlaps[j, i][2](b))
+        [(j, i, rj, ri)
+         for (j, i), (_, rj, ri) in pairwise_overlaps(locs).items()])
     index = {t: k for k, t in enumerate(tuples)}
 
     def combine(table):

@@ -8,12 +8,18 @@ operation works on that order: closures are up-sets, least opens are
 down-sets, T0 is antisymmetry, continuity is monotonicity, and subspaces,
 disjoint unions, quotients and glued spaces are built from the restricted,
 block-diagonal or identified order.
+
+Descent on both sites shares `matching_tuples`, the families that agree
+along given maps, and `descent_verdict`, whether restriction from the
+base is a bijection onto them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+
+from .semiring import InvariantError
 
 
 class TopologyError(Exception):
@@ -368,6 +374,66 @@ def glue_along_maps(names, spaces, arrows):
                        tuple(of[offsets[ci] + x] for x in range(X.n)))
         for ci, X in enumerate(spaces))
     return glued, charts, tuple(tuple(ps) for ps in provenance)
+
+
+def matching_tuples(candidates, links) -> list[tuple]:
+    """Every tuple t with t[i] from candidates[i] and key_j(t[j]) ==
+    key_i(t[i]) for each link (j, i, key_j, key_i) with j <= i, in the
+    lexicographic order of the candidate lists.  Each slot's candidates
+    are bucketed once by their keys on the links into it, and the search
+    looks up the bucket that the earlier slots pin."""
+    cands = [list(c) for c in candidates]
+    for j, i, key_j, key_i in links:
+        if not 0 <= j <= i < len(cands):
+            raise InvariantError(f"link ({j}, {i}) does not run forward")
+        if j == i:
+            cands[i] = [x for x in cands[i] if key_j(x) == key_i(x)]
+    pins = [[] for _ in cands]             # per slot: (j, keys of j's cands)
+    own = [[()] * len(c) for c in cands]   # per candidate: its pinned keys
+    for j, i, key_j, key_i in links:
+        if j < i:
+            pins[i].append((j, [key_j(x) for x in cands[j]]))
+            own[i] = [k + (key_i(x),) for k, x in zip(own[i], cands[i])]
+    buckets = [{} for _ in cands]
+    for bucket, keys in zip(buckets, own):
+        for c, key in enumerate(keys):
+            bucket.setdefault(key, []).append(c)
+    out, chosen = [], []
+
+    def extend(i):
+        if i == len(cands):
+            out.append(tuple(cands[s][c] for s, c in enumerate(chosen)))
+            return
+        pinned = tuple(keys[chosen[j]] for j, keys in pins[i])
+        for c in buckets[i].get(pinned, ()):
+            chosen.append(c)
+            extend(i + 1)
+            chosen.pop()
+
+    extend(0)
+    return out
+
+
+def descent_verdict(base, families):
+    """Whether restriction is a bijection from the base maps onto the
+    matching families; `base` yields (shown label, restriction) per base
+    map.  Returns (True, None), else (False, witness): ("not injective",
+    a, b) for the first label b restricting like an earlier a, or ("not
+    surjective", family) for the first family left unhit.  Both maps to
+    an overlap factor through the base, so every restriction matches."""
+    matching = set(families)
+    seen = {}
+    for label, key in base:
+        if key not in matching:
+            raise InvariantError(
+                "a restricted base map is not a matching family")
+        if key in seen:
+            return False, ("not injective", seen[key], label)
+        seen[key] = label
+    for key in families:
+        if key not in seen:
+            return False, ("not surjective", key)
+    return True, None
 
 
 def kolmogorov_quotient(X: FiniteTopSpace) -> tuple[FiniteTopSpace, ContinuousMap]:

@@ -352,3 +352,8 @@ def test_subcanonicity_sweep_small():
     assert report["agree"]
     assert report["families"] == 96
     assert report["disagreements"] == []
+
+
+def test_subcanonicity_sweep_refuses_sets_past_its_tables():
+    with pytest.raises(ValueError, match="at most 4"):
+        subcanonicity_sweep(5, 0)

@@ -10,14 +10,17 @@ from hypothesis import strategies as st
 
 import finsite.locales
 import finsite.topology
+from finsite.semiring import InvariantError
 from finsite.topology import (
     ContinuousMap,
     TopologyError,
     continuous_map,
     cover_pairs,
+    descent_verdict,
     disjoint_union,
     from_preorder,
     kolmogorov_quotient,
+    matching_tuples,
     quotient_space,
     subspace,
     validate_topology,
@@ -31,6 +34,7 @@ from oracles import (
     oracle_generated_opens,
     oracle_interior,
     oracle_is_open_embedding,
+    oracle_matching_tuples,
     oracle_min_open,
     oracle_preimage,
     oracle_reflexive_transitive,
@@ -428,3 +432,47 @@ def test_every_space_is_built_from_its_order():
     assert not defined & {"space_from_opens", "_least_opens"}
     assert callers == {("topology", "from_preorder")}
     assert importers == set()
+
+
+KEYS = (lambda x: x, lambda x: x % 2, lambda x: x // 2, lambda x: 0,
+        lambda x: x * x % 3)
+
+
+@st.composite
+def linked_candidates(draw):
+    """Up to four candidate lists, any of them empty, and links between
+    any two slots, a slot and itself included."""
+    k = draw(st.integers(0, 4))
+    candidates = [draw(st.lists(st.integers(0, 4), max_size=4))
+                  for _ in range(k)]
+    if not k:
+        return candidates, []
+    slot, key = st.integers(0, k - 1), st.sampled_from(KEYS)
+    pairs = draw(st.lists(st.tuples(slot, slot, key, key), max_size=6))
+    return candidates, [(min(a, b), max(a, b), ka, kb)
+                        for a, b, ka, kb in pairs]
+
+
+@settings(max_examples=400, deadline=None)
+@given(linked_candidates())
+def test_matching_tuples_filter_the_product_in_order(problem):
+    candidates, links = problem
+    assert matching_tuples(candidates, links) == \
+        oracle_matching_tuples(candidates, links)
+
+
+def test_matching_tuples_refuse_backward_links():
+    with pytest.raises(InvariantError):
+        matching_tuples([[0], [0]], [(1, 0, KEYS[0], KEYS[0])])
+
+
+def test_descent_verdict_names_the_first_failure():
+    families = [("p",), ("q",), ("r",)]
+    assert descent_verdict([("a", ("q",)), ("b", ("p",)), ("c", ("r",))],
+                           families) == (True, None)
+    assert descent_verdict([("a", ("q",)), ("b", ("r",)), ("c", ("q",))],
+                           families) == (False, ("not injective", "a", "c"))
+    assert descent_verdict([("a", ("r",))], families) == (
+        False, ("not surjective", ("p",)))
+    with pytest.raises(InvariantError):
+        descent_verdict([("a", ("s",))], families)
