@@ -373,8 +373,12 @@ def finset_path_limit(P: FinSetPresentation, start: int, steps,
     if mode not in ("closed", "opened"):
         raise ValueError(f"unknown walk mode {mode!r}")
     steps = tuple(steps)
+    if start not in range(len(P.carriers)):
+        raise FinSetError(f"walk starts at unknown chart {start!r}")
     seq = [start]
     for ai, forward in steps:
+        if ai not in range(len(P.arrows)):
+            raise FinSetError(f"walk steps along unknown arrow {ai!r}")
         si, di, _ = P.arrows[ai]
         tail, head = (si, di) if forward else (di, si)
         if seq[-1] != tail:

@@ -361,7 +361,7 @@ def spectrum_report(R: FiniteSemiring) -> dict:
         "twisted_count": chain.spaces[0].n,
         "kernel_map_surjective": chain.kernel_map_surjective,
         "unreached_k_points": list(chain.unreached_k_points),
-        "open_set_count": len(spec.space.opens),
+        "open_set_count": len(spec.space.open_masks),
     }
     maps = {}
     for name_pair, m in zip(

@@ -2,12 +2,15 @@
 
 Finite spaces are exactly preorders: x <= y holds when y lies in the
 closure of x, opens are the down-sets (stable under passing to more generic
-points), closed points sit at the top.  A space stores its family of open
-point-sets, and reads its specialization order off them once.  Every other
-operation works on that order: closures are up-sets, least opens are
-down-sets, T0 is antisymmetry, continuity is monotonicity, and subspaces,
-disjoint unions, quotients and glued spaces are built from the restricted,
-block-diagonal or identified order.
+points), closed points sit at the top.  A space stores its specialization
+order as int-bitmask rows and lists its opens, the down-sets, only when a
+caller asks for them.  Every operation works on the order: closures are
+up-sets, least opens are down-sets, T0 is antisymmetry, continuity is
+monotonicity, and subspaces, disjoint unions, quotients and glued spaces
+are built from the restricted, block-diagonal or identified order.  Until
+construction learns to trust its own down-sets, `from_preorder` still
+checks the listed family for closure under unions and intersections, pair
+by pair.
 
 Descent on both sites shares `matching_tuples`, the families that agree
 along given maps, and `descent_verdict`, whether restriction from the
@@ -31,27 +34,73 @@ def set_label(labels, members) -> str:
     return "{" + ",".join(labels[x] for x in sorted(members)) + "}"
 
 
+def _bits(mask: int) -> list[int]:
+    """The members of a bitmask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _mask(members) -> int:
+    return sum(1 << x for x in set(members))
+
+
+def _converse(rows) -> tuple[int, ...]:
+    """The converse of a relation given as bitmask rows: bit x of row y is
+    set iff bit y of rows[x] is."""
+    out = [0] * len(rows)
+    for x, row in enumerate(rows):
+        for y in _bits(row):
+            out[y] |= 1 << x
+    return tuple(out)
+
+
+def _listing_key(mask: int):
+    """sorted_opens' order on masks: by size, then by sorted members."""
+    return mask.bit_count(), _bits(mask)
+
+
 @dataclass(frozen=True)
 class FiniteTopSpace:
+    """Points and their specialization order: bit y of above[x] is set iff
+    x <= y, that is, y lies in the closure of x.  Derived data is cached on
+    first use, and equality, hash and repr ignore it."""
     points: tuple[str, ...]
-    opens: frozenset[frozenset[int]]
+    above: tuple[int, ...]
 
     @cached_property
-    def _below(self) -> tuple[frozenset[int], ...]:
-        """The specialization order, read off the opens once: per point x,
-        its least open neighbourhood, the points y <= x.  A cached
-        attribute, so equality, hash and repr ignore it."""
-        least = [frozenset(range(self.n))] * self.n
-        for u in self.opens:
-            for x in u:
-                least[x] &= u
-        return tuple(least)
+    def _below(self) -> tuple[int, ...]:
+        """Per point x, its least open neighbourhood: the points y <= x."""
+        return _converse(self.above)
 
     @cached_property
-    def _above(self) -> tuple[frozenset[int], ...]:
-        """Per point x, its closure: the points y >= x."""
-        return tuple(frozenset(y for y, below in enumerate(self._below)
-                               if x in below) for x in range(self.n))
+    def open_masks(self) -> tuple[int, ...]:
+        """The opens, the down-sets of the order, as bitmasks in
+        sorted_opens order."""
+        # mutually related points share a least open and travel together;
+        # clusters come by size of least open, so after every cluster
+        # strictly below them, and each joins the down-sets that already
+        # hold everything strictly below it
+        below = self._below
+        clusters: dict[int, int] = {}
+        for x in sorted(range(self.n), key=lambda x: below[x].bit_count()):
+            clusters[below[x]] = clusters.get(below[x], 0) | 1 << x
+        downs = [0]
+        for least, c in clusters.items():
+            strict = least & ~c
+            downs += [d | c for d in downs if d & strict == strict]
+        return tuple(sorted(downs, key=_listing_key))
+
+    @cached_property
+    def _opens_listed(self) -> list[frozenset[int]]:
+        return [frozenset(_bits(m)) for m in self.open_masks]
+
+    @cached_property
+    def opens(self) -> frozenset[frozenset[int]]:
+        return frozenset(self._opens_listed)
 
     @property
     def n(self):
@@ -64,43 +113,48 @@ class FiniteTopSpace:
             raise TopologyError(f"no point labeled {label!r}") from None
 
     def sorted_opens(self) -> list[frozenset[int]]:
-        return sorted(self.opens, key=lambda u: (len(u), sorted(u)))
+        return list(self._opens_listed)
 
     def is_open(self, subset) -> bool:
-        return frozenset(subset) in self.opens
+        """subset is a down-set of points of the space."""
+        return self.interior(subset) == frozenset(subset)
 
     def is_closed(self, subset) -> bool:
-        return frozenset(range(self.n)) - frozenset(subset) in self.opens
+        return self.is_open(frozenset(range(self.n)) - frozenset(subset))
 
     def closure(self, subset) -> frozenset:
         """The up-set of subset."""
-        return frozenset().union(*(self._above[x] for x in subset))
+        up = 0
+        for x in subset:
+            up |= self.above[x]
+        return frozenset(_bits(up))
 
     def interior(self, subset) -> frozenset:
         """The points whose least open lies inside subset."""
-        subset = frozenset(subset)
-        return frozenset(x for x in range(self.n) if self._below[x] <= subset)
+        s = _mask(x for x in subset if x in range(self.n))
+        return frozenset(x for x in range(self.n) if self._below[x] & ~s == 0)
 
     def min_open(self, x: int) -> frozenset:
-        return self._below[x]
+        return frozenset(_bits(self._below[x]))
 
     def specialization_leq(self) -> tuple[tuple[bool, ...], ...]:
         """leq[x][y] iff y is in the closure of x (closed points on top)."""
-        return tuple(tuple(y in above for y in range(self.n))
-                     for above in self._above)
+        return tuple(tuple(bool(up >> y & 1) for y in range(self.n))
+                     for up in self.above)
 
     def is_t0(self) -> bool:
-        """The order is antisymmetric: no two points share a least open."""
-        return len(set(self._below)) == self.n
+        """The order is antisymmetric: no two points share a closure."""
+        return len(set(self.above)) == self.n
 
     def irreducible_closed_sets(self) -> list[frozenset[int]]:
         """In a finite space these are exactly the point closures: a
         nonempty closed set is the finite union of its points' closures."""
-        return sorted(set(self._above), key=lambda c: (len(c), sorted(c)))
+        return [frozenset(_bits(c))
+                for c in sorted(set(self.above), key=_listing_key)]
 
     def generic_points(self, closed_set) -> list[int]:
-        closed_set = frozenset(closed_set)
-        return [x for x in range(self.n) if self._above[x] == closed_set]
+        c = _mask(closed_set)
+        return [x for x in range(self.n) if self.above[x] == c]
 
     def specialization_edges(self) -> list[tuple[str, str]]:
         """Covering pairs of the specialization order by label, each from
@@ -119,29 +173,53 @@ class FiniteTopSpace:
         return "\n".join(lines) + "\n"
 
 
-def validate_topology(points, opens) -> FiniteTopSpace:
+def _labels(points) -> tuple[str, ...]:
     points = tuple(points)
     if len(set(points)) != len(points):
         raise TopologyError("duplicate point labels")
+    return points
+
+
+def _check_family(n: int, masks) -> None:
+    """Raise unless the family of open masks, listed in sorted_opens order,
+    holds the empty and the full set and is closed under pairwise unions
+    and intersections; a failure names the first such pair.  A pair and
+    its swap fail together, so scanning each unordered pair once finds the
+    first failing ordered pair."""
+    fam = set(masks)
+    if 0 not in fam:
+        raise TopologyError("the empty set must be open")
+    if (1 << n) - 1 not in fam:
+        raise TopologyError("the full point set must be open")
+    for i, u in enumerate(masks):
+        for v in masks[i:]:
+            if u | v not in fam:
+                raise TopologyError(
+                    f"opens not closed under union: {_bits(u)} | {_bits(v)}")
+            if u & v not in fam:
+                raise TopologyError(
+                    "opens not closed under intersection: "
+                    f"{_bits(u)} & {_bits(v)}")
+
+
+def validate_topology(points, opens) -> FiniteTopSpace:
+    """The space with the given family of opens, checked to be a topology;
+    its order is read off the family: x <= y iff x lies in y's least
+    open."""
+    points = _labels(points)
     n = len(points)
-    fam = {frozenset(u) for u in opens}
-    for u in fam:
+    masks = set()
+    for u in opens:
         for x in u:
             if not (0 <= x < n):
                 raise TopologyError(f"open set mentions unknown point {x}")
-    if frozenset() not in fam:
-        raise TopologyError("the empty set must be open")
-    if frozenset(range(n)) not in fam:
-        raise TopologyError("the full point set must be open")
-    for u in fam:
-        for v in fam:
-            if u | v not in fam:
-                raise TopologyError(
-                    f"opens not closed under union: {sorted(u)} | {sorted(v)}")
-            if u & v not in fam:
-                raise TopologyError(
-                    f"opens not closed under intersection: {sorted(u)} & {sorted(v)}")
-    return FiniteTopSpace(points, frozenset(fam))
+        masks.add(_mask(u))
+    _check_family(n, sorted(masks, key=_listing_key))
+    least = [(1 << n) - 1] * n
+    for u in masks:
+        for x in _bits(u):
+            least[x] &= u
+    return FiniteTopSpace(points, _converse(least))
 
 
 def order_closure(n: int, pairs) -> list[int]:
@@ -182,25 +260,16 @@ def from_preorder(points, leq) -> FiniteTopSpace:
     """Space whose specialization order is the reflexive-transitive closure
     of leq; opens are the down-sets (leq[x][y] reads: y specializes x)."""
     n = len(points)
-    reach = order_closure(n, [(x, y) for x in range(n) for y in range(n)
-                              if leq[x][y]])
-    # mutually reachable points always travel together, so enumerate
-    # down-sets over the clusters; they are the points reaching the same set
-    groups: dict[int, list[int]] = {}
-    for x in range(n):
-        groups.setdefault(reach[x], []).append(x)
-    clusters = list(groups.values())
-    k = len(clusters)
-    reps = [c[0] for c in clusters]
-    below = [frozenset(cj for cj in range(k)
-                       if cj != ci and reach[reps[cj]] >> reps[ci] & 1)
-             for ci in range(k)]
-    order = sorted(range(k), key=lambda ci: (len(below[ci]), clusters[ci][0]))
-    downs = {frozenset()}
-    for ci in order:
-        downs |= {d | {ci} for d in downs if below[ci] <= d}
-    opens = {frozenset().union(*(clusters[ci] for ci in d)) for d in downs}
-    return validate_topology(points, opens)
+    return _space_of_order(points, order_closure(
+        n, [(x, y) for x in range(n) for y in range(n) if leq[x][y]]))
+
+
+def _space_of_order(points, above) -> FiniteTopSpace:
+    """The space on points whose order rows `above` are already reflexive
+    and transitive, with its listed down-sets checked as a topology."""
+    X = FiniteTopSpace(_labels(points), tuple(above))
+    _check_family(X.n, X.open_masks)
+    return X
 
 
 @dataclass(frozen=True)
@@ -217,10 +286,11 @@ class ContinuousMap:
         finite spaces is continuous iff it is monotone; for x <= y with
         f(x) not <= f(y), the least open around f(y) holds f(y) but not
         f(x), so its preimage holds y but not x and is no down-set."""
-        above = self.target._above
-        for x, ups in enumerate(self.source._above):
-            for y in ups:
-                if self.images[y] not in above[self.images[x]]:
+        above = self.target.above
+        for x, ups in enumerate(self.source.above):
+            fx = above[self.images[x]]
+            for y in _bits(ups):
+                if not fx >> self.images[y] & 1:
                     return self.target.min_open(self.images[y])
         return None
 
@@ -257,9 +327,10 @@ class ContinuousMap:
         its image: f(min x) = min f(x)."""
         if not self.is_injective():
             return False
-        return all(frozenset(self.images[y] for y in self.source.min_open(x))
-                   == self.target.min_open(self.images[x])
-                   for x in range(self.source.n))
+        below = self.target._below
+        return all(_mask(self.images[y] for y in _bits(least))
+                   == below[self.images[x]]
+                   for x, least in enumerate(self.source._below))
 
 
 def continuous_map(source, target, images) -> ContinuousMap:
@@ -277,8 +348,9 @@ def continuous_map(source, target, images) -> ContinuousMap:
 def subspace(X: FiniteTopSpace, subset) -> tuple[FiniteTopSpace, ContinuousMap]:
     """The subset with the restricted specialization order."""
     subset = sorted(frozenset(subset))
-    S = from_preorder(tuple(X.points[x] for x in subset),
-                      [[y in X._above[x] for y in subset] for x in subset])
+    S = _space_of_order(tuple(X.points[x] for x in subset),
+                        [sum(1 << j for j, y in enumerate(subset)
+                             if X.above[x] >> y & 1) for x in subset])
     incl = continuous_map(S, X, tuple(subset))
     return S, incl
 
@@ -319,20 +391,16 @@ def quotient_space(X: FiniteTopSpace, pairs, labels=None) -> tuple[FiniteTopSpac
     sets with open preimage (computed through the projected specialization
     preorder, which finite spaces make exact)."""
     proj, reps = _classes(X.n, pairs)
-    k = len(reps)
-    leq = [[False] * k for _ in range(k)]
-    for x in range(X.n):
-        for y in X._above[x]:
-            leq[proj[x]][proj[y]] = True
     if labels is None:
         labels = tuple(X.points[r] for r in reps)
-    Q = from_preorder(tuple(labels), leq)
-    # the quotient topology must agree with the order picture
-    for u in Q.opens:
-        pre = frozenset(x for x in range(X.n) if proj[x] in u)
-        if pre not in X.opens:
-            raise TopologyError("quotient opens disagree with preimages")
-    pi = continuous_map(X, Q, tuple(proj))
+    Q = _space_of_order(labels, order_closure(
+        len(reps), [(proj[x], proj[y]) for x in range(X.n)
+                    for y in _bits(X.above[x])]))
+    # the quotient topology must agree with the order picture: every open
+    # of Q has an open preimage exactly when the projection is monotone
+    pi = ContinuousMap(X, Q, tuple(proj))
+    if pi.continuity_violation() is not None:
+        raise TopologyError("quotient opens disagree with preimages")
     return Q, pi
 
 
@@ -363,12 +431,12 @@ def glue_along_maps(names, spaces, arrows):
             provenance[of[offsets[ci] + x]].append((names[ci], X.points[x]))
     labels = tuple(f"{ps[0][0]}:{ps[0][1]}" for ps in provenance)
 
-    leq = [[i == j for j in range(k)] for i in range(k)]
+    order = []
     for ci, X in enumerate(spaces):
         for x in range(X.n):
-            for y in X._above[x]:
-                leq[of[offsets[ci] + x]][of[offsets[ci] + y]] = True
-    glued = from_preorder(labels, leq)
+            for y in _bits(X.above[x]):
+                order.append((of[offsets[ci] + x], of[offsets[ci] + y]))
+    glued = _space_of_order(labels, order_closure(k, order))
     charts = tuple(
         continuous_map(X, glued,
                        tuple(of[offsets[ci] + x] for x in range(X.n)))

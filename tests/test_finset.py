@@ -269,6 +269,16 @@ def test_path_limit_labels_in_product_order_and_self_arrows():
         "(x,y)", "(y,x)", "(z,z)")
 
 
+def test_path_limit_refuses_unknown_charts_and_arrows():
+    X = finset(("x",))
+    P = finset_presentation([("X", X)], [("X", "X", injection(X, X, (0,)))])
+    assert finset_path_limit(P, 0, ((0, True),), "closed").labels == ("(x)",)
+    for start, steps in ((5, ()), (-1, ()), (0, ((3, True),)),
+                         (0, ((-1, True),))):
+        with pytest.raises(FinSetError):
+            finset_path_limit(P, start, steps)
+
+
 def test_wedge_counterexample():
     report = monodromy_wedge_counterexample()
     assert report.closed_limit.size == 0

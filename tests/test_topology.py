@@ -1,11 +1,13 @@
 """Finite spaces: validation, specialization order, maps, quotients."""
 
 import ast
+import re
+from collections import defaultdict
 from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import finsite.locales
@@ -93,6 +95,14 @@ def test_validation_rejects_bad_families():
     with pytest.raises(TopologyError):
         validate_topology(("a", "b", "c"),
                           [set(), {0}, {1}, {0, 1, 2}])  # missing union
+    # the witness is the first failing pair in sorted_opens order, which
+    # is not the order of the masks in a set
+    with pytest.raises(TopologyError, match=re.escape(
+            "opens not closed under union: [1] | [3]")):
+        validate_topology("abcd", [{0, 1, 2, 3}, {3}, {1}, set()])
+    with pytest.raises(TopologyError, match=re.escape(
+            "opens not closed under intersection: [0, 2] & [0, 1, 3]")):
+        validate_topology("abcd", [{0, 1, 2, 3}, {0, 1, 3}, {0, 2}, set()])
     with pytest.raises(TopologyError):
         validate_topology(("a", "a"), [set(), {0, 1}])  # duplicate label
     with pytest.raises(TopologyError):
@@ -213,24 +223,6 @@ def test_disjoint_union_embeds_both_pieces():
     assert i1.is_open_embedding()
 
 
-def test_quotient_matches_preimage_oracle():
-    S = sierpinski()
-    C = chain_space(3)
-    X, _ = disjoint_union([S, S])
-    cases = [
-        (C, [(0, 2)]),
-        (C, [(0, 1)]),
-        (X, [(1, 3)]),
-        (X, [(1, 3), (0, 2)]),
-        (X, [(0, 3)]),
-    ]
-    for space, pairs in cases:
-        Q, pi = quotient_space(space, pairs)
-        assert pi.is_continuous()
-        assert pi.is_surjective()
-        assert Q.opens == oracle_quotient_opens(space, pi.images, Q.n)
-
-
 def test_wedge_of_sierpinskis_keeps_generics_open():
     S = sierpinski()
     X, _ = disjoint_union([S, S])
@@ -267,25 +259,43 @@ def subsets(n):
 
 
 @st.composite
-def spaces(draw, max_points=6):
+def spaces_and_opens(draw, max_points=6):
     """A space on at most max_points points, from a random relation or a
-    random subbasis; the subbasis branch hands _below an arbitrary family
-    of opens rather than the down-sets of an order."""
+    random subbasis, with its opens found without it: the down-sets of the
+    relation's closure by scanning every subset, or the family the
+    subbasis generates."""
     n = draw(st.integers(1, max_points))
     labels = tuple(f"p{i}" for i in range(n))
     if draw(st.booleans()):
         edges = draw(st.lists(st.tuples(st.integers(0, n - 1),
                                         st.integers(0, n - 1)),
                               max_size=2 * n))
+        leq = oracle_reflexive_transitive(n, edges)
+        opens = {frozenset(u) for r in range(n + 1)
+                 for u in combinations(range(n), r)
+                 if all(x in u for y in u for x in range(n) if leq[x][y])}
         return from_preorder(labels, [[(x, y) in edges for y in range(n)]
-                                      for x in range(n)])
-    return space_from_opens(labels, draw(st.lists(subsets(n), max_size=6)))
+                                      for x in range(n)]), opens
+    opens = oracle_generated_opens(n, draw(st.lists(subsets(n), max_size=6)))
+    return validate_topology(labels, opens), opens
+
+
+def spaces(max_points=6):
+    return spaces_and_opens(max_points).map(lambda pair: pair[0])
 
 
 @settings(max_examples=150, deadline=None)
-@given(spaces(), st.data())
-def test_order_operations_match_open_set_oracles(X, data):
+@given(spaces_and_opens(), spaces(max_points=3), st.data())
+def test_order_operations_match_open_set_oracles(space, Y, data):
+    X, opens = space
+    assert X.opens == opens
+    assert len(X.opens) == len(opens)
+    assert X.sorted_opens() == sorted(opens,
+                                      key=lambda u: (len(u), sorted(u)))
     subset = data.draw(subsets(X.n))
+    assert X.is_open(subset) == (subset in opens)
+    assert X.is_closed(subset) == (frozenset(range(X.n)) - subset in opens)
+    assert not X.is_open(subset | {X.n}) and not X.is_open({-1})
     assert X.closure(subset) == oracle_closure(X, subset)
     assert X.interior(subset) == oracle_interior(X, subset)
     for x in range(X.n):
@@ -303,6 +313,40 @@ def test_order_operations_match_open_set_oracles(X, data):
     S, incl = subspace(X, subset)
     assert S.opens == oracle_subspace_opens(X, subset)
     assert incl.is_open_embedding() == oracle_is_open_embedding(incl)
+
+    # equality and hash follow the points and the open family
+    assert (X == Y) == (X.points == Y.points and X.opens == Y.opens)
+    same = validate_topology(X.points, opens)
+    assert same == X and hash(same) == hash(X)
+
+
+@st.composite
+def quotient_problems(draw):
+    """A space and pairs of its points to identify."""
+    X = draw(spaces())
+    point = st.integers(0, X.n - 1)
+    return X, draw(st.lists(st.tuples(point, point), max_size=X.n))
+
+
+TWO_SIERPINSKIS = disjoint_union([sierpinski(), sierpinski()])[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(quotient_problems())
+@example((chain_space(3), [(0, 2)]))
+@example((chain_space(3), [(0, 1)]))
+@example((TWO_SIERPINSKIS, [(1, 3)]))
+@example((TWO_SIERPINSKIS, [(1, 3), (0, 2)]))
+@example((TWO_SIERPINSKIS, [(0, 3)]))
+def test_quotient_matches_preimage_oracle(problem):
+    X, pairs = problem
+    Q, pi = quotient_space(X, pairs)
+    assert pi.is_continuous()
+    assert pi.is_surjective()
+    same = oracle_reflexive_transitive(
+        X.n, pairs + [(b, a) for a, b in pairs])
+    assert [[pi(x) == pi(y) for y in range(X.n)] for x in range(X.n)] == same
+    assert Q.opens == oracle_quotient_opens(X, pi.images, Q.n)
 
 
 @settings(max_examples=150, deadline=None)
@@ -328,12 +372,11 @@ def test_disjoint_union_matches_product_oracle(X, Y):
 
 
 def test_operations_read_the_specialization_order():
-    # a finite space is its specialization order: only validation, the
-    # order's derivation, listing and membership tests, and the quotient's
-    # agreement check read the stored opens, and nothing closes a family
-    # of opens under a fixpoint loop
-    allowed = {"validate_topology", "_below", "sorted_opens", "is_open",
-               "is_closed", "quotient_space"}
+    # a finite space is its specialization order: only the listing of its
+    # down-sets and the construction check that runs over that listing read
+    # opens, and nothing closes a family of opens under a fixpoint loop
+    listing = {"opens", "_opens_listed", "open_masks"}
+    allowed = {"_opens_listed", "opens", "sorted_opens", "_space_of_order"}
     tree = ast.parse(Path(finsite.topology.__file__).read_text())
     readers = set()
     fixpoints = []
@@ -341,7 +384,7 @@ def test_operations_read_the_specialization_order():
         if not isinstance(fn, ast.FunctionDef):
             continue
         for node in ast.walk(fn):
-            if isinstance(node, ast.Attribute) and node.attr == "opens":
+            if isinstance(node, ast.Attribute) and node.attr in listing:
                 readers.add(fn.name)
             if isinstance(node, ast.While) and \
                     ast.unparse(node.test) == "changed":
@@ -409,10 +452,13 @@ def test_order_jobs_have_one_routine_each():
 
 
 def test_every_space_is_built_from_its_order():
-    # from_preorder is the one constructor in src/finsite: the subbasis
-    # route is gone, and only it calls validate_topology, which no other
-    # module imports
-    defined, callers, importers = set(), set(), set()
+    # one checked construction path: every space in src/finsite comes from
+    # its order through _space_of_order, which checks its listed down-sets
+    # with _check_family, the check validate_topology runs on the families
+    # tests write by hand; these two alone build a FiniteTopSpace, and no
+    # module of src/finsite calls or imports validate_topology
+    defined, importers = set(), set()
+    callers = defaultdict(set)
     for path in Path(finsite.topology.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())
         for node in ast.walk(tree):
@@ -425,12 +471,17 @@ def test_every_space_is_built_from_its_order():
             if not isinstance(fn, ast.FunctionDef):
                 continue
             for node in ast.walk(fn):
-                if isinstance(node, ast.Call) and "validate_topology" in (
-                        getattr(node.func, "id", None),
-                        getattr(node.func, "attr", None)):
-                    callers.add((path.stem, fn.name))
+                if isinstance(node, ast.Call):
+                    callee = getattr(node.func, "id", None) or \
+                        getattr(node.func, "attr", None)
+                    callers[callee].add((path.stem, fn.name))
     assert not defined & {"space_from_opens", "_least_opens"}
-    assert callers == {("topology", "from_preorder")}
+    builders = {("topology", "validate_topology"),
+                ("topology", "_space_of_order")}
+    assert callers["FiniteTopSpace"] == builders
+    assert callers["_check_family"] == builders
+    assert ("topology", "from_preorder") in callers["_space_of_order"]
+    assert callers["validate_topology"] == set()
     assert importers == set()
 
 
