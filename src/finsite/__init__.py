@@ -7,7 +7,6 @@ a concrete witness.
 """
 
 import importlib.util
-import pkgutil
 import sys
 
 __version__ = "0.1.0"
@@ -27,8 +26,8 @@ def _lazy(name: str):
 # Every submodule is an attribute of the package from the start, but a
 # process compiles and runs only the ones it uses: `finsite check` executes
 # `cli`, `formats` and `semiring` alone.  Tools that enumerate `sys.modules`
-# still find the whole package, and inspecting a module loads it.
-for _info in pkgutil.iter_modules(__path__):
-    if _info.name != "__main__":
-        globals()[_info.name] = _lazy(_info.name)
-del _info
+# still find the whole package, and inspecting a module loads it.  The
+# names are listed: scanning the directory would import `inspect`.
+globals().update((name, _lazy(name)) for name in (
+    "catalog", "cli", "colimit", "finset", "formats", "glue", "locales",
+    "semiring", "site", "spectra", "topology"))

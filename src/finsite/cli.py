@@ -6,9 +6,9 @@ exceeded.  With `--format structured` every command prints one JSON
 document with stable key order; reports are byte-identical across runs
 on identical inputs.
 
-Each command imports the modules it calls when it runs, so a process
-compiles and executes only what its command needs: `check` and `localize`
-load no module beyond `formats` and `semiring`.
+Each command imports the modules it calls when it runs: `check` and
+`localize` load only `formats` and `semiring`, only `glue` loads `colimit`,
+and none loads `dataclasses`, `inspect` or `pkgutil`.
 """
 
 from __future__ import annotations

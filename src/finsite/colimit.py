@@ -29,10 +29,8 @@ leg is surjective -- raises ValueError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .semiring import (DEFAULT_BUDGET, FiniteSemiring, InvariantError,
-                       SemiringHom, TableError, congruence_closure,
+                       SemiringHom, TableError, _Record, congruence_closure,
                        hom_violation, identity_hom, quotient)
 
 
@@ -42,8 +40,7 @@ class BudgetExceeded(Exception):
     node)."""
 
 
-@dataclass(frozen=True)
-class SemiringDiagram:
+class SemiringDiagram(_Record):
     """Finite multigraph of semirings; arrows carry homs src -> dst."""
 
     nodes: tuple[FiniteSemiring, ...]
@@ -63,8 +60,7 @@ class SemiringDiagram:
         return cls(nodes, arrows)
 
 
-@dataclass(frozen=True)
-class ColimitResult:
+class ColimitResult(_Record):
     semiring: FiniteSemiring
     cocones: tuple[SemiringHom, ...]
 

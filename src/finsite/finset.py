@@ -15,10 +15,9 @@ bijective member is strictly smaller.  Face charts glue through
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
 
-from .semiring import InvariantError
+from .semiring import InvariantError, _Record
 from .topology import (
     ContinuousMap,
     FiniteTopSpace,
@@ -35,8 +34,7 @@ class FinSetError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class FinSet:
+class FinSet(_Record):
     labels: tuple[str, ...]
 
     @property
@@ -51,8 +49,7 @@ def finset(labels) -> FinSet:
     return FinSet(labels)
 
 
-@dataclass(frozen=True)
-class Injection:
+class Injection(_Record):
     source: FinSet
     target: FinSet
     images: tuple[int, ...]
@@ -234,8 +231,7 @@ def subcanonicity_sweep(max_a: int = 4, max_y: int = 3) -> dict:
             "agree": not disagreements, "disagreements": disagreements}
 
 
-@dataclass(frozen=True)
-class AbstractSimplicialComplex:
+class AbstractSimplicialComplex(_Record):
     vertices: tuple[str, ...]
     faces: tuple[frozenset[int], ...]
 
@@ -279,8 +275,7 @@ def face_space(K: AbstractSimplicialComplex) -> FiniteTopSpace:
     return from_preorder(labels, leq)
 
 
-@dataclass(frozen=True)
-class FinSetPresentation:
+class FinSetPresentation(_Record):
     """Charts that are finite sets, glued along injections: an arrow
     (src, dst, f) embeds the src chart into the dst chart."""
 
@@ -342,8 +337,7 @@ def _face_map(f: Injection, src_space: FiniteTopSpace,
     return continuous_map(src_space, dst_space, images)
 
 
-@dataclass(frozen=True)
-class FinSetGluedSpace:
+class FinSetGluedSpace(_Record):
     presentation: FinSetPresentation
     space: FiniteTopSpace
     chart_spaces: tuple[FiniteTopSpace, ...]
@@ -407,8 +401,7 @@ def finset_path_limit(P: FinSetPresentation, start: int, steps,
     return FinSet(labels)
 
 
-@dataclass(frozen=True)
-class WedgeReport:
+class WedgeReport(_Record):
     closed_limit: FinSet
     opened_limit: FinSet
     free: bool

@@ -239,6 +239,8 @@ def parse_lattice(text: str) -> FiniteFrame:
     pairs = []
     for line in lines:
         if len(line) == 3 and line[1] == "<":
+            if line[0] == line[2]:
+                raise FormatError(f"cover pair repeats label {line[0]!r}")
             pairs.append((line[0], line[2]))
         elif len(line) != 1:
             raise FormatError(f"lattice lines read: a < b or a lone label, "

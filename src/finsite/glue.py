@@ -15,8 +15,6 @@ equal legs; it still counts its chart sizes against the budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .colimit import DEFAULT_BUDGET, SemiringDiagram, colimit
 from .semiring import (
     FLAVORS,
@@ -24,6 +22,7 @@ from .semiring import (
     FiniteSemiring,
     InvariantError,
     SemiringHom,
+    _Record,
     is_finite_localization,
 )
 from .site import CoverFamily, pairwise_overlaps
@@ -50,8 +49,7 @@ class GlueError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class SPresentation:
+class SPresentation(_Record):
     """Named charts plus localization arrows between them.
 
     An arrow (src, dst, h) points the src chart into the dst chart; its
@@ -117,8 +115,7 @@ def atlas(S: CoverFamily) -> SPresentation:
     return presentation([(nm, loc.semiring) for nm, loc in parts], arrows)
 
 
-@dataclass(frozen=True)
-class DiagramPath:
+class DiagramPath(_Record):
     """A walk in the index graph: a start node and a sequence of
     (arrow id, forward?) steps, each step traversing the arrow with or
     against its direction."""
@@ -239,8 +236,7 @@ def _closed_walks(P: SPresentation, bound: int):
     return walks, truncated
 
 
-@dataclass(frozen=True)
-class MonodromyReport:
+class MonodromyReport(_Record):
     free: bool
     witness: DiagramPath | None
     exhaustive: bool
@@ -308,8 +304,7 @@ def visualization_map(h: SemiringHom, vis: str) -> ContinuousMap:
     raise ValueError(f"unknown visualization {vis!r}")
 
 
-@dataclass(frozen=True)
-class GluedSpace:
+class GluedSpace(_Record):
     """Disjoint union of the chart visualization spaces modulo the
     identifications the arrows induce, with the quotient topology."""
 
@@ -347,8 +342,7 @@ def _glue_checked(P: SPresentation, vis: str,
     return GluedSpace(P, vis, glued, tuple(spaces), charts, provenance, report)
 
 
-@dataclass(frozen=True)
-class GluedChain:
+class GluedChain(_Record):
     """All five glued visualizations with the comparison maps between
     them; the subspace hooks stay injective and whether the kernel map
     reaches every glued k-point is reported."""

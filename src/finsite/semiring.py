@@ -7,7 +7,7 @@ and is never special-cased away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
 
 # Names the command-line parser needs, kept in the one module every command
 # loads: the congruence flavors, the five visualizations of a spectrum, and
@@ -39,8 +39,47 @@ class InvariantError(Exception):
     input.  Raised explicitly so that `python -O` keeps the check."""
 
 
-@dataclass(frozen=True)
-class FiniteSemiring:
+class _Record:
+    """Immutable value whose fields are its annotated names, set by
+    position or keyword, then checked or completed by the subclass's
+    `__post_init__` if it has one; equal only within its class, and hashed
+    and shown as its field tuple."""
+
+    def __init_subclass__(cls):
+        fields = tuple(cls.__annotations__)
+        cls._fields = fields
+        cls._key = staticmethod(attrgetter(*fields) if len(fields) > 1 else
+                                lambda r, f=fields[0]: (getattr(r, f),))
+        # __init__ is compiled per class: as fast as a dataclass's, twice a
+        # generic `*args` one.  It sets fields with object.__setattr__, as
+        # writing `self.__dict__` would halve Python 3.11's field reads.
+        body = "".join(f"\n _set(self, {f!r}, {f})" for f in fields)
+        if hasattr(cls, "__post_init__"):
+            body += "\n self.__post_init__()"
+        ns = {"_set": object.__setattr__}
+        exec(f"def __init__(self, {', '.join(fields)}):{body}", ns)
+        cls.__init__ = ns["__init__"]
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return (type(self).__qualname__ + "(" + ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self._fields) + ")")
+
+
+class FiniteSemiring(_Record):
     """A validated finite commutative semiring.
 
     Use `validate_semiring` to build one; the bare constructor trusts its
@@ -52,10 +91,10 @@ class FiniteSemiring:
     mul: tuple[tuple[int, ...], ...]
     zero: int
     one: int
-    # ideals, congruences, primes and localizations, each computed once by
-    # `_memo`; not part of the value, so equality, hash and repr ignore it
-    _derived: dict = field(default_factory=dict, init=False, compare=False,
-                           repr=False)
+
+    def __post_init__(self):
+        # no field: ==, hash and repr ignore what `_memo` keeps here
+        object.__setattr__(self, "_derived", {})
 
     @property
     def n(self) -> int:
@@ -164,8 +203,7 @@ def validate_semiring(elements, add, mul, zero, one) -> FiniteSemiring:
 # Morphisms
 
 
-@dataclass(frozen=True)
-class SemiringHom:
+class SemiringHom(_Record):
     """A unit-preserving additive and multiplicative map, stored by image
     index per source element."""
 
@@ -295,8 +333,7 @@ def are_isomorphic(A: FiniteSemiring, B: FiniteSemiring) -> bool:
 # Congruences and quotients
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(_Record):
     """A partition of a semiring's carrier stable under + and * by every
     element; `blocks[i]` is the block id of element i, ids numbered by first
     occurrence."""
@@ -487,8 +524,7 @@ def product_semiring(A: FiniteSemiring, B: FiniteSemiring) -> FiniteSemiring:
 # Localization at one element
 
 
-@dataclass(frozen=True)
-class Localization:
+class Localization(_Record):
     """R with h made invertible, realized on the corner eR.
 
     Some power e of h is idempotent (e == 1 when h is a unit), and e*h is a

@@ -11,15 +11,14 @@ finite-set site shares: `matching_tuples` and `descent_verdict`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .colimit import DEFAULT_BUDGET, pushout
 from .locales import FiniteFrame, frame_of_opens, sobrification_unit
 from .semiring import (
+    DEFAULT_BUDGET,
     FiniteSemiring,
     Localization,
     SemiringError,
     SemiringHom,
+    _Record,
     enumerate_homs,
     localize,
     validate_semiring,
@@ -28,8 +27,7 @@ from .spectra import prime_spectrum
 from .topology import descent_verdict, matching_tuples
 
 
-@dataclass(frozen=True)
-class PrincipalOpen:
+class PrincipalOpen(_Record):
     base: FiniteSemiring
     element: int
     localization: Localization
@@ -47,8 +45,7 @@ def principal_open(R: FiniteSemiring, h: int) -> PrincipalOpen:
     return PrincipalOpen(R, h, localize(R, h))
 
 
-@dataclass(frozen=True)
-class CoverFamily:
+class CoverFamily(_Record):
     base: FiniteSemiring
     members: tuple[PrincipalOpen, ...]
 
@@ -57,8 +54,7 @@ def cover_family(R: FiniteSemiring, elements) -> CoverFamily:
     return CoverFamily(R, tuple(principal_open(R, h) for h in elements))
 
 
-@dataclass(frozen=True)
-class OpenSubscheme:
+class OpenSubscheme(_Record):
     base: FiniteSemiring
     generators: tuple[int, ...]
     extent: frozenset[int]
@@ -225,6 +221,8 @@ def principal_open_props_check(entries, budget: int = DEFAULT_BUDGET) -> dict:
     (P1), iterated localization matches localizing at the product (P2),
     and base change along any hom is localization of the target at the
     image (P3)."""
+    from .colimit import pushout
+
     p1, p2, p3 = [], [], []
     for name, R in entries:
         loc1 = localize(R, R.one)

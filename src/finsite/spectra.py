@@ -9,8 +9,6 @@ separating a and b generate; all map down to Spec through the kernel ideal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .semiring import (
     FLAVORS,
     Congruence,
@@ -19,6 +17,7 @@ from .semiring import (
     SemiringError,
     SemiringHom,
     Localization,
+    _Record,
     _canon_blocks,
     _memo,
     enumerate_congruences,
@@ -113,8 +112,7 @@ def is_prime_ideal(R: FiniteSemiring, members) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(_Record):
     """Prime ideals of a semiring with their generated topology."""
 
     semiring: FiniteSemiring
@@ -242,8 +240,7 @@ def _congruence_spectrum(R: FiniteSemiring, flavor: str
     return space, down
 
 
-@dataclass(frozen=True)
-class SpectraChain:
+class SpectraChain(_Record):
     """The comparison chain twisted -> strong -> weak -> k-points -> primes.
 
     The first two arrows and the last one are embeddings of subspaces; the

@@ -19,10 +19,9 @@ base is a bijection onto them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .semiring import InvariantError
+from .semiring import InvariantError, _Record
 
 
 class TopologyError(Exception):
@@ -63,8 +62,7 @@ def _listing_key(mask: int):
     return mask.bit_count(), _bits(mask)
 
 
-@dataclass(frozen=True)
-class FiniteTopSpace:
+class FiniteTopSpace(_Record):
     """Points and their specialization order: bit y of above[x] is set iff
     x <= y, that is, y lies in the closure of x.  Derived data is cached on
     first use, and equality, hash and repr ignore it."""
@@ -272,8 +270,7 @@ def _space_of_order(points, above) -> FiniteTopSpace:
     return X
 
 
-@dataclass(frozen=True)
-class ContinuousMap:
+class ContinuousMap(_Record):
     source: FiniteTopSpace
     target: FiniteTopSpace
     images: tuple[int, ...]

@@ -134,6 +134,24 @@ def oracle_is_prime_ideal(R, s) -> bool:
     return all(R.mul[a][b] in comp for a in comp for b in comp)
 
 
+def oracle_primes(R) -> set[frozenset[int]]:
+    """The prime ideals of R, found from its idempotents.  For a nonzero
+    idempotent e, let S_e = {a : e in aR}.  R minus S_e holds 0, is closed
+    under multiplication by R, and its complement S_e holds 1 and is
+    multiplicative, so it is a prime ideal exactly when it is closed under
+    +.  Each prime P arises so, from one e: the idempotent power of the
+    product of R minus P."""
+    rng = range(R.n)
+    primes = set()
+    for e in rng:
+        if e == R.zero or R.mul[e][e] != e:
+            continue
+        p = frozenset(a for a in rng if e not in R.mul[a])
+        if all(R.add[a][b] in p for a in p for b in p):
+            primes.add(p)
+    return primes
+
+
 def oracle_is_k_ideal(R, s) -> bool:
     return all(not (R.add[a][b] in s and b in s and a not in s)
                for a in range(R.n) for b in range(R.n))

@@ -654,6 +654,7 @@ def test_locale_dump_reads_back_with_stone_in_a_posix_locale(tmp_path):
      "face uses unknown vertex 'c'"),
     (("simplex", "twice.asc"), "vertices: a a\nface: a\n",
      "duplicate vertex label"),
+    (("stone", "loop.lat"), "a < a\n", "cover pair repeats label 'a'"),
 ])
 def test_malformed_cover_lattice_and_complex_files_exit_2(workdir, capsys,
                                                           argv, text, message):
@@ -669,9 +670,14 @@ EXECUTED = ("print(*sorted(n for n, m in list(sys.modules.items())\n"
             "              and type(m) is types.ModuleType))\n")
 
 
+# standard-library modules whose import would cost every command more than
+# its own work: `dataclasses` and `pkgutil` both import `inspect`
+HEAVY = ("dataclasses", "inspect", "pkgutil")
+
+
 def loaded_modules(cwd, *argv):
     """Exit code of one command run through `main` in a fresh interpreter,
-    and the finsite modules executed by then."""
+    the finsite modules executed by then, and which of HEAVY are loaded."""
     code = ("import contextlib, io, sys, types\n"
             "from finsite.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -679,28 +685,37 @@ def loaded_modules(cwd, *argv):
             "        status = main(sys.argv[1:])\n"
             "    except SystemExit as e:\n"
             "        status = e.code\n"
-            "print(status)\n" + EXECUTED)
-    status, *modules = _fresh(code, cwd, *argv).split()
-    return int(status), set(modules)
+            "print(status)\n" + EXECUTED +
+            f"print(*[n for n in {HEAVY!r} if n in sys.modules])\n")
+    status, modules, heavy = _fresh(code, cwd, *argv).split("\n")[:3]
+    return int(status), set(modules.split()), set(heavy.split())
 
 
 @pytest.mark.parametrize("argv", [("check", "z6.sr"),
                                   ("localize", "z6.sr", "2")])
 def test_light_commands_load_only_formats_and_semiring(workdir, argv):
-    assert loaded_modules(workdir, *argv) == (0, CHECK_MODULES)
+    assert loaded_modules(workdir, *argv)[:2] == (0, CHECK_MODULES)
 
 
 def test_help_loads_no_more_than_check(workdir):
-    status, modules = loaded_modules(workdir, "--help")
+    status, modules, _ = loaded_modules(workdir, "--help")
     assert status == 0
     assert modules <= CHECK_MODULES
 
 
 def test_a_failing_light_command_loads_nothing_more(workdir):
     (workdir / "bad.sr").write_text("elements: 0 1\n")
-    status, modules = loaded_modules(workdir, "check", "bad.sr")
+    status, modules, _ = loaded_modules(workdir, "check", "bad.sr")
     assert status == 2
     assert modules == CHECK_MODULES
+
+
+def _command_inputs(workdir):
+    (workdir / "chain.lat").write_text("0 < a\na < 1\n")
+    (workdir / "cov.txt").write_text("semiring: z6.sr\ncover: 2 3\n")
+    (workdir / "doubled.pres").write_text(
+        "node A z6.sr\nnode B z6.sr\nnode O o.sr\n"
+        "arrow O A localize-at 2\narrow O B localize-at 2\n")
 
 
 @pytest.mark.parametrize("argv, absent", [
@@ -708,12 +723,28 @@ def test_a_failing_light_command_loads_nothing_more(workdir):
     (("spectrum", "z6.sr"), {"glue", "colimit"}),
     (("congruences", "z6.sr"), {"glue", "colimit"}),
     (("stone", "chain.lat"), {"glue", "colimit"}),
+    (("locale", "z6.sr"), {"glue", "colimit"}),
+    (("sheaf-check", "cov.txt"), {"glue", "colimit"}),
+    (("verify",), {"glue", "colimit"}),
 ])
 def test_commands_load_only_what_they_call(workdir, argv, absent):
-    (workdir / "chain.lat").write_text("0 < a\na < 1\n")
-    status, modules = loaded_modules(workdir, *argv)
+    _command_inputs(workdir)
+    status, modules, _ = loaded_modules(workdir, *argv)
     assert status == 0
     assert not modules & {f"finsite.{name}" for name in absent}
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "z6.sr"), ("--help",), ("simplex", "--n", "1"),
+    ("spectrum", "z6.sr"), ("congruences", "z6.sr"), ("stone", "chain.lat"),
+    ("locale", "z6.sr"), ("sheaf-check", "cov.txt"), ("verify",),
+    ("glue", "doubled.pres")], ids=lambda argv: argv[0])
+def test_no_command_loads_dataclasses_inspect_or_pkgutil(workdir, argv):
+    _command_inputs(workdir)
+    status, modules, heavy = loaded_modules(workdir, *argv)
+    assert status == 0
+    assert heavy == set()
+    assert ("finsite.colimit" in modules) == (argv[0] == "glue")
 
 
 def test_every_submodule_is_an_attribute_of_the_package(tmp_path):

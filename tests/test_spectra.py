@@ -51,9 +51,10 @@ from finsite.spectra import (
 )
 from finsite.topology import subspace, validate_topology
 
-from oracles import (full_primality, oracle_generated_opens, oracle_ideals, oracle_is_k_ideal,
-                     oracle_is_prime_congruence, oracle_is_prime_ideal,
-                     oracle_order_isomorphism)
+from oracles import (full_primality, oracle_generated_opens, oracle_ideals,
+                     oracle_is_k_ideal, oracle_is_prime_congruence,
+                     oracle_is_prime_ideal, oracle_order_isomorphism,
+                     oracle_primes)
 
 # (name, ideal count, k-ideal count, chain sizes (t, s, w, k, prime), opens)
 FROZEN_TABLE = [
@@ -210,6 +211,30 @@ def test_primality_matches_definition_oracle():
 def test_primality_matches_oracle_on_products(factors):
     _assert_primality_matches_oracle(functools.reduce(product_semiring,
                                                       factors))
+
+
+def _assert_primes_match_idempotent_oracle(R):
+    primes = prime_spectrum(R).primes
+    assert len(set(primes)) == len(primes)
+    assert set(primes) == oracle_primes(R), R
+
+
+def test_primes_match_idempotent_oracle():
+    bench = ([R for _, R in catalog()]
+             + [zmod(m) for m in range(2, 21)]
+             + [chain(k) for k in range(1, 7)]
+             + [truncated_naturals(top) for top in range(1, 8)])
+    for R in bench:
+        _assert_primes_match_idempotent_oracle(R)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from([R for _, R in catalog()]), min_size=2,
+                max_size=4)
+       .filter(lambda fs: math.prod(R.n for R in fs) <= 16))
+def test_primes_of_products_match_idempotent_oracle(factors):
+    _assert_primes_match_idempotent_oracle(
+        functools.reduce(product_semiring, factors))
 
 
 @st.composite
