@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from operator import itemgetter
 
-from .semiring import InvariantError, _Record
+from .semiring import InvariantError, _Map, _Record
 from .topology import (
     ContinuousMap,
     FiniteTopSpace,
@@ -38,7 +38,7 @@ class FinSet(_Record):
     labels: tuple[str, ...]
 
     @property
-    def size(self) -> int:
+    def n(self) -> int:
         return len(self.labels)
 
 
@@ -49,24 +49,17 @@ def finset(labels) -> FinSet:
     return FinSet(labels)
 
 
-class Injection(_Record):
-    source: FinSet
-    target: FinSet
-    images: tuple[int, ...]
+class Injection(_Map):
+    """An injective map of finite sets; build through `injection`."""
 
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
-    @property
-    def is_bijective(self) -> bool:
-        return self.source.size == self.target.size
+    _error = FinSetError
 
 
 def injection(source: FinSet, target: FinSet, images) -> Injection:
     images = tuple(images)
-    if len(images) != source.size:
+    if len(images) != source.n:
         raise FinSetError("injection must assign every source element")
-    if any(not 0 <= y < target.size for y in images):
+    if any(not 0 <= y < target.n for y in images):
         raise FinSetError("injection image out of range")
     if len(set(images)) != len(images):
         raise FinSetError("assignment is not injective")
@@ -74,7 +67,7 @@ def injection(source: FinSet, target: FinSet, images) -> Injection:
 
 
 def identity_injection(A: FinSet) -> Injection:
-    return injection(A, A, range(A.size))
+    return injection(A, A, range(A.n))
 
 
 def _common_target(family, target):
@@ -92,19 +85,19 @@ def is_jointly_surjective(family, target: FinSet | None = None) -> bool:
     """True when every element of the common target is hit by some member."""
     family = list(family)
     target = _common_target(family, target)
-    return len(set().union(*(f.images for f in family))) == target.size
+    return len(set().union(*(f.images for f in family))) == target.n
 
 
 def contains_bijection(family) -> bool:
-    return any(f.is_bijective for f in family)
+    return any(f.is_bijective() for f in family)
 
 
 def _subsets(A: FinSet):
     """Nonempty subsets of A in canonical order: by size, then position."""
     out = []
-    for size in range(1, A.size + 1):
+    for size in range(1, A.n + 1):
         out.extend(frozenset(c)
-                   for c in itertools.combinations(range(A.size), size))
+                   for c in itertools.combinations(range(A.n), size))
     return out
 
 
@@ -123,7 +116,7 @@ def simplex_space(A: FinSet) -> FiniteTopSpace:
     """One point per nonempty face of A; a face specializes to every face
     containing it, so vertices are open points and the top face is the
     unique closed point."""
-    if A.size == 0:
+    if A.n == 0:
         raise FinSetError("a simplex needs at least one vertex")
     faces = _subsets(A)
     labels = tuple(face_label(A, f) for f in faces)
@@ -152,11 +145,11 @@ def sheaf_axiom_check(family, Y: FinSet, target: FinSet | None = None):
             if j != i:
                 links.append((j, i, itemgetter(c), itemgetter(b)))
     families = matching_tuples(
-        [itertools.product(range(Y.size), repeat=f.source.size)
+        [itertools.product(range(Y.n), repeat=f.source.n)
          for f in family], links)
     return descent_verdict(
         ((h, tuple(tuple(h[a] for a in f.images) for f in family))
-         for h in itertools.product(range(Y.size), repeat=target.size)),
+         for h in itertools.product(range(Y.n), repeat=target.n)),
         families)
 
 
@@ -394,7 +387,7 @@ def finset_path_limit(P: FinSetPresentation, start: int, steps,
         if ends[0] > ends[1]:
             ends, keys = ends[::-1], keys[::-1]
         links.append((*ends, *keys))
-    elements = matching_tuples([range(c.size) for c in carriers], links)
+    elements = matching_tuples([range(c.n) for c in carriers], links)
     labels = tuple("(" + ",".join(carriers[t].labels[x]
                                   for t, x in enumerate(combo)) + ")"
                    for combo in elements)
@@ -422,5 +415,5 @@ def monodromy_wedge_counterexample() -> WedgeReport:
     closed = finset_path_limit(P, P.node("V"), walk, "closed")
     opened = finset_path_limit(P, P.node("V"), walk, "opened")
     return WedgeReport(closed, opened,
-                       free=closed.size == opened.size,
+                       free=closed.n == opened.n,
                        witness="V <- U -> V")

@@ -126,8 +126,12 @@ class DiagramPath(_Record):
 
     def nodes_visited(self) -> tuple[int, ...]:
         P = self.presentation
+        if self.start not in range(len(P.names)):
+            raise GlueError(f"walk starts at unknown chart {self.start!r}")
         seq = [self.start]
         for ai, forward in self.steps:
+            if ai not in range(len(P.arrows)):
+                raise GlueError(f"walk steps along unknown arrow {ai!r}")
             si, di, _ = P.arrows[ai]
             here = seq[-1]
             tail, head = (si, di) if forward else (di, si)
@@ -375,19 +379,11 @@ def glued_chain(P: SPresentation, bound: int = 8,
     maps = []
     for lvl in range(4):
         src, dst = levels[lvl], levels[lvl + 1]
-        images: list[int | None] = [None] * src.space.n
-        for ci in range(len(P.names)):
-            node_map = chains[ci].maps[lvl]
-            for x in range(src.chart_spaces[ci].n):
-                g = src.charts[ci](x)
-                v = dst.charts[ci](node_map(x))
-                if images[g] not in (None, v):
-                    raise InvariantError(
-                        "comparison map does not respect the gluing")
-                images[g] = v
-        if None in images:
-            raise InvariantError("comparison map misses a glued point")
-        maps.append(continuous_map(src.space, dst.space, tuple(images)))
+        maps.append(_map_out_of(
+            src, dst.space, [there.compose(c.maps[lvl])
+                             for there, c in zip(dst.charts, chains)],
+            "comparison map does not respect the gluing",
+            "comparison map misses a glued point"))
     for hook in (maps[0], maps[1], maps[3]):
         if not hook.is_injective():
             raise InvariantError("a subspace hook collapsed under gluing")
@@ -405,17 +401,25 @@ def affine_glue_check(S: CoverFamily, budget: int = DEFAULT_BUDGET
     parts, arrows = _atlas_parts(S)
     P = presentation([(nm, loc.semiring) for nm, loc in parts], arrows)
     glued = glue_space(P, "prime", budget=budget)
-    base_spec = prime_spectrum(S.base)
+    comparison = _map_out_of(
+        glued, prime_spectrum(S.base).space,
+        [localization_spectrum_map(loc)[0] for _, loc in parts],
+        "chart spectra disagree on a shared point",
+        "a glued point has no image in the base spectrum")
+    return comparison.is_homeomorphism(), comparison
+
+
+def _map_out_of(glued: GluedSpace, target: FiniteTopSpace, legs,
+                clash: str, missing: str) -> ContinuousMap:
+    """The map out of a glued space that restricts to legs[ci] on chart
+    ci; raises InvariantError with `clash` when two legs send one glued
+    point apart and with `missing` when no leg reaches a glued point."""
     images: list[int | None] = [None] * glued.space.n
-    for ci, (_, loc) in enumerate(parts):
-        into_base, _ = localization_spectrum_map(loc)
-        for x in range(glued.chart_spaces[ci].n):
-            g = glued.charts[ci](x)
-            v = into_base(x)
+    for chart, leg in zip(glued.charts, legs):
+        for g, v in zip(chart.images, leg.images):
             if images[g] not in (None, v):
-                raise InvariantError("chart spectra disagree on a shared point")
+                raise InvariantError(clash)
             images[g] = v
     if None in images:
-        raise InvariantError("a glued point has no image in the base spectrum")
-    comparison = continuous_map(glued.space, base_spec.space, tuple(images))
-    return comparison.is_homeomorphism(), comparison
+        raise InvariantError(missing)
+    return continuous_map(glued.space, target, tuple(images))

@@ -10,6 +10,7 @@ one lower cover), and these are exactly its join-primes.
 
 from __future__ import annotations
 
+from .semiring import _Map, _Record
 from .topology import (
     ContinuousMap,
     FiniteTopSpace,
@@ -25,18 +26,18 @@ class FrameError(Exception):
     pass
 
 
-class FiniteFrame:
-    """A validated finite bounded distributive lattice; build through
+class FiniteFrame(_Record):
+    """A validated finite bounded distributive lattice with its order,
+    meet and join tables and its join-primes; build through
     `finite_frame`."""
 
-    def __init__(self, elements, leq, meet, join, bottom, top, primes):
-        self.elements = tuple(elements)
-        self.leq = leq
-        self.meet = meet
-        self.join = join
-        self.bottom = bottom
-        self.top = top
-        self._primes = tuple(primes)
+    elements: tuple[str, ...]
+    leq: tuple[tuple[bool, ...], ...]
+    meet: tuple[tuple[int, ...], ...]
+    join: tuple[tuple[int, ...], ...]
+    bottom: int
+    top: int
+    primes: tuple[int, ...]
 
     @property
     def n(self):
@@ -57,14 +58,7 @@ class FiniteFrame:
         """Non-bottom elements m with m <= a v b forcing m <= a or m <= b;
         these generate the completely prime filters.  In a distributive
         lattice they are the join-irreducibles `finite_frame` found."""
-        return list(self._primes)
-
-    def __eq__(self, other):
-        return (isinstance(other, FiniteFrame)
-                and self.elements == other.elements and self.leq == other.leq)
-
-    def __hash__(self):
-        return hash((self.elements, self.leq))
+        return list(self.primes)
 
     def __repr__(self):
         return f"FiniteFrame({self.n} elements)"
@@ -128,7 +122,7 @@ def finite_frame(elements, leq) -> FiniteFrame:
     lower = [0] * n
     for _, b in cover_pairs(leq):
         lower[b] += 1
-    primes = [j for j in range(n) if lower[j] == 1]
+    primes = tuple(j for j in range(n) if lower[j] == 1)
     irreducible = sum(1 << j for j in primes)
     J = [d & irreducible for d in down]
     for a in range(n):
@@ -159,32 +153,11 @@ def frame_of_opens(X: FiniteTopSpace) -> FiniteFrame:
     return finite_frame(labels, leq)
 
 
-class FrameMorphism:
+class FrameMorphism(_Map):
     """A lattice map preserving bottom, top, binary meets and joins; build
     through `frame_morphism`."""
 
-    def __init__(self, source: FiniteFrame, target: FiniteFrame, images):
-        self.source = source
-        self.target = target
-        self.images = tuple(images)
-
-    def __call__(self, a: int) -> int:
-        return self.images[a]
-
-    def is_injective(self) -> bool:
-        return len(set(self.images)) == len(self.images)
-
-    def is_surjective(self) -> bool:
-        return set(self.images) == set(range(self.target.n))
-
-    def is_bijective(self) -> bool:
-        return self.is_injective() and self.is_surjective()
-
-    def compose(self, other: "FrameMorphism") -> "FrameMorphism":
-        if other.target != self.source:
-            raise FrameError("composition endpoint mismatch")
-        return FrameMorphism(other.source, self.target,
-                             tuple(self.images[a] for a in other.images))
+    _error = FrameError
 
 
 def frame_morphism(source, target, images) -> FrameMorphism:

@@ -40,13 +40,14 @@ class InvariantError(Exception):
 
 
 class _Record:
-    """Immutable value whose fields are its annotated names, set by
-    position or keyword, then checked or completed by the subclass's
-    `__post_init__` if it has one; equal only within its class, and hashed
-    and shown as its field tuple."""
+    """Immutable value whose fields are its annotated names, after those
+    of its record bases, set by position or keyword, then checked or
+    completed by the subclass's `__post_init__` if it has one; equal only
+    within its class, and hashed and shown as its field tuple."""
 
     def __init_subclass__(cls):
-        fields = tuple(cls.__annotations__)
+        fields = getattr(cls, "_fields", ()) + tuple(
+            cls.__dict__.get("__annotations__", ()))
         cls._fields = fields
         cls._key = staticmethod(attrgetter(*fields) if len(fields) > 1 else
                                 lambda r, f=fields[0]: (getattr(r, f),))
@@ -203,23 +204,20 @@ def validate_semiring(elements, add, mul, zero, one) -> FiniteSemiring:
 # Morphisms
 
 
-class SemiringHom(_Record):
-    """A unit-preserving additive and multiplicative map, stored by image
-    index per source element."""
+class _Map(_Record):
+    """A map between finite carriers, stored by image index per source
+    element; the subclass's `_error` is raised when a composite's endpoints
+    do not match."""
 
-    source: FiniteSemiring
-    target: FiniteSemiring
+    source: object
+    target: object
     images: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.images) != self.source.n:
-            raise TableError("hom image vector has wrong length")
 
     def __call__(self, i: int) -> int:
         return self.images[i]
 
     def is_injective(self) -> bool:
-        return len(set(self.images)) == self.source.n
+        return len(set(self.images)) == len(self.images)
 
     def is_surjective(self) -> bool:
         return len(set(self.images)) == self.target.n
@@ -227,12 +225,23 @@ class SemiringHom(_Record):
     def is_bijective(self) -> bool:
         return self.is_injective() and self.is_surjective()
 
-    def compose(self, other: "SemiringHom") -> "SemiringHom":
+    def compose(self, other):
         """self after other (other first)."""
         if other.target is not self.source and other.target != self.source:
-            raise TableError("composition endpoints do not match")
-        return SemiringHom(other.source, self.target,
-                           tuple(self.images[i] for i in other.images))
+            raise self._error("composition endpoints do not match")
+        return type(self)(other.source, self.target,
+                          tuple(self.images[i] for i in other.images))
+
+
+class SemiringHom(_Map):
+    """A unit-preserving additive and multiplicative map of finite
+    semirings."""
+
+    _error = TableError
+
+    def __post_init__(self):
+        if len(self.images) != self.source.n:
+            raise TableError("hom image vector has wrong length")
 
 
 def hom_violation(h: SemiringHom):

@@ -244,7 +244,6 @@ def principal_open_props_check(entries, budget: int = DEFAULT_BUDGET) -> dict:
         if witness:
             row["witness"] = list(witness)
         p2.append(row)
-    semirings = [R for _, R in entries]
     for name, R in entries:
         for name2, R2 in entries:
             homs = enumerate_homs(R, R2)

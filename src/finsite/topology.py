@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .semiring import InvariantError, _Record
+from .semiring import InvariantError, _Map, _Record
 
 
 class TopologyError(Exception):
@@ -270,13 +270,10 @@ def _space_of_order(points, above) -> FiniteTopSpace:
     return X
 
 
-class ContinuousMap(_Record):
-    source: FiniteTopSpace
-    target: FiniteTopSpace
-    images: tuple[int, ...]
+class ContinuousMap(_Map):
+    """A map of finite spaces, continuous when built by `continuous_map`."""
 
-    def __call__(self, i: int) -> int:
-        return self.images[i]
+    _error = TopologyError
 
     def continuity_violation(self):
         """A target open whose preimage is not open, or None.  A map of
@@ -293,22 +290,6 @@ class ContinuousMap(_Record):
 
     def is_continuous(self) -> bool:
         return self.continuity_violation() is None
-
-    def is_injective(self) -> bool:
-        return len(set(self.images)) == len(self.images)
-
-    def is_surjective(self) -> bool:
-        return set(self.images) == set(range(self.target.n))
-
-    def is_bijective(self) -> bool:
-        return self.is_injective() and self.is_surjective()
-
-    def compose(self, other: "ContinuousMap") -> "ContinuousMap":
-        """self after other."""
-        if other.target != self.source:
-            raise TopologyError("composition endpoint mismatch")
-        return ContinuousMap(other.source, self.target,
-                             tuple(self.images[i] for i in other.images))
 
     def is_homeomorphism(self) -> bool:
         if not (self.is_bijective() and self.is_continuous()):
@@ -390,6 +371,8 @@ def quotient_space(X: FiniteTopSpace, pairs, labels=None) -> tuple[FiniteTopSpac
     proj, reps = _classes(X.n, pairs)
     if labels is None:
         labels = tuple(X.points[r] for r in reps)
+    if len(labels) != len(reps):
+        raise TopologyError(f"{len(labels)} labels for {len(reps)} classes")
     Q = _space_of_order(labels, order_closure(
         len(reps), [(proj[x], proj[y]) for x in range(X.n)
                     for y in _bits(X.above[x])]))

@@ -280,8 +280,8 @@ def test_criterion_07_gluing_and_monodromy():
             glue_space(wedge)
         fin = monodromy_wedge_counterexample()
         assert not fin.free
-        assert fin.closed_limit.size == 0
-        assert fin.opened_limit.size == 1
+        assert fin.closed_limit.n == 0
+        assert fin.opened_limit.n == 1
 
 
 def test_criterion_08_comparison_chain_per_entry():

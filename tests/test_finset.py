@@ -45,20 +45,20 @@ def oracle_matching_families(family, Y):
     out = [()]
     for i, fi in enumerate(family):
         out = [combo + (g,) for combo in out
-               for g in itertools.product(range(Y.size), repeat=fi.source.size)
+               for g in itertools.product(range(Y.n), repeat=fi.source.n)
                if all(combo[j][c] == g[b]
                       for j, fj in enumerate(family[:i])
-                      for b in range(fi.source.size)
-                      for c in range(fj.source.size) if fi(b) == fj(c))]
+                      for b in range(fi.source.n)
+                      for c in range(fj.source.n) if fi(b) == fj(c))]
     return out
 
 
 def oracle_sheaf(family, Y, target):
     """Independent verdict and witness: restriction from maps target -> Y,
     in product order, onto the matching families."""
-    base = [(h, tuple(tuple(h[f(b)] for b in range(f.source.size))
+    base = [(h, tuple(tuple(h[f(b)] for b in range(f.source.n))
                       for f in family))
-            for h in itertools.product(range(Y.size), repeat=target.size)]
+            for h in itertools.product(range(Y.n), repeat=target.n)]
     return oracle_descent(base, oracle_matching_families(family, Y))
 
 
@@ -74,9 +74,9 @@ def test_finset_and_injection_validation():
         injection(A, A, (0, 0))
     empty = finset(())
     e = injection(empty, A, ())
-    assert e.images == () and not e.is_bijective
-    assert injection(empty, empty, ()).is_bijective
-    assert identity_injection(A).is_bijective
+    assert e.images == () and not e.is_bijective()
+    assert injection(empty, empty, ()).is_bijective()
+    assert identity_injection(A).is_bijective()
     assert identity_injection(A)(1) == 1
 
 
@@ -105,8 +105,8 @@ def test_simplex_sizes_and_unique_closed_top_face():
         closed_points = [p for p in range(X.n)
                          if X.is_closed(frozenset([p]))]
         assert closed_points == [X.n - 1]
-        assert X.points[-1] == face_label(A, range(A.size))
-        for i in range(A.size):
+        assert X.points[-1] == face_label(A, range(A.n))
+        for i in range(A.n):
             assert X.is_open(frozenset([X.points.index(face_label(A, [i]))]))
         assert X.is_t0()
         assert is_sober(X)[0]
@@ -157,10 +157,10 @@ def test_asc_presentation_shape():
     K = asc("abc", ["ab", "bc", "ca"])
     P = asc_presentation(K)
     assert P.names == K.face_labels()
-    assert [A.size for A in P.carriers] == [1, 1, 1, 2, 2, 2]
+    assert [A.n for A in P.carriers] == [1, 1, 1, 2, 2, 2]
     assert len(P.arrows) == 6
     for si, di, f in P.arrows:
-        assert P.carriers[si].size < P.carriers[di].size
+        assert P.carriers[si].n < P.carriers[di].n
         assert f.source == P.carriers[si] and f.target == P.carriers[di]
 
 
@@ -237,11 +237,11 @@ def test_path_limits_open_and_closed():
         finset_path_limit(P, P.node("{a,b}"), span, "closed")
     loop = ((a_ab, False), (a_ab, True))
     closed = finset_path_limit(P, P.node("{a,b}"), loop, "closed")
-    assert closed.size == 1
-    assert closed.size == finset_path_limit(P, P.node("{a,b}"), loop,
-                                            "opened").size
+    assert closed.n == 1
+    assert closed.n == finset_path_limit(P, P.node("{a,b}"), loop,
+                                         "opened").n
     start_only = finset_path_limit(P, P.node("{a,b}"), (), "closed")
-    assert start_only.size == 2
+    assert start_only.n == 2
     with pytest.raises(ValueError):
         finset_path_limit(P, 0, (), "sideways")
     with pytest.raises(FinSetError):
@@ -281,8 +281,8 @@ def test_path_limit_refuses_unknown_charts_and_arrows():
 
 def test_wedge_counterexample():
     report = monodromy_wedge_counterexample()
-    assert report.closed_limit.size == 0
-    assert report.opened_limit.size == 1
+    assert report.closed_limit.n == 0
+    assert report.opened_limit.n == 1
     assert report.opened_limit.labels == ("(x,x,y)",)
     assert not report.free
     assert report.witness == "V <- U -> V"

@@ -209,6 +209,19 @@ def test_walk_validation_and_description():
         DiagramPath(P, P.node("A"), ((0, True),)).nodes_visited()
 
 
+def test_walks_refuse_unknown_starts_and_arrows():
+    P = atlas(cover_family(zmod(6), [2, 3]))
+    for start, steps, match in ((-1, (), "unknown chart"),
+                                (len(P.names), (), "unknown chart"),
+                                (0, ((99, True),), "unknown arrow"),
+                                (0, ((-1, True),), "unknown arrow")):
+        walk = DiagramPath(P, start, steps)
+        with pytest.raises(GlueError, match=match):
+            walk.nodes_visited()
+        with pytest.raises(GlueError, match=match):
+            path_limit(walk)
+
+
 def test_closed_walk_census():
     Z6 = zmod(6)
     P = atlas(cover_family(Z6, [1, 2, 3]))

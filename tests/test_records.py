@@ -11,6 +11,7 @@ from finsite.finset import (FinSet, asc, asc_presentation, finset,
                             monodromy_wedge_counterexample)
 from finsite.glue import (atlas, closed_walks, glue_space, glued_chain,
                           is_monodromy_free)
+from finsite.locales import frame_morphism, frame_of_opens
 from finsite.semiring import (_Record, diagonal_congruence, identity_hom,
                               localize)
 from finsite.site import cover_family, open_subscheme
@@ -27,6 +28,7 @@ def one_of_each():
     P = atlas(cover)
     K = asc("a b c".split(), [["a", "b"], ["b", "c"]])
     A = finset(("x", "y"))
+    L = frame_of_opens(spec.space)
     return [R, identity_hom(R), diagonal_congruence(R), localize(R, 2),
             spec.space, visualization_chain(R).maps[0], spec,
             visualization_chain(R), cover.members[0], cover,
@@ -35,21 +37,29 @@ def one_of_each():
             is_monodromy_free(P), glue_space(P), glued_chain(P), A,
             identity_injection(A), K, asc_presentation(K),
             finset_glue_space(asc_presentation(K)),
-            monodromy_wedge_counterexample()]
+            monodromy_wedge_counterexample(), L,
+            frame_morphism(L, L, range(L.n))]
 
 
 RECORDS = one_of_each()
 
 
 def fields_of(record):
-    return tuple(type(record).__annotations__)
+    return type(record)._fields
+
+
+def record_classes(base=_Record):
+    """The public finsite classes below base, through private bases."""
+    for cls in base.__subclasses__():
+        if cls.__module__.startswith("finsite."):
+            if not cls.__name__.startswith("_"):
+                yield cls
+            yield from record_classes(cls)
 
 
 def test_every_record_class_has_an_instance():
-    assert {type(r) for r in RECORDS} == {
-        cls for cls in _Record.__subclasses__()
-        if cls.__module__.startswith("finsite.")}
-    assert len(RECORDS) == 24
+    assert {type(r) for r in RECORDS} == set(record_classes())
+    assert len(RECORDS) == 26
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
@@ -62,14 +72,15 @@ def test_record_contract(record):
     assert by_position == record == by_keyword
     assert not by_position != record
     assert hash(by_position) == hash(record) == hash(values)
-    twin = type("Twin", (_Record,), {"__annotations__": dict(
-        cls.__annotations__)})(*values)
+    twin = type("Twin", (_Record,), {"__annotations__": dict.fromkeys(
+        names)})(*values)
     assert twin != record and record != twin
     if cls.__repr__ is _Record.__repr__:
         assert repr(record) == (f"{cls.__qualname__}(" + ", ".join(
             f"{f}={v!r}" for f, v in zip(names, values)) + ")")
-    with pytest.raises(AttributeError):
-        setattr(record, names[0], values[0])
+    for name, value in zip(names, values):
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
     with pytest.raises(AttributeError):
         delattr(record, names[-1])
     with pytest.raises(TypeError):
@@ -96,3 +107,10 @@ def test_repr_reads_as_the_constructor_call():
     assert repr(identity_injection(A)) == (
         "Injection(source=FinSet(labels=('x', 'y')), "
         "target=FinSet(labels=('x', 'y')), images=(0, 1))")
+
+
+def test_equal_frame_maps_are_equal_and_hash_alike():
+    L = frame_of_opens(prime_spectrum(zmod(6)).space)
+    ids = range(L.n)
+    assert frame_morphism(L, L, ids) == frame_morphism(L, L, ids)
+    assert hash(frame_morphism(L, L, ids)) == hash(frame_morphism(L, L, ids))

@@ -1,9 +1,11 @@
 """Rules on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import finsite
+from finsite.semiring import _Record
 
 
 def test_invariants_raise_so_python_O_keeps_them():
@@ -30,4 +32,16 @@ def test_no_module_imports_dataclasses_or_pkgutil():
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.partition(".")[0] in ("dataclasses", "pkgutil")]
+    assert found == []
+
+
+def test_every_class_is_an_exception_or_a_record():
+    # values are immutable records: equal by fields, closed to assignment
+    found = []
+    for path in sorted(Path(finsite.__file__).parent.glob("[!_]*.py")):
+        module = importlib.import_module(f"finsite.{path.stem}")
+        found += [f"{path.name} {name}" for name, obj in vars(module).items()
+                  if isinstance(obj, type)
+                  and obj.__module__ == module.__name__
+                  and not issubclass(obj, (Exception, _Record))]
     assert found == []

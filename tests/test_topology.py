@@ -233,6 +233,15 @@ def test_wedge_of_sierpinskis_keeps_generics_open():
     assert not Q.is_open({pi(1)})
 
 
+def test_quotient_labels_must_name_every_class():
+    X = discrete("xy")
+    for labels in (("a",), ("a", "b", "c")):
+        with pytest.raises(TopologyError, match="labels for 2 classes"):
+            quotient_space(X, [], labels)
+    Q, pi = quotient_space(X, [(0, 1)], ("a",))
+    assert Q.points == ("a",) and pi.images == (0, 0)
+
+
 def test_kolmogorov_quotient_is_t0_and_idempotent():
     I = from_preorder(("a", "b", "c"),
                       [[True, True, False], [True, True, False],
