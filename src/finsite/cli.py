@@ -20,8 +20,8 @@ import sys
 from pathlib import Path
 
 from . import formats
-from .semiring import (DEFAULT_BUDGET, VISUALIZATIONS, AxiomError,
-                       SemiringError, localize)
+from .semiring import (DEFAULT_BUDGET, FLAVORS, VISUALIZATIONS, AxiomError,
+                       SemiringError, enumerate_congruences, localize)
 
 
 def _space_listing(space, dot=None) -> tuple[list[str], dict]:
@@ -59,24 +59,18 @@ def cmd_check(ns):
 
 
 def cmd_spectrum(ns):
-    from .spectra import congruence_spectrum, k_spectrum, prime_spectrum
+    from .spectra import k_spectrum, prime_spectrum, visualization_space
 
     R = formats.read_semiring(ns.file)
     spec = prime_spectrum(R)
+    space = visualization_space(R, ns.flavor)
     basic = None
-    if ns.flavor == "prime":
-        space = spec.space
+    if ns.flavor in ("prime", "k"):
+        under = k_spectrum(R)[1].images if ns.flavor == "k" else range(space.n)
         basic = {R.elements[h]: sorted(space.points[i]
-                                       for i in spec.basic_open(h))
+                                       for i, p in enumerate(under)
+                                       if p in spec.basic_open(h))
                  for h in range(R.n)}
-    elif ns.flavor == "k":
-        space, incl = k_spectrum(R)
-        basic = {R.elements[h]: sorted(space.points[i]
-                                       for i in range(space.n)
-                                       if incl(i) in spec.basic_open(h))
-                 for h in range(R.n)}
-    else:
-        space, _ = congruence_spectrum(R, ns.flavor)
     discrete = len(space.opens) == 2 ** space.n
     head = _count(space.n) + (", discrete" if discrete else "")
     listing, space_data = _space_listing(space, ns.dot)
@@ -199,13 +193,13 @@ def cmd_sheaf_check(ns):
 def _containment_rows(R):
     """Nesting of the three congruence classes plus primality and
     k-closedness of every weak kernel."""
-    from .spectra import (is_k_ideal, is_prime_ideal, kernel_ideal,
-                          prime_congruences)
+    from .spectra import is_k_ideal, is_prime_ideal, kernel_ideal, primality
 
-    weak, strong, twisted = (prime_congruences(R, f)
-                             for f in ("weak", "strong", "twisted"))
-    if not ({c.blocks for c in twisted} <= {c.blocks for c in strong}
-            <= {c.blocks for c in weak}):
+    # filtered from all congruences, so the nesting is tested, not assumed
+    congruences = enumerate_congruences(R)
+    weak, strong, twisted = ([c for c in congruences if primality(c, f)]
+                             for f in FLAVORS)
+    if not set(twisted) <= set(strong) <= set(weak):
         return False, "congruence classes fail to nest"
     for c in weak:
         ker = kernel_ideal(c)

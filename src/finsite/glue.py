@@ -27,13 +27,13 @@ from .semiring import (
 )
 from .site import CoverFamily, pairwise_overlaps
 from .spectra import (
-    congruence_spectrum,
     congruence_spectrum_pullback,
     k_spectrum,
     localization_spectrum_map,
     prime_spectrum,
     spectrum_pullback,
     visualization_chain,
+    visualization_space,
 )
 from .topology import (
     ContinuousMap,
@@ -280,16 +280,6 @@ def _loop_is_free(p: DiagramPath, budget: int) -> bool:
     return opened.cocones[0] == opened.cocones[-1]
 
 
-def visualization_space(R: FiniteSemiring, vis: str) -> FiniteTopSpace:
-    if vis == "prime":
-        return prime_spectrum(R).space
-    if vis == "k":
-        return k_spectrum(R)[0]
-    if vis in FLAVORS:
-        return congruence_spectrum(R, vis)[0]
-    raise ValueError(f"unknown visualization {vis!r}")
-
-
 def visualization_map(h: SemiringHom, vis: str) -> ContinuousMap:
     """The continuous map of visualization spaces a hom h: B -> A induces,
     running from the A side to the B side."""
@@ -299,10 +289,8 @@ def visualization_map(h: SemiringHom, vis: str) -> ContinuousMap:
         full = spectrum_pullback(h)
         src_k, src_incl = k_spectrum(h.source)
         tgt_k, tgt_incl = k_spectrum(h.target)
-        src_ids = [src_incl(i) for i in range(src_k.n)]
-        images = tuple(src_ids.index(full(tgt_incl(x)))
-                       for x in range(tgt_k.n))
-        return continuous_map(tgt_k, src_k, images)
+        return continuous_map(tgt_k, src_k, tuple(
+            src_incl.images.index(full(x)) for x in tgt_incl.images))
     if vis in FLAVORS:
         return congruence_spectrum_pullback(h, vis)
     raise ValueError(f"unknown visualization {vis!r}")
@@ -362,34 +350,24 @@ def glued_chain(P: SPresentation, bound: int = 8,
     chains = [visualization_chain(R) for R in P.semirings]
     report = is_monodromy_free(P, bound, budget)
     levels = tuple(_glue_checked(P, vis, report) for vis in CHAIN_LEVELS)
-    for ci in range(len(P.names)):
-        glued_spaces = tuple(lvl.chart_spaces[ci] for lvl in levels)
-        if chains[ci].spaces != glued_spaces:
-            raise InvariantError("a chart's chain spaces differ from its "
-                                 "glued chart spaces")
     # the square of each arrow against each comparison map must commute
     for si, di, h in P.arrows:
-        for lvl in range(4):
-            here = visualization_map(h, CHAIN_LEVELS[lvl])
-            there = visualization_map(h, CHAIN_LEVELS[lvl + 1])
-            for x in range(here.source.n):
-                if chains[di].maps[lvl](here(x)) != \
-                        there(chains[si].maps[lvl](x)):
-                    raise InvariantError("arrow breaks a comparison square")
-    maps = []
-    for lvl in range(4):
-        src, dst = levels[lvl], levels[lvl + 1]
-        maps.append(_map_out_of(
-            src, dst.space, [there.compose(c.maps[lvl])
-                             for there, c in zip(dst.charts, chains)],
-            "comparison map does not respect the gluing",
-            "comparison map misses a glued point"))
+        arrows = [visualization_map(h, vis) for vis in CHAIN_LEVELS]
+        for lvl, (here, there) in enumerate(zip(arrows, arrows[1:])):
+            if chains[di].maps[lvl].compose(here) != \
+                    there.compose(chains[si].maps[lvl]):
+                raise InvariantError("arrow breaks a comparison square")
+    maps = tuple(_map_out_of(src, dst.space,
+                             [there.compose(c.maps[lvl])
+                              for there, c in zip(dst.charts, chains)],
+                             "comparison map does not respect the gluing",
+                             "comparison map misses a glued point")
+                 for lvl, (src, dst) in enumerate(zip(levels, levels[1:])))
     for hook in (maps[0], maps[1], maps[3]):
         if not hook.is_injective():
             raise InvariantError("a subspace hook collapsed under gluing")
-    reached = {maps[2](i) for i in range(levels[2].space.n)}
-    return GluedChain(levels, CHAIN_LEVELS, tuple(maps),
-                      len(reached) == levels[3].space.n)
+    return GluedChain(levels, CHAIN_LEVELS, maps,
+                      len(set(maps[2].images)) == levels[3].space.n)
 
 
 def affine_glue_check(S: CoverFamily, budget: int = DEFAULT_BUDGET

@@ -2,9 +2,12 @@
 
 The prime spectrum is built from inclusion of primes, whose down-sets are
 the opens the basic opens U_h = primes avoiding h generate.  Congruences
-give three finer point sets (weak, strong, twisted prime congruences), built
-from refinement, whose down-sets are the opens the U_{a,b} = congruences
-separating a and b generate; all map down to Spec through the kernel ideal.
+give three finer point sets (weak, strong, twisted prime congruences); the
+weak one is built from refinement, whose down-sets are the opens the
+U_{a,b} = congruences separating a and b generate.  Twisted implies strong
+implies weak, so the strong and twisted spaces are the weak subspaces on
+the points that pass their test.  All map down to Spec through the kernel
+ideal.  A semiring's record keeps the five spaces and the chain, built once.
 """
 
 from __future__ import annotations
@@ -157,10 +160,30 @@ def _distinct_labels(labels) -> tuple[str, ...]:
 
 def k_spectrum(R: FiniteSemiring) -> tuple[FiniteTopSpace, ContinuousMap]:
     """Subspace of the prime spectrum on the prime k-ideals, with its
-    inclusion map."""
-    spec = prime_spectrum(R)
-    keep = [i for i, p in enumerate(spec.primes) if is_k_ideal(R, p)]
-    return subspace(spec.space, keep)
+    inclusion map; computed once per semiring."""
+    return _memo(R, ("subspace", "k"), lambda: _subspectrum(R, "k"))
+
+
+def _flavor_subspace(R: FiniteSemiring, flavor: str
+                     ) -> tuple[FiniteTopSpace, ContinuousMap]:
+    """The strong or twisted points as a subspace of the weak space, with
+    its inclusion; computed once per semiring and flavor."""
+    if flavor not in ("strong", "twisted"):
+        raise ValueError(f"unknown primality flavor {flavor!r}")
+    return _memo(R, ("subspace", flavor), lambda: _subspectrum(R, flavor))
+
+
+def _subspectrum(R: FiniteSemiring, vis: str
+                 ) -> tuple[FiniteTopSpace, ContinuousMap]:
+    """The prime k-ideals as a subspace of the prime spectrum, or the weak
+    points that pass the strong or twisted test as one of the weak space."""
+    if vis == "k":
+        spec = prime_spectrum(R)
+        return subspace(spec.space, [i for i, p in enumerate(spec.primes)
+                                     if is_k_ideal(R, p)])
+    return subspace(congruence_spectrum(R, "weak")[0],
+                    [i for i, c in enumerate(prime_congruences(R, "weak"))
+                     if primality(c, vis)])
 
 
 def primality(c: Congruence, flavor: str) -> bool:
@@ -200,30 +223,33 @@ def kernel_ideal(c: Congruence) -> frozenset[int]:
 
 
 def prime_congruences(R: FiniteSemiring, flavor: str) -> list[Congruence]:
-    """The flavor-prime congruences, filtered from all congruences once per
-    semiring and flavor; each call returns a fresh list."""
-    return list(_memo(R, ("prime", flavor), lambda: tuple(
-        c for c in enumerate_congruences(R) if primality(c, flavor))))
-
-
-def _congruence_label(c: Congruence) -> str:
-    R = c.semiring
-    return "".join(set_label(R.elements, block)
-                   for block in c.block_members())
+    """The flavor-prime congruences in the order of the weak ones, which
+    are filtered from all congruences; each call returns a fresh list."""
+    weak = _memo(R, ("prime", "weak"), lambda: tuple(
+        c for c in enumerate_congruences(R) if primality(c, "weak")))
+    if flavor == "weak":
+        return list(weak)
+    return [weak[i] for i in _flavor_subspace(R, flavor)[1].images]
 
 
 def congruence_spectrum(R: FiniteSemiring, flavor: str
                         ) -> tuple[FiniteTopSpace, ContinuousMap]:
     """Space of flavor-prime congruences plus the kernel map down to the
     prime spectrum; computed once per semiring and flavor."""
-    return _memo(R, ("space", flavor), lambda: _congruence_spectrum(R, flavor))
+    if flavor == "weak":
+        return _memo(R, ("space", "weak"), lambda: _congruence_spectrum(R))
+    space, incl = _flavor_subspace(R, flavor)
+    return _memo(R, ("space", flavor), lambda: (
+        space, congruence_spectrum(R, "weak")[1].compose(incl)))
 
 
-def _congruence_spectrum(R: FiniteSemiring, flavor: str
+def _congruence_spectrum(R: FiniteSemiring
                          ) -> tuple[FiniteTopSpace, ContinuousMap]:
     spec = prime_spectrum(R)
-    points = prime_congruences(R, flavor)
-    labels = _distinct_labels([_congruence_label(c) for c in points])
+    points = prime_congruences(R, "weak")
+    labels = _distinct_labels(["".join(set_label(R.elements, block)
+                                       for block in c.block_members())
+                               for c in points])
     # least open around d: the meet of the U_{a,b} d separates, {c : c <= d}
     space = from_preorder(labels, [[c <= d for d in points] for c in points])
     images = tuple(spec.point_of(kernel_ideal(c)) for c in points)
@@ -238,6 +264,17 @@ def _congruence_spectrum(R: FiniteSemiring, flavor: str
             raise InvariantError(
                 f"kernel map breaks the basic-open law at {h}")
     return space, down
+
+
+def visualization_space(R: FiniteSemiring, vis: str) -> FiniteTopSpace:
+    """The record's space of one of the five visualizations."""
+    if vis == "prime":
+        return prime_spectrum(R).space
+    if vis == "k":
+        return k_spectrum(R)[0]
+    if vis in FLAVORS:
+        return congruence_spectrum(R, vis)[0]
+    raise ValueError(f"unknown visualization {vis!r}")
 
 
 class SpectraChain(_Record):
@@ -255,31 +292,24 @@ class SpectraChain(_Record):
 
 
 def visualization_chain(R: FiniteSemiring) -> SpectraChain:
-    """Build the chain from the weak prime congruences; strong and twisted
-    primality are tested on the weak points only."""
+    """The chain over the five spaces the record keeps; computed once per
+    semiring."""
+    return _memo(R, "chain", lambda: _visualization_chain(R))
+
+
+def _visualization_chain(R: FiniteSemiring) -> SpectraChain:
     spec = prime_spectrum(R)
     k_space, k_incl = k_spectrum(R)
-    weak_points = prime_congruences(R, "weak")
     weak_space, weak_down = congruence_spectrum(R, "weak")
-    strong_ids, twisted_ids = ([i for i, c in enumerate(weak_points)
-                                if primality(c, f)]
-                               for f in ("strong", "twisted"))
-    strong_space, strong_incl = subspace(weak_space, strong_ids)
-    twisted_space, _ = subspace(weak_space, twisted_ids)
-    t_to_s = continuous_map(twisted_space, strong_space,
-                            tuple(strong_ids.index(i) for i in twisted_ids))
-
-    # the kernel map lands inside the k-points; express it against k_space
-    k_ids = [k_incl(i) for i in range(k_space.n)]
-    w_to_k = continuous_map(
-        weak_space, k_space,
-        tuple(k_ids.index(weak_down(i)) for i in range(weak_space.n)))
-
-    if not all(m.is_injective() for m in (t_to_s, strong_incl, k_incl)):
-        raise InvariantError("a subspace hook of the chain is not injective")
-    hit = {w_to_k(i) for i in range(weak_space.n)}
-    missing = tuple(k_space.points[j] for j in range(k_space.n)
-                    if j not in hit)
+    strong_space, strong_incl = _flavor_subspace(R, "strong")
+    twisted_space, twisted_incl = _flavor_subspace(R, "twisted")
+    # the hooks are injective as built; the kernel map lands in the k-points
+    t_to_s = continuous_map(twisted_space, strong_space, tuple(
+        strong_incl.images.index(i) for i in twisted_incl.images))
+    w_to_k = continuous_map(weak_space, k_space, tuple(
+        k_incl.images.index(i) for i in weak_down.images))
+    hit = set(w_to_k.images)
+    missing = tuple(p for j, p in enumerate(k_space.points) if j not in hit)
     return SpectraChain(
         spaces=(twisted_space, strong_space, weak_space, k_space, spec.space),
         names=("twisted", "strong", "weak", "k", "prime"),
@@ -360,11 +390,9 @@ def spectrum_report(R: FiniteSemiring) -> dict:
         "unreached_k_points": list(chain.unreached_k_points),
         "open_set_count": len(spec.space.open_masks),
     }
-    maps = {}
-    for name_pair, m in zip(
-            ("twisted_to_strong", "strong_to_weak", "weak_to_k",
-             "k_to_prime"), chain.maps):
-        maps[name_pair] = [[m.source.points[i], m.target.points[m(i)]]
-                           for i in range(m.source.n)]
-    report["chain_maps"] = maps
+    report["chain_maps"] = {
+        name: [[m.source.points[i], m.target.points[j]]
+               for i, j in enumerate(m.images)]
+        for name, m in zip(("twisted_to_strong", "strong_to_weak",
+                            "weak_to_k", "k_to_prime"), chain.maps)}
     return report

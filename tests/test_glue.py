@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finsite.glue
+import finsite.semiring
+import finsite.spectra
 from finsite.catalog import boolean, boolean_pair, catalog, trivial, zmod
 from finsite.glue import (
+    CHAIN_LEVELS,
     VISUALIZATIONS,
     DiagramPath,
     GlueError,
@@ -531,3 +534,38 @@ def test_monodromy_runs_once_per_chain(monkeypatch):
     monkeypatch.setattr(finsite.glue, "_closed_walks", counted)
     glued_chain(doubled_point_presentation())
     assert len(calls) == 1
+
+
+def test_chain_and_gluing_share_one_space_per_visualization():
+    for name, R in catalog():
+        chain = visualization_chain(R)
+        for space, vis in zip(chain.spaces, CHAIN_LEVELS):
+            assert space is visualization_space(R, vis), (name, vis)
+
+
+def test_k_gluing_builds_one_subspace_per_chart_object(monkeypatch):
+    builds = []
+    real = finsite.spectra._subspectrum
+
+    def counted(R, vis):
+        builds.append((id(R), vis))
+        return real(R, vis)
+
+    monkeypatch.setattr(finsite.spectra, "_subspectrum", counted)
+    P = atlas(cover_family(zmod(6), [1, 2, 3]))
+    glue_space(P, "k")
+    glue_space(P, "k")
+    assert sorted(builds) == sorted((i, "k")
+                                    for i in set(map(id, P.semirings)))
+
+
+def test_glued_chain_composes_only_along_shared_spaces(monkeypatch):
+    real = finsite.semiring._Map.compose
+
+    def checked(self, other):
+        assert other.target is self.source
+        return real(self, other)
+
+    monkeypatch.setattr(finsite.semiring._Map, "compose", checked)
+    for members in ([1], [2, 3], [1, 2, 3]):
+        glued_chain(atlas(cover_family(zmod(6), members)))

@@ -49,9 +49,11 @@ from finsite.spectra import (
     spectrum_report,
     visualization_chain,
 )
-from finsite.topology import subspace, validate_topology
+from finsite.topology import from_preorder, subspace, validate_topology
 
-from oracles import (full_primality, oracle_generated_opens, oracle_ideals,
+from census import census_upto
+from oracles import (full_primality, oracle_congruences,
+                     oracle_generated_opens, oracle_ideals,
                      oracle_is_k_ideal, oracle_is_prime_congruence,
                      oracle_is_prime_ideal, oracle_order_isomorphism,
                      oracle_primes)
@@ -373,6 +375,31 @@ def test_strong_and_twisted_spaces_carry_subspace_topology():
                     if primality(c, flavor)]
             traced, _ = subspace(weak_space, keep)
             assert traced.opens == own_space.opens, (name, flavor)
+
+
+def assert_flavor_records_match_oracle(R, name):
+    """Each flavor's points are the brute-force congruences that pass the
+    brute-force test, in order, and its space is their refinement order."""
+    congruences = oracle_congruences(R)
+    for flavor in FLAVORS:
+        expected = [b for b in congruences
+                    if oracle_is_prime_congruence(R, b, flavor)]
+        assert [c.blocks for c in prime_congruences(R, flavor)] == \
+            expected, (name, flavor)
+        refines = [[all(q[a] == q[b] for a in range(R.n) for b in range(R.n)
+                        if p[a] == p[b]) for q in expected] for p in expected]
+        space, _ = congruence_spectrum(R, flavor)
+        assert space == from_preorder(space.points, refines), (name, flavor)
+
+
+def test_flavor_records_match_oracle_on_the_catalog():
+    for name, R in catalog():
+        assert_flavor_records_match_oracle(R, name)
+
+
+def test_flavor_records_match_oracle_on_the_census():
+    for i, R in enumerate(census_upto(5)):
+        assert_flavor_records_match_oracle(R, f"census {R.n}/{i}")
 
 
 def test_visualization_chain_maps_compose():
