@@ -7,21 +7,30 @@ principal open.  Closed walks in the graph can force identifications a
 plain disjoint union would not see, and gluing refuses presentations where
 some loop does.  The colimit of a closed walk of k steps is the colimit of
 the walk cut open, coequalized along its end legs i_0 and i_k, so the loop
-is glue-safe exactly when i_0 == i_k: one colimit per loop.  A
-there-and-back walk along a surjective arrow (every finite localization
-is one) needs none, since the pushout of a surjection along itself has
-equal legs; it still counts its chart sizes against the budget.
+is glue-safe exactly when i_0 == i_k.
+
+A finite localization R -> R[1/s] is surjective: some power e of s is
+idempotent, R[1/s] is the corner eR, and a -> e*a reaches every e*x == x.
+Along a path of surjections the colimit of semirings is the colimit of
+sets, since the join of two congruences is the transitive closure of their
+union.  So one union-find over the elements of the walk's visits, joining
+x to h(x) for each step's hom h, decides the loop: i_0 == i_k exactly when
+each x of the start chart lands in one class at both ends.
 """
 
 from __future__ import annotations
 
-from .colimit import DEFAULT_BUDGET, SemiringDiagram, colimit
+from itertools import accumulate
+
 from .semiring import (
+    DEFAULT_BUDGET,
     FLAVORS,
     VISUALIZATIONS,
+    BudgetExceeded,
     FiniteSemiring,
     InvariantError,
     SemiringHom,
+    _memo,
     _Record,
     is_finite_localization,
 )
@@ -38,6 +47,7 @@ from .spectra import (
 from .topology import (
     ContinuousMap,
     FiniteTopSpace,
+    _classes,
     continuous_map,
     glue_along_maps,
 )
@@ -154,38 +164,6 @@ class DiagramPath(_Record):
         return text
 
 
-def _walk_diagram(p: DiagramPath, identify_ends: bool) -> SemiringDiagram:
-    """The algebra diagram of a walk: one node per visit, arrows running
-    against the walk's geometric direction.  With identify_ends the last
-    visit of a closed walk reuses the first node."""
-    P = p.presentation
-    seq = p.nodes_visited()
-    k = len(p.steps)
-    if identify_ends:
-        if seq[0] != seq[-1]:
-            raise GlueError("cannot identify the endpoints of an open walk")
-        m = k if k else 1
-    else:
-        m = k + 1
-    nodes = tuple(P.semirings[seq[t]] for t in range(m))
-    arrows = []
-    for t, (ai, forward) in enumerate(p.steps):
-        _, _, h = P.arrows[ai]
-        a, b = t % m, (t + 1) % m
-        arrows.append((b, a, h) if forward else ((a, b, h)))
-    return SemiringDiagram.build(nodes, arrows)
-
-
-def path_limit(p: DiagramPath, mode: str = "closed",
-               budget: int = DEFAULT_BUDGET) -> FiniteSemiring:
-    """Algebra of the limit carved out by a walk, computed as the colimit
-    of the walk's algebra diagram.  Mode "closed" treats a closed walk as a
-    loop, "opened" keeps every visit distinct."""
-    if mode not in ("closed", "opened"):
-        raise ValueError(f"unknown walk mode {mode!r}")
-    return colimit(_walk_diagram(p, mode == "closed"), budget=budget).semiring
-
-
 def closed_walks(P: SPresentation, bound: int = 8) -> list[DiagramPath]:
     """Self-loop traversals, there-and-back doublings of every arrow, and
     one representative of every simple cycle of at most bound steps."""
@@ -257,7 +235,7 @@ class MonodromyReport(_Record):
 
 def is_monodromy_free(P: SPresentation, bound: int = 8,
                       budget: int = DEFAULT_BUDGET) -> MonodromyReport:
-    """Check every enumerated closed walk for equal end legs (see above).
+    """Check every enumerated closed walk with one union-find (see above).
     A failing walk is conclusive; a clean sweep is conclusive only if the
     bound pruned no simple cycle, and is otherwise reported as
     inconclusive beyond the bound."""
@@ -269,20 +247,36 @@ def is_monodromy_free(P: SPresentation, bound: int = 8,
 
 
 def _loop_is_free(p: DiagramPath, budget: int) -> bool:
-    s = p.steps
-    if len(s) == 2 and s[0] == (s[1][0], not s[1][1]):
-        # there and back along one arrow; a chart over the budget still
-        # raises from `colimit`
-        h = p.presentation.arrows[s[0][0]][2]
-        if h.is_surjective() and max(h.source.n, h.target.n) <= budget:
-            return True
-    opened = colimit(_walk_diagram(p, False), budget=budget)
-    return opened.cocones[0] == opened.cocones[-1]
+    """Whether the end legs of the closed walk p agree (see above)."""
+    P = p.presentation
+    charts = [P.semirings[node] for node in p.nodes_visited()]
+    largest = max(R.n for R in charts)
+    if largest > budget:
+        raise BudgetExceeded(f"table size: a diagram node has {largest} "
+                             f"elements, over the element budget {budget}")
+    homs = [P.arrows[ai][2] for ai, _ in p.steps]
+    if len(homs) > 1 and not all(h.is_surjective() for h in homs):
+        raise ValueError(f"walk {p.describe()} crosses an arrow that is not "
+                         "surjective: its colimit needs a coproduct, which "
+                         "the union-find does not build")
+    offsets = list(accumulate((R.n for R in charts), initial=0))
+    pairs = []
+    for t, ((_, forward), h) in enumerate(zip(p.steps, homs)):
+        # h runs against the walk: out of visit t+1 on a forward step
+        at, to = offsets[t + forward], offsets[t + 1 - forward]
+        pairs += [(at + x, to + y) for x, y in enumerate(h.images)]
+    of, _ = _classes(offsets[-1], pairs)
+    return all(of[x] == of[offsets[-2] + x] for x in range(charts[0].n))
 
 
 def visualization_map(h: SemiringHom, vis: str) -> ContinuousMap:
     """The continuous map of visualization spaces a hom h: B -> A induces,
-    running from the A side to the B side."""
+    running from the A side to the B side; built once and kept in A's
+    record."""
+    return _memo(h.target, ("map", vis, h), lambda: _level_map(h, vis))
+
+
+def _level_map(h: SemiringHom, vis: str) -> ContinuousMap:
     if vis == "prime":
         return spectrum_pullback(h)
     if vis == "k":

@@ -11,10 +11,16 @@ from operator import attrgetter
 
 # Names the command-line parser needs, kept in the one module every command
 # loads: the congruence flavors, the five visualizations of a spectrum, and
-# the element budget of a colimit.
+# the element budget of the monodromy check.
 FLAVORS = ("weak", "strong", "twisted")
 VISUALIZATIONS = ("prime", "k") + FLAVORS
 DEFAULT_BUDGET = 10_000
+
+
+class BudgetExceeded(Exception):
+    """A chart on a walk the monodromy check visits has more elements than
+    the element budget.  The check holds no table but those charts: one
+    union-find entry per element of each visit of the walk."""
 
 
 class SemiringError(Exception):

@@ -200,6 +200,15 @@ def test_verify_enumerates_congruences_once(enumerations, capsys):
     assert set(enumerations.values()) == {1}, enumerations
 
 
+def test_containments_report_a_kernel_that_is_no_k_ideal(monkeypatch):
+    # the row tests the 0-class itself, so a failure is a fail row of
+    # `verify` rather than an error out of `kernel_ideal`
+    monkeypatch.setattr(finsite.spectra, "is_k_ideal", lambda R, members:
+                        False)
+    assert finsite.cli._containment_rows(zmod(6)) == (
+        False, "kernel not a prime k-ideal: {0,2,4}")
+
+
 def test_non_utf8_file_is_a_format_error(workdir, capsys):
     bad = workdir / "bad.bin"
     bad.write_bytes(b"\x00\xff")
@@ -739,13 +748,13 @@ def _command_inputs(workdir):
 
 
 @pytest.mark.parametrize("argv, absent", [
-    (("simplex", "--n", "1"), {"spectra", "site", "glue", "colimit"}),
-    (("spectrum", "z6.sr"), {"glue", "colimit"}),
-    (("congruences", "z6.sr"), {"glue", "colimit"}),
-    (("stone", "chain.lat"), {"glue", "colimit"}),
-    (("locale", "z6.sr"), {"glue", "colimit"}),
-    (("sheaf-check", "cov.txt"), {"glue", "colimit"}),
-    (("verify",), {"glue", "colimit"}),
+    (("simplex", "--n", "1"), {"spectra", "site", "glue"}),
+    (("spectrum", "z6.sr"), {"glue"}),
+    (("congruences", "z6.sr"), {"glue"}),
+    (("stone", "chain.lat"), {"glue"}),
+    (("locale", "z6.sr"), {"glue"}),
+    (("sheaf-check", "cov.txt"), {"glue"}),
+    (("verify",), {"glue"}),
 ])
 def test_commands_load_only_what_they_call(workdir, argv, absent):
     _command_inputs(workdir)
@@ -764,7 +773,7 @@ def test_no_command_loads_dataclasses_inspect_or_pkgutil(workdir, argv):
     status, modules, heavy = loaded_modules(workdir, *argv)
     assert status == 0
     assert heavy == set()
-    assert ("finsite.colimit" in modules) == (argv[0] == "glue")
+    assert ("finsite.glue" in modules) == (argv[0] == "glue")
 
 
 def test_every_submodule_is_an_attribute_of_the_package(tmp_path):

@@ -23,20 +23,20 @@ from finsite.glue import (
     glued_chain,
     MonodromyReport,
     is_monodromy_free,
-    path_limit,
     presentation,
     visualization_map,
     visualization_space,
 )
-from finsite.colimit import DEFAULT_BUDGET, BudgetExceeded
-from finsite.semiring import (SemiringHom, enumerate_homs, find_isomorphism,
+from finsite.semiring import (DEFAULT_BUDGET, BudgetExceeded, SemiringHom,
+                               enumerate_homs, find_isomorphism,
                                is_finite_localization, localize,
                                validate_semiring)
 from finsite.site import cover_family, covers
 from finsite.spectra import prime_spectrum, visualization_chain
 from finsite.topology import disjoint_union, quotient_space
 
-from oracles import loop_comparison
+from census import census_upto
+from oracles import loop_comparison, path_limit
 
 
 def oracle_homeomorphic(X, Y):
@@ -349,6 +349,43 @@ def test_monodromy_matches_oracle_on_mapped_presentations(P):
     assert_monodromy_matches_oracle(P)
 
 
+def census_presentations(R):
+    """Over R and its localizations: a self-loop at one chart, two arrows
+    from one chart into another, and a triangle of three charts, with every
+    choice of finite localizations for the arrows."""
+    pool = list(dict.fromkeys(
+        [R] + [localize(R, x).semiring for x in range(R.n)]))
+
+    def maps(tail, head):
+        return [h for h in enumerate_homs(head, tail)
+                if is_finite_localization(h) is not None]
+
+    for A in pool:
+        for h in maps(A, A):
+            yield presentation([("X", A)], [("X", "X", h)])
+    for A, B in itertools.product(pool, repeat=2):
+        for h1, h2 in itertools.combinations_with_replacement(maps(A, B), 2):
+            yield presentation([("U", A), ("X", B)],
+                               [("U", "X", h1), ("U", "X", h2)])
+    for A, B, C in itertools.product(pool, repeat=3):
+        for huv, hvw, huw in itertools.product(maps(A, B), maps(B, C),
+                                               maps(A, C)):
+            yield presentation(
+                [("U", A), ("V", B), ("W", C)],
+                [("U", "V", huv), ("V", "W", hvw), ("U", "W", huw)])
+
+
+def test_monodromy_matches_oracle_over_the_census():
+    # most census semirings of order at most 4 are no rings, where a union
+    # of congruences could part from their join if a map failed to be onto
+    obstructed = 0
+    for R in census_upto(4):
+        for P in census_presentations(R):
+            assert_monodromy_matches_oracle(P)
+            obstructed += not is_monodromy_free(P).free
+    assert obstructed > 0
+
+
 def test_there_and_back_walks_keep_the_budget_order():
     # the first walk is a there-and-back doubling: it raises the same
     # budget error, naming the largest chart, as its two colimits would
@@ -557,6 +594,21 @@ def test_k_gluing_builds_one_subspace_per_chart_object(monkeypatch):
     glue_space(P, "k")
     assert sorted(builds) == sorted((i, "k")
                                     for i in set(map(id, P.semirings)))
+
+
+def test_glued_chain_builds_each_level_map_once(monkeypatch):
+    builds = []
+    real = finsite.glue._level_map
+
+    def counted(h, vis):
+        builds.append((h, vis))
+        return real(h, vis)
+
+    monkeypatch.setattr(finsite.glue, "_level_map", counted)
+    for members in ([1], [2, 3], [1, 2, 3]):
+        glued_chain(atlas(cover_family(zmod(6), members)))
+    # five levels of the 2 arrows of the [2, 3] atlas and the 6 of [1, 2, 3]
+    assert len(builds) == 40
 
 
 def test_glued_chain_composes_only_along_shared_spaces(monkeypatch):

@@ -5,7 +5,6 @@ shown as `Name(field=value, ...)`, and closed to assignment."""
 import pytest
 
 from finsite.catalog import zmod
-from finsite.colimit import ColimitResult, SemiringDiagram, colimit
 from finsite.finset import (FinSet, asc, asc_presentation, finset,
                             finset_glue_space, identity_injection,
                             monodromy_wedge_counterexample)
@@ -14,7 +13,7 @@ from finsite.glue import (atlas, closed_walks, glue_space, glued_chain,
 from finsite.locales import frame_morphism, frame_of_opens
 from finsite.semiring import (_Record, diagonal_congruence, identity_hom,
                               localize)
-from finsite.site import cover_family, open_subscheme
+from finsite.site import CoverFamily, cover_family, open_subscheme
 from finsite.spectra import prime_spectrum, visualization_chain
 from finsite.topology import ContinuousMap
 
@@ -32,8 +31,7 @@ def one_of_each():
     return [R, identity_hom(R), diagonal_congruence(R), localize(R, 2),
             spec.space, visualization_chain(R).maps[0], spec,
             visualization_chain(R), cover.members[0], cover,
-            open_subscheme(R, [2]), SemiringDiagram.build([R], []),
-            colimit(SemiringDiagram.build([R], [])), P, closed_walks(P)[0],
+            open_subscheme(R, [2]), P, closed_walks(P)[0],
             is_monodromy_free(P), glue_space(P), glued_chain(P), A,
             identity_injection(A), K, asc_presentation(K),
             finset_glue_space(asc_presentation(K)),
@@ -59,7 +57,7 @@ def record_classes(base=_Record):
 
 def test_every_record_class_has_an_instance():
     assert {type(r) for r in RECORDS} == set(record_classes())
-    assert len(RECORDS) == 26
+    assert len(RECORDS) == 24
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
@@ -96,7 +94,7 @@ def test_records_of_different_classes_with_equal_fields_differ():
     cong = diagonal_congruence(R)
     hom = identity_hom(R)
     space = prime_spectrum(R).space
-    assert ColimitResult(R, cong.blocks) != cong
+    assert CoverFamily(R, cong.blocks) != cong
     assert ContinuousMap(R, R, hom.images) != hom
     assert FinSet(space.points) != ContinuousMap(space, space, ()) != space
 

@@ -14,10 +14,12 @@ from finsite.catalog import (
     truncated_naturals,
     zmod,
 )
+import finsite.site
 from finsite.semiring import (
     SemiringError,
     are_isomorphic,
     enumerate_homs,
+    hom_kernel,
     localize,
 )
 from finsite.site import (
@@ -36,7 +38,7 @@ from finsite.site import (
 from finsite.spectra import prime_spectrum
 from finsite.locales import spatiality_check
 
-from oracles import oracle_site_descent
+from oracles import oracle_site_descent, pushout
 
 
 def test_cover_criterion_on_examples():
@@ -217,6 +219,18 @@ def test_principal_open_props_small_bench():
         [name for name, _ in entries]
     assert all(row["pass"] for row in report["P2"])
     assert all(row["pass"] for row in report["P3"])
+
+
+def test_p3_congruence_is_the_kernel_of_the_pushout_leg():
+    # P3 reads the pushout of R[1/h] <- R -> T off one congruence of T
+    entries = catalog()
+    for (name, R), (name2, T) in itertools.product(entries, repeat=2):
+        for f in enumerate_homs(R, T):
+            for h in range(R.n):
+                s = localize(R, h).to_local
+                assert finsite.site._pushout_kernel(s, f) == \
+                    hom_kernel(pushout(s, f).cocones[2]), \
+                    (name, name2, f.images, R.elements[h])
 
 
 def test_iterated_localization_collapses_z6():

@@ -35,6 +35,19 @@ def test_no_module_imports_dataclasses_or_pkgutil():
     assert found == []
 
 
+def test_the_package_lists_every_module():
+    # `finsite/__init__.py` names its submodules; one left off the list
+    # would be no attribute of the package
+    pkg = Path(finsite.__file__).parent
+    tree = ast.parse((pkg / "__init__.py").read_text(encoding="utf-8"))
+    listed = [elt.value for node in ast.walk(tree)
+              if isinstance(node, ast.Tuple)
+              for elt in node.elts if isinstance(elt, ast.Constant)]
+    assert sorted(listed) == sorted(
+        path.stem for path in pkg.glob("*.py")
+        if path.stem not in ("__init__", "__main__"))
+
+
 def test_every_class_is_an_exception_or_a_record():
     # values are immutable records: equal by fields, closed to assignment
     found = []
