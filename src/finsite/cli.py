@@ -7,10 +7,10 @@ document with stable key order; reports are byte-identical across runs
 on identical inputs.
 
 Each command imports the modules it calls when it runs: `check` and
-`localize` load only `formats` and `semiring`, only `glue` loads the
-`glue` module, and none loads `dataclasses`, `inspect` or `pkgutil`.  The
-`glue` command's monodromy check runs one union-find per closed walk and
-builds no colimit.
+`localize` load only `formats` and `semiring`, only `glue` loads `colimit`,
+and none loads `dataclasses`, `inspect` or `pkgutil`.  The `glue`
+command's monodromy check runs one union-find per closed walk, the walk's
+colimit of sets.
 """
 
 from __future__ import annotations

@@ -7,21 +7,14 @@ principal open.  Closed walks in the graph can force identifications a
 plain disjoint union would not see, and gluing refuses presentations where
 some loop does.  The colimit of a closed walk of k steps is the colimit of
 the walk cut open, coequalized along its end legs i_0 and i_k, so the loop
-is glue-safe exactly when i_0 == i_k.
-
-A finite localization R -> R[1/s] is surjective: some power e of s is
-idempotent, R[1/s] is the corner eR, and a -> e*a reaches every e*x == x.
-Along a path of surjections the colimit of semirings is the colimit of
-sets, since the join of two congruences is the transitive closure of their
-union.  So one union-find over the elements of the walk's visits, joining
-x to h(x) for each step's hom h, decides the loop: i_0 == i_k exactly when
-each x of the start chart lands in one class at both ends.
+is glue-safe exactly when i_0 == i_k: when each x of the start chart lands
+in one class at both ends of the cut-open walk's colimit, which `colimit`
+computes with one union-find (gluing arrows are surjective).
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
-
+from .colimit import colimit
 from .semiring import (
     DEFAULT_BUDGET,
     FLAVORS,
@@ -47,7 +40,6 @@ from .spectra import (
 from .topology import (
     ContinuousMap,
     FiniteTopSpace,
-    _classes,
     continuous_map,
     glue_along_maps,
 )
@@ -259,13 +251,10 @@ def _loop_is_free(p: DiagramPath, budget: int) -> bool:
         raise ValueError(f"walk {p.describe()} crosses an arrow that is not "
                          "surjective: its colimit needs a coproduct, which "
                          "the union-find does not build")
-    offsets = list(accumulate((R.n for R in charts), initial=0))
-    pairs = []
-    for t, ((_, forward), h) in enumerate(zip(p.steps, homs)):
+    offsets, of = colimit(charts, [
         # h runs against the walk: out of visit t+1 on a forward step
-        at, to = offsets[t + forward], offsets[t + 1 - forward]
-        pairs += [(at + x, to + y) for x, y in enumerate(h.images)]
-    of, _ = _classes(offsets[-1], pairs)
+        (t + forward, t + 1 - forward, h)
+        for t, ((_, forward), h) in enumerate(zip(p.steps, homs))])
     return all(of[x] == of[offsets[-2] + x] for x in range(charts[0].n))
 
 

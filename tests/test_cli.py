@@ -748,13 +748,13 @@ def _command_inputs(workdir):
 
 
 @pytest.mark.parametrize("argv, absent", [
-    (("simplex", "--n", "1"), {"spectra", "site", "glue"}),
-    (("spectrum", "z6.sr"), {"glue"}),
-    (("congruences", "z6.sr"), {"glue"}),
-    (("stone", "chain.lat"), {"glue"}),
-    (("locale", "z6.sr"), {"glue"}),
-    (("sheaf-check", "cov.txt"), {"glue"}),
-    (("verify",), {"glue"}),
+    (("simplex", "--n", "1"), {"spectra", "site", "glue", "colimit"}),
+    (("spectrum", "z6.sr"), {"glue", "colimit"}),
+    (("congruences", "z6.sr"), {"glue", "colimit"}),
+    (("stone", "chain.lat"), {"glue", "colimit"}),
+    (("locale", "z6.sr"), {"glue", "colimit"}),
+    (("sheaf-check", "cov.txt"), {"glue", "colimit"}),
+    (("verify",), {"glue", "colimit"}),
 ])
 def test_commands_load_only_what_they_call(workdir, argv, absent):
     _command_inputs(workdir)
@@ -773,7 +773,7 @@ def test_no_command_loads_dataclasses_inspect_or_pkgutil(workdir, argv):
     status, modules, heavy = loaded_modules(workdir, *argv)
     assert status == 0
     assert heavy == set()
-    assert ("finsite.glue" in modules) == (argv[0] == "glue")
+    assert ("finsite.colimit" in modules) == (argv[0] == "glue")
 
 
 def test_every_submodule_is_an_attribute_of_the_package(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 import finsite
 from finsite.catalog import (boolean, boolean_pair, catalog, chain,
                              trivial, truncated_naturals, zmod)
+from finsite.colimit import colimit as set_colimit
 from finsite.semiring import (BudgetExceeded, TableError, congruence_closure,
                               enumerate_homs, find_isomorphism, hom_violation,
                               identity_hom, localize, product_semiring,
@@ -212,6 +213,24 @@ def test_localizations_are_surjective():
                 (name, R.elements[s])
 
 
+def test_set_colimit_of_a_zigzag_of_localizations_is_the_fold():
+    # R[g^-1] <- R -> R[h^-1] <- R: the union-find puts two laid-out
+    # elements in one class exactly when the fold's cocones agree on them
+    for name, R in catalog():
+        for g, h in itertools.product(range(R.n), repeat=2):
+            lg, lh = localize(R, g).to_local, localize(R, h).to_local
+            nodes = [lg.target, R, lh.target, R]
+            arrows = [(1, 0, lg), (1, 2, lh), (3, 2, lh)]
+            offsets, of = set_colimit(nodes, arrows)
+            res = colimit(SemiringDiagram.build(nodes, arrows))
+            legs = [(offsets[i] + x, c(x)) for i, c in enumerate(res.cocones)
+                    for x in range(c.source.n)]
+            assert {(a, b) for a, u in legs for b, v in legs
+                    if of[a] == of[b]} == \
+                {(a, b) for a, u in legs for b, v in legs if u == v}, \
+                (name, R.elements[g], R.elements[h])
+
+
 def test_non_surjective_arrow_takes_the_coproduct_step():
     # B^2 (+)_B B^2 is B^4: neither the diagonal nor the leg it meets is
     # surjective, so the pushout needs a coproduct, which is refused
@@ -254,7 +273,7 @@ def test_glue_and_colimit_state_invariants_without_assert():
     # `python -O` strips assert statements; every module raises instead
     pkg = Path(finsite.__file__).parent
     modules = sorted(pkg.glob("*.py"))
-    assert "glue.py" in {path.name for path in modules}
+    assert {"glue.py", "colimit.py"} <= {path.name for path in modules}
     for path in modules:
         tree = ast.parse(path.read_text())
         asserts = [node.lineno for node in ast.walk(tree)
