@@ -8,8 +8,9 @@ closed point.  Covering data is a family of injections into a common
 target; the sheaf condition for plain maps of sets turns out to track
 joint surjectivity of the family, and the pretopology that demands a
 bijective member is strictly smaller.  Face charts glue through
-`topology.glue_along_maps`; descent and walk limits share
-`matching_tuples` and `descent_verdict` there with the semiring site.
+`topology.glue_along_maps`, once each chart is seen to embed in the glued
+set of elements; descent and walk limits share `matching_tuples` and
+`descent_verdict` there with the semiring site.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .semiring import InvariantError, _Map, _Record
 from .topology import (
     ContinuousMap,
     FiniteTopSpace,
+    _classes,
     continuous_map,
     descent_verdict,
     from_preorder,
@@ -340,7 +342,25 @@ class FinSetGluedSpace(_Record):
 
 def finset_glue_space(P: FinSetPresentation) -> FinSetGluedSpace:
     """Disjoint union of the chart simplices modulo the identifications the
-    arrow face maps induce, with the quotient topology."""
+    arrow face maps induce, with the quotient topology.  Refused unless
+    each chart embeds in the glued set of elements: the carriers side by
+    side with each x joined to f(x) for each arrow f.  Two elements of one
+    chart joined there are a monodromy obstruction, a closed walk of
+    arrows carrying one onto the other."""
+    offsets = [0]
+    for A in P.carriers:
+        offsets.append(offsets[-1] + A.n)
+    of, _ = _classes(offsets[-1], [(offsets[si] + x, offsets[di] + f(x))
+                                   for si, di, f in P.arrows
+                                   for x in range(f.source.n)])
+    for ci, A in enumerate(P.carriers):
+        first = {}
+        for x in range(A.n):
+            y = first.setdefault(of[offsets[ci] + x], x)
+            if y != x:
+                raise FinSetError(
+                    f"monodromy: the arrows identify {A.labels[y]} and "
+                    f"{A.labels[x]} in chart {P.names[ci]}")
     spaces = [simplex_space(A) for A in P.carriers]
     glued, charts, provenance = glue_along_maps(
         P.names, spaces, [(si, di, _face_map(f, spaces[si], spaces[di]))

@@ -6,11 +6,18 @@ is generated by a join-prime element, so the dual space is computed from
 those generators.  By Birkhoff duality a finite distributive lattice is the
 lattice of down-sets of its join-irreducibles (the elements with exactly
 one lower cover), and these are exactly its join-primes.
+
+A finite space keeps its frame of opens, and a frame its Stone dual, in
+the record `semiring._memo` fills: each is built and validated once, on
+first use, and equality, hash and repr ignore it.
 """
 
 from __future__ import annotations
 
-from .semiring import _Map, _Record
+from functools import cached_property
+from itertools import compress
+
+from .semiring import _Map, _memo, _Record
 from .topology import (
     ContinuousMap,
     FiniteTopSpace,
@@ -38,6 +45,11 @@ class FiniteFrame(_Record):
     bottom: int
     top: int
     primes: tuple[int, ...]
+
+    @cached_property
+    def _derived(self) -> dict:
+        """What `semiring._memo` keeps for this frame: its Stone dual."""
+        return {}
 
     @property
     def n(self):
@@ -72,46 +84,44 @@ def finite_frame(elements, leq) -> FiniteFrame:
     n = len(elements)
     if len(set(elements)) != n:
         raise FrameError("duplicate element labels")
-    leq = tuple(tuple(bool(x) for x in row) for row in leq)
+    leq = tuple(tuple(map(bool, row)) for row in leq)
     if len(leq) != n or any(len(row) != n for row in leq):
         raise FrameError("order matrix shape mismatch")
     # up[a] and down[a]: the elements above and below a, as bitmasks
-    up = [sum(1 << b for b in range(n) if leq[a][b]) for a in range(n)]
-    down = [sum(1 << a for a in range(n) if leq[a][b]) for b in range(n)]
+    powers = [1 << b for b in range(n)]
+    cols = tuple(zip(*leq))
+    up = [sum(compress(powers, row)) for row in leq]
+    down = [sum(compress(powers, col)) for col in cols]
     for a in range(n):
         if not leq[a][a]:
             raise FrameError(f"order not reflexive at {elements[a]}")
-        for b in range(n):
-            if a != b and leq[a][b] and leq[b][a]:
+        # both checks concern the b above a, taken in index order
+        for b in compress(range(n), leq[a]):
+            if a != b and leq[b][a]:
                 raise FrameError(
                     f"order not antisymmetric on {elements[a]}, {elements[b]}")
             # some c above b is not above a
-            if leq[a][b] and up[b] & ~up[a]:
+            if up[b] & ~up[a]:
                 raise FrameError(
                     f"order not transitive through {elements[b]}")
 
     # in a poset an element is fixed by its up-set: a v b, when it exists,
     # is the element whose up-set is up(a) & up(b), and dually for meets
-    by_up = {u: c for c, u in enumerate(up)}
-    by_down = {d: c for c, d in enumerate(down)}
+    def table(masks, kind):
+        by_mask = {m: c for c, m in enumerate(masks)}
+        rows = tuple(tuple(map(by_mask.get, [m & k for k in masks]))
+                     for m in masks)
+        for a, row in enumerate(rows):
+            if None in row:
+                raise FrameError(f"no {kind} for {elements[a]}, "
+                                 f"{elements[row.index(None)]}")
+        return rows
 
-    def bound(a, b, below):
-        if below:
-            best = by_down.get(down[a] & down[b])
-        else:
-            best = by_up.get(up[a] & up[b])
-        if best is None:
-            kind = "meet" if below else "join"
-            raise FrameError(
-                f"no {kind} for {elements[a]}, {elements[b]}")
-        return best
-
-    meet = tuple(tuple(bound(a, b, True) for b in range(n))
-                 for a in range(n))
-    join = tuple(tuple(bound(a, b, False) for b in range(n))
-                 for a in range(n))
-    bottoms = [a for a in range(n) if all(leq[a][b] for b in range(n))]
-    tops = [a for a in range(n) if all(leq[b][a] for b in range(n))]
+    meet = table(down, "meet")
+    join = table(up, "join")
+    full = (1 << n) - 1
+    bottoms = [a for a in range(n) if up[a] == full]
+    tops = [a for a in range(n) if down[a] == full]
     if len(bottoms) != 1 or len(tops) != 1:
         raise FrameError("missing bottom or top")
     # Birkhoff: a finite lattice is distributive iff each join-irreducible
@@ -119,15 +129,23 @@ def finite_frame(elements, leq) -> FiniteFrame:
     # join-irreducibles below x.  A j below a v b but below neither a nor b
     # has j ^ (a v b) = j above (j ^ a) v (j ^ b), which lies under j's
     # one lower cover, so (j, a, b) witnesses the failure.
-    lower = [0] * n
-    for _, b in cover_pairs(leq):
-        lower[b] += 1
-    primes = tuple(j for j in range(n) if lower[j] == 1)
-    irreducible = sum(1 << j for j in primes)
+    strict = [d & ~p for d, p in zip(down, powers)]
+    primes = []
+    for j in range(n):
+        # the lower covers of j: below j, and below nothing else below j
+        covers = strict[j]
+        for c in compress(range(n), cols[j]):
+            if c != j:
+                covers &= ~strict[c]
+        if covers.bit_count() == 1:
+            primes.append(j)
+    primes = tuple(primes)
+    irreducible = sum(powers[j] for j in primes)
     J = [d & irreducible for d in down]
     for a in range(n):
+        Ja, row = J[a], join[a]
         for b in range(a + 1, n):
-            missed = J[join[a][b]] & ~(J[a] | J[b])
+            missed = J[row[b]] & ~(Ja | J[b])
             if missed:
                 j = (missed & -missed).bit_length() - 1
                 raise FrameError(
@@ -146,10 +164,15 @@ def frame_from_covers(elements, pairs) -> FiniteFrame:
 
 
 def frame_of_opens(X: FiniteTopSpace) -> FiniteFrame:
-    """The lattice of open sets ordered by inclusion, in canonical order."""
-    opens = X.sorted_opens()
-    labels = tuple(set_label(X.points, u) for u in opens)
-    leq = tuple(tuple(u <= v for v in opens) for u in opens)
+    """The lattice of open sets ordered by inclusion, in canonical order;
+    validated on first use and kept by X."""
+    return _memo(X, "frame", lambda: _frame_of_opens(X))
+
+
+def _frame_of_opens(X: FiniteTopSpace) -> FiniteFrame:
+    labels = tuple(set_label(X.points, u) for u in X.sorted_opens())
+    opens = X.open_masks
+    leq = tuple(tuple([u & ~v == 0 for v in opens]) for u in opens)
     return finite_frame(labels, leq)
 
 
@@ -189,19 +212,23 @@ def opens_pullback(f: ContinuousMap) -> FrameMorphism:
     running the other way."""
     LY = frame_of_opens(f.target)
     LX = frame_of_opens(f.source)
-    src_opens = f.source.sorted_opens()
-    images = []
-    for v in f.target.sorted_opens():
-        pre = frozenset(x for x in range(f.source.n) if f(x) in v)
-        images.append(src_opens.index(pre))
+    position = {u: i for i, u in enumerate(f.source.open_masks)}
+    images = [position[sum(1 << x for x, y in enumerate(f.images)
+                           if v >> y & 1)]
+              for v in f.target.open_masks]
     return frame_morphism(LY, LX, images)
 
 
 def stone_dual(L: FiniteFrame) -> tuple[FiniteTopSpace, tuple[frozenset[int], ...]]:
     """The space of completely prime filters of L, each the up-set of a
     join-prime; built from the join-prime order, whose down-sets are the
-    O_u = filters containing u, so the O_u generate the same topology."""
-    gens = L.join_primes()
+    O_u = filters containing u, so the O_u generate the same topology.
+    Built on first use and kept by L."""
+    return _memo(L, "dual", lambda: _stone_dual(L))
+
+
+def _stone_dual(L: FiniteFrame):
+    gens = L.primes
     filters = tuple(frozenset(u for u in range(L.n) if L.leq[m][u])
                     for m in gens)
     labels = tuple(L.elements[m] for m in gens)
@@ -228,13 +255,13 @@ def sobrification_unit(X: FiniteTopSpace) -> ContinuousMap:
     """The canonical comparison x -> (filter of opens containing x) into
     the dual of the open-set frame; a homeomorphism exactly on T0 spaces."""
     L = frame_of_opens(X)
-    opens = X.sorted_opens()
-    dual, filters = stone_dual(L)
-    images = []
-    for x in range(X.n):
-        fx = frozenset(i for i, u in enumerate(opens) if x in u)
-        images.append(filters.index(fx))
-    return continuous_map(X, dual, tuple(images))
+    dual, _ = stone_dual(L)
+    # the opens around x are those holding x's least open: the up-set of
+    # that open, a join-prime, so the filter of the dual's point there
+    position = {u: i for i, u in enumerate(X.open_masks)}
+    point = {m: p for p, m in enumerate(L.primes)}
+    return continuous_map(X, dual, tuple(point[position[least]]
+                                         for least in X._below))
 
 
 def is_sober(X: FiniteTopSpace):

@@ -132,9 +132,10 @@ class FiniteSemiring(_Record):
         return f"FiniteSemiring({self.n} elements: {' '.join(self.elements)})"
 
 
-def _memo(R: FiniteSemiring, key, build):
+def _memo(R, key, build):
     """R's derived value under `key`, built by `build()` on first use and
-    kept for the life of the semiring object."""
+    kept for the life of R, a record with a `_derived` dict: a semiring,
+    a finite space or a frame."""
     memo = R._derived
     if key not in memo:
         memo[key] = build()

@@ -70,6 +70,11 @@ class FiniteTopSpace(_Record):
     above: tuple[int, ...]
 
     @cached_property
+    def _derived(self) -> dict:
+        """What `semiring._memo` keeps for this space: its frame of opens."""
+        return {}
+
+    @cached_property
     def _below(self) -> tuple[int, ...]:
         """Per point x, its least open neighbourhood: the points y <= x."""
         return _converse(self.above)

@@ -24,3 +24,22 @@ def enumerations(monkeypatch):
 
     monkeypatch.setattr(finsite.semiring, "_congruences", counted)
     return counts
+
+
+@pytest.fixture
+def frame_builds(monkeypatch):
+    """Counter, per tuple of element labels, of frames validated by
+    `locales.finite_frame`: the builds behind the frame each space keeps,
+    not calls to `frame_of_opens`."""
+    import finsite.locales
+
+    counts = collections.Counter()
+    original = finsite.locales.finite_frame
+
+    def counted(elements, leq):
+        elements = tuple(elements)
+        counts[elements] += 1
+        return original(elements, leq)
+
+    monkeypatch.setattr(finsite.locales, "finite_frame", counted)
+    return counts

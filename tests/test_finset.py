@@ -288,6 +288,27 @@ def test_wedge_counterexample():
     assert report.witness == "V <- U -> V"
 
 
+def test_glue_refuses_a_chart_whose_elements_the_arrows_identify():
+    # the wedge of monodromy_wedge_counterexample: two arrows U -> V send
+    # U's one element to both of V's, so V cannot embed in the glued set
+    U, V = finset(("x",)), finset(("x", "y"))
+    wedge = finset_presentation([("V", V), ("U", U)],
+                                [("U", "V", injection(U, V, (0,))),
+                                 ("U", "V", injection(U, V, (1,)))])
+    with pytest.raises(FinSetError,
+                       match=r"^monodromy: .* x and y in chart V$"):
+        finset_glue_space(wedge)
+    two = letters(2)
+    swap = finset_presentation([("S", two)],
+                               [("S", "S", injection(two, two, (1, 0)))])
+    with pytest.raises(FinSetError,
+                       match=r"^monodromy: .* a and b in chart S$"):
+        finset_glue_space(swap)
+    loop = finset_presentation([("S", two)],
+                               [("S", "S", identity_injection(two))])
+    assert finset_glue_space(loop).space.n == 3
+
+
 def test_sheaf_check_against_bruteforce_oracle():
     """The whole verdict, witness included, for every injection family
     into a set of at most three elements against every test set of at

@@ -22,8 +22,10 @@ from finsite.locales import (
     stone_dual,
     stone_map,
 )
+from finsite.site import lambda_X, theorem_A_check
 from finsite.spectra import prime_spectrum
 from finsite.topology import (
+    FiniteTopSpace,
     continuous_map,
     disjoint_union,
     from_preorder,
@@ -31,6 +33,7 @@ from finsite.topology import (
     validate_topology,
 )
 
+from census import census_upto
 from oracles import (
     oracle_bound,
     oracle_cover_pairs,
@@ -420,3 +423,47 @@ def test_join_primes_of_face_spaces_are_least_opens(complex_spec):
     faces = [[vertices[v] for v in f] for f in faces]
     faces += [[v] for v in vertices]
     assert_join_primes_are_least_opens(face_space(asc(vertices, faces)))
+
+
+def test_theorem_A_spatiality_and_the_unit_build_one_frame(frame_builds):
+    # a space keeps its validated frame of opens, so lambda_X and the unit
+    # read the frame that Theorem A built
+    for name, R in catalog():
+        frame_builds.clear()
+        X = prime_spectrum(R).space
+        assert theorem_A_check(R)[0], name
+        assert spatiality_check(lambda_X(R)[0]), name
+        sobrification_unit(X)
+        assert sum(frame_builds.values()) == 1, name
+
+
+def test_a_kept_frame_and_dual_change_no_value():
+    X = prime_spectrum(zmod(6)).space
+    L = frame_of_opens(X)
+    assert frame_of_opens(X) is L
+    assert stone_dual(L) is stone_dual(L)
+    for filled in (X, L):
+        bare = type(filled)(*(getattr(filled, f) for f in filled._fields))
+        assert filled._derived and "_derived" not in vars(bare)
+        assert filled == bare and bare == filled
+        assert hash(filled) == hash(bare)
+        assert repr(filled) == repr(bare)
+    assert frame_of_opens(FiniteTopSpace(X.points, X.above)) == L
+
+
+def test_theorem_A_and_spatiality_over_the_census():
+    for R in census_upto(5):
+        tables = (R.elements, R.add, R.mul)
+        assert theorem_A_check(R)[0], tables
+        assert spatiality_check(lambda_X(R)[0]), tables
+        X = prime_spectrum(R).space
+        opens = X.sorted_opens()
+        leq = [[u <= v for v in opens] for u in opens]
+        L = frame_of_opens(X)
+        assert [list(row) for row in L.leq] == leq, tables
+        meet, join, bottom, top = oracle_frame(L.elements, leq)
+        assert [list(row) for row in L.meet] == meet, tables
+        assert [list(row) for row in L.join] == join, tables
+        assert (L.bottom, L.top) == (bottom, top), tables
+        assert L.join_primes() == oracle_join_primes(leq, join, bottom), \
+            tables
