@@ -22,7 +22,6 @@ from .semiring import InvariantError, _Map, _Record
 from .topology import (
     ContinuousMap,
     FiniteTopSpace,
-    _classes,
     continuous_map,
     descent_verdict,
     from_preorder,
@@ -347,24 +346,20 @@ def finset_glue_space(P: FinSetPresentation) -> FinSetGluedSpace:
     side with each x joined to f(x) for each arrow f.  Two elements of one
     chart joined there are a monodromy obstruction, a closed walk of
     arrows carrying one onto the other."""
-    offsets = [0]
-    for A in P.carriers:
-        offsets.append(offsets[-1] + A.n)
-    of, _ = _classes(offsets[-1], [(offsets[si] + x, offsets[di] + f(x))
-                                   for si, di, f in P.arrows
-                                   for x in range(f.source.n)])
-    for ci, A in enumerate(P.carriers):
-        first = {}
-        for x in range(A.n):
-            y = first.setdefault(of[offsets[ci] + x], x)
-            if y != x:
-                raise FinSetError(
-                    f"monodromy: the arrows identify {A.labels[y]} and "
-                    f"{A.labels[x]} in chart {P.names[ci]}")
     spaces = [simplex_space(A) for A in P.carriers]
     glued, charts, provenance = glue_along_maps(
         P.names, spaces, [(si, di, _face_map(f, spaces[si], spaces[di]))
                           for si, di, f in P.arrows])
+    # a simplex lists its vertices first, and the face maps join vertex to
+    # vertex exactly as the arrows join element to element
+    for name, A, chart in zip(P.names, P.carriers, charts):
+        first = {}
+        for x in range(A.n):
+            y = first.setdefault(chart(x), x)
+            if y != x:
+                raise FinSetError(
+                    f"monodromy: the arrows identify {A.labels[y]} and "
+                    f"{A.labels[x]} in chart {name}")
     return FinSetGluedSpace(P, glued, tuple(spaces), charts, provenance)
 
 

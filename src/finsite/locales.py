@@ -14,7 +14,6 @@ first use, and equality, hash and repr ignore it.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import compress
 
 from .semiring import _Map, _memo, _Record
@@ -45,11 +44,6 @@ class FiniteFrame(_Record):
     bottom: int
     top: int
     primes: tuple[int, ...]
-
-    @cached_property
-    def _derived(self) -> dict:
-        """What `semiring._memo` keeps for this frame: its Stone dual."""
-        return {}
 
     @property
     def n(self):
@@ -89,9 +83,8 @@ def finite_frame(elements, leq) -> FiniteFrame:
         raise FrameError("order matrix shape mismatch")
     # up[a] and down[a]: the elements above and below a, as bitmasks
     powers = [1 << b for b in range(n)]
-    cols = tuple(zip(*leq))
     up = [sum(compress(powers, row)) for row in leq]
-    down = [sum(compress(powers, col)) for col in cols]
+    down = [sum(compress(powers, col)) for col in zip(*leq)]
     for a in range(n):
         if not leq[a][a]:
             raise FrameError(f"order not reflexive at {elements[a]}")
@@ -129,17 +122,10 @@ def finite_frame(elements, leq) -> FiniteFrame:
     # join-irreducibles below x.  A j below a v b but below neither a nor b
     # has j ^ (a v b) = j above (j ^ a) v (j ^ b), which lies under j's
     # one lower cover, so (j, a, b) witnesses the failure.
-    strict = [d & ~p for d, p in zip(down, powers)]
-    primes = []
-    for j in range(n):
-        # the lower covers of j: below j, and below nothing else below j
-        covers = strict[j]
-        for c in compress(range(n), cols[j]):
-            if c != j:
-                covers &= ~strict[c]
-        if covers.bit_count() == 1:
-            primes.append(j)
-    primes = tuple(primes)
+    lower = [0] * n
+    for _, b in cover_pairs(leq):
+        lower[b] += 1
+    primes = tuple(j for j in range(n) if lower[j] == 1)
     irreducible = sum(powers[j] for j in primes)
     J = [d & irreducible for d in down]
     for a in range(n):

@@ -7,6 +7,7 @@ and is never special-cased away.
 
 from __future__ import annotations
 
+from functools import cached_property
 from operator import attrgetter
 
 # Names the command-line parser needs, kept in the one module every command
@@ -85,6 +86,12 @@ class _Record:
         return (type(self).__qualname__ + "(" + ", ".join(
             f"{f}={getattr(self, f)!r}" for f in self._fields) + ")")
 
+    @cached_property
+    def _derived(self) -> dict:
+        """What `_memo` keeps for this record, made on first use; not a
+        field, so ==, hash and repr ignore it."""
+        return {}
+
 
 class FiniteSemiring(_Record):
     """A validated finite commutative semiring.
@@ -98,10 +105,6 @@ class FiniteSemiring(_Record):
     mul: tuple[tuple[int, ...], ...]
     zero: int
     one: int
-
-    def __post_init__(self):
-        # no field: ==, hash and repr ignore what `_memo` keeps here
-        object.__setattr__(self, "_derived", {})
 
     @property
     def n(self) -> int:
@@ -134,8 +137,7 @@ class FiniteSemiring(_Record):
 
 def _memo(R, key, build):
     """R's derived value under `key`, built by `build()` on first use and
-    kept for the life of R, a record with a `_derived` dict: a semiring,
-    a finite space or a frame."""
+    kept for the life of the record R in its `_derived` dict."""
     memo = R._derived
     if key not in memo:
         memo[key] = build()

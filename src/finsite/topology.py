@@ -20,6 +20,7 @@ base is a bijection onto them.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import compress
 
 from .semiring import InvariantError, _Map, _Record
 
@@ -68,11 +69,6 @@ class FiniteTopSpace(_Record):
     first use, and equality, hash and repr ignore it."""
     points: tuple[str, ...]
     above: tuple[int, ...]
-
-    @cached_property
-    def _derived(self) -> dict:
-        """What `semiring._memo` keeps for this space: its frame of opens."""
-        return {}
 
     @cached_property
     def _below(self) -> tuple[int, ...]:
@@ -245,17 +241,20 @@ def cover_pairs(leq) -> list[tuple[int, int]]:
     lies strictly below y (leq[x][y] but not leq[y][x]) and no point lies
     strictly between them."""
     n = len(leq)
-    strict = [sum(1 << y for y in range(n) if leq[x][y] and not leq[y][x])
-              for x in range(n)]
+    powers = [1 << y for y in range(n)]
+    # strict[x]: the points above x (its row) and not below x (its column)
+    strict = [sum(compress(powers, row)) & ~sum(compress(powers, col))
+              for row, col in zip(leq, zip(*leq))]
     out = []
-    for x in range(n):
+    for x, row in enumerate(leq):
         # y covers x when it lies strictly above x but not strictly above
         # any point strictly above x
-        covers = strict[x]
-        for z in range(n):
-            if strict[x] >> z & 1:
+        above = strict[x]
+        covers = above
+        for z in compress(range(n), row):
+            if above >> z & 1:
                 covers &= ~strict[z]
-        out += [(x, y) for y in range(n) if covers >> y & 1]
+        out += [(x, y) for y in _bits(covers)]
     return out
 
 
