@@ -7,7 +7,6 @@ and is never special-cased away.
 
 from __future__ import annotations
 
-from functools import cached_property
 from operator import attrgetter
 
 # Names the command-line parser needs, kept in the one module every command
@@ -86,12 +85,6 @@ class _Record:
         return (type(self).__qualname__ + "(" + ", ".join(
             f"{f}={getattr(self, f)!r}" for f in self._fields) + ")")
 
-    @cached_property
-    def _derived(self) -> dict:
-        """What `_memo` keeps for this record, made on first use; not a
-        field, so ==, hash and repr ignore it."""
-        return {}
-
 
 class FiniteSemiring(_Record):
     """A validated finite commutative semiring.
@@ -137,8 +130,15 @@ class FiniteSemiring(_Record):
 
 def _memo(R, key, build):
     """R's derived value under `key`, built by `build()` on first use and
-    kept for the life of the record R in its `_derived` dict."""
-    memo = R._derived
+    kept for the life of the record R.  The values live in R's `_derived`
+    dict, made here on R's first use; it is no field, so ==, hash and repr
+    ignore it.  It is no class attribute either: on CPython 3.11 a
+    descriptor of that name on the class slows every later read of it."""
+    try:
+        memo = R._derived
+    except AttributeError:
+        memo = {}
+        object.__setattr__(R, "_derived", memo)
     if key not in memo:
         memo[key] = build()
     return memo[key]
