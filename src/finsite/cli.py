@@ -73,7 +73,7 @@ def cmd_spectrum(ns):
                                        for i, p in enumerate(under)
                                        if p in spec.basic_open(h))
                  for h in range(R.n)}
-    discrete = len(space.opens) == 2 ** space.n
+    discrete = len(space.open_masks) == 2 ** space.n
     head = _count(space.n) + (", discrete" if discrete else "")
     listing, space_data = _space_listing(space, ns.dot)
     lines = [f"flavor: {ns.flavor}", head] + listing

@@ -9,7 +9,9 @@ some loop does.  The colimit of a closed walk of k steps is the colimit of
 the walk cut open, coequalized along its end legs i_0 and i_k, so the loop
 is glue-safe exactly when i_0 == i_k: when each x of the start chart lands
 in one class at both ends of the cut-open walk's colimit, which `colimit`
-computes with one union-find (gluing arrows are surjective).
+computes with one union-find (gluing arrows are surjective).  A glued
+space joins the charts' spaces of one visualization along the maps
+`spectra.visualization_map` pulls back along the arrows' algebra maps.
 """
 
 from __future__ import annotations
@@ -17,24 +19,21 @@ from __future__ import annotations
 from .colimit import colimit
 from .semiring import (
     DEFAULT_BUDGET,
-    FLAVORS,
     VISUALIZATIONS,
     BudgetExceeded,
     FiniteSemiring,
     InvariantError,
     SemiringHom,
-    _memo,
     _Record,
     is_finite_localization,
 )
 from .site import CoverFamily, pairwise_overlaps
 from .spectra import (
-    congruence_spectrum_pullback,
-    k_spectrum,
+    CHAIN_LEVELS,
     localization_spectrum_map,
     prime_spectrum,
-    spectrum_pullback,
     visualization_chain,
+    visualization_map,
     visualization_space,
 )
 from .topology import (
@@ -43,9 +42,6 @@ from .topology import (
     continuous_map,
     glue_along_maps,
 )
-
-CHAIN_LEVELS = ("twisted", "strong", "weak", "k", "prime")
-
 
 class GlueError(Exception):
     pass
@@ -256,27 +252,6 @@ def _loop_is_free(p: DiagramPath, budget: int) -> bool:
         (t + forward, t + 1 - forward, h)
         for t, ((_, forward), h) in enumerate(zip(p.steps, homs))])
     return all(of[x] == of[offsets[-2] + x] for x in range(charts[0].n))
-
-
-def visualization_map(h: SemiringHom, vis: str) -> ContinuousMap:
-    """The continuous map of visualization spaces a hom h: B -> A induces,
-    running from the A side to the B side; built once and kept in A's
-    record."""
-    return _memo(h.target, ("map", vis, h), lambda: _level_map(h, vis))
-
-
-def _level_map(h: SemiringHom, vis: str) -> ContinuousMap:
-    if vis == "prime":
-        return spectrum_pullback(h)
-    if vis == "k":
-        full = spectrum_pullback(h)
-        src_k, src_incl = k_spectrum(h.source)
-        tgt_k, tgt_incl = k_spectrum(h.target)
-        return continuous_map(tgt_k, src_k, tuple(
-            src_incl.images.index(full(x)) for x in tgt_incl.images))
-    if vis in FLAVORS:
-        return congruence_spectrum_pullback(h, vis)
-    raise ValueError(f"unknown visualization {vis!r}")
 
 
 class GluedSpace(_Record):

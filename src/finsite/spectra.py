@@ -1,13 +1,16 @@
 """Ideals, prime ideals, k-ideals, and the spectra built from them.
 
+A semiring has five visualizations, joined by the comparison chain
+twisted -> strong -> weak -> k -> prime.  Each level's points are the
+next level's points that pass its test, and its space is the next level's
+subspace on them.  The weak points are the exception: they are filtered
+from all congruences, and they map to the k-points by their kernel ideal.
 The prime spectrum is built from inclusion of primes, whose down-sets are
-the opens the basic opens U_h = primes avoiding h generate.  Congruences
-give three finer point sets (weak, strong, twisted prime congruences); the
-weak one is built from refinement, whose down-sets are the opens the
-U_{a,b} = congruences separating a and b generate.  Twisted implies strong
-implies weak, so the strong and twisted spaces are the weak subspaces on
-the points that pass their test.  All map down to Spec through the kernel
-ideal.  A semiring's record keeps the five spaces and the chain, built once.
+the opens the basic opens U_h = primes avoiding h generate; the weak space
+from refinement, whose down-sets are the opens the U_{a,b} = congruences
+separating a and b generate.  A semiring's record keeps each level's
+points and its space with the map down, each built once; a hom's map of a
+level pulls every point back and is kept in its target's record.
 """
 
 from __future__ import annotations
@@ -126,27 +129,11 @@ class Spectrum(_Record):
         """Point set of U_h: the primes avoiding h."""
         return frozenset(i for i, p in enumerate(self.primes) if h not in p)
 
-    def point_of(self, ideal) -> int:
-        ideal = frozenset(ideal)
-        try:
-            return self.primes.index(ideal)
-        except ValueError:
-            raise SemiringError(f"{sorted(ideal)} is not a prime ideal") \
-                from None
-
 
 def prime_spectrum(R: FiniteSemiring) -> Spectrum:
     """Computed once per semiring: every call returns the same Spectrum."""
-    return _memo(R, "spectrum", lambda: _prime_spectrum(R))
-
-
-def _prime_spectrum(R: FiniteSemiring) -> Spectrum:
-    ideals = enumerate_ideals(R)
-    primes = tuple(I for I in ideals if is_prime_ideal(R, I))
-    labels = _distinct_labels([set_label(R.elements, p) for p in primes])
-    # least open around q: the meet of the U_h over h not in q, {p : p <= q}
-    space = from_preorder(labels, [[p <= q for q in primes] for p in primes])
-    return Spectrum(R, space, primes)
+    return _memo(R, "spectrum", lambda: Spectrum(
+        R, _level(R, "prime")[0], _points(R, "prime")))
 
 
 def _distinct_labels(labels) -> tuple[str, ...]:
@@ -156,34 +143,6 @@ def _distinct_labels(labels) -> tuple[str, ...]:
         if first.setdefault(label, i) != i:
             raise SemiringError(f"two spectrum points are labeled {label}")
     return tuple(labels)
-
-
-def k_spectrum(R: FiniteSemiring) -> tuple[FiniteTopSpace, ContinuousMap]:
-    """Subspace of the prime spectrum on the prime k-ideals, with its
-    inclusion map; computed once per semiring."""
-    return _memo(R, ("subspace", "k"), lambda: _subspectrum(R, "k"))
-
-
-def _flavor_subspace(R: FiniteSemiring, flavor: str
-                     ) -> tuple[FiniteTopSpace, ContinuousMap]:
-    """The strong or twisted points as a subspace of the weak space, with
-    its inclusion; computed once per semiring and flavor."""
-    if flavor not in ("strong", "twisted"):
-        raise ValueError(f"unknown primality flavor {flavor!r}")
-    return _memo(R, ("subspace", flavor), lambda: _subspectrum(R, flavor))
-
-
-def _subspectrum(R: FiniteSemiring, vis: str
-                 ) -> tuple[FiniteTopSpace, ContinuousMap]:
-    """The prime k-ideals as a subspace of the prime spectrum, or the weak
-    points that pass the strong or twisted test as one of the weak space."""
-    if vis == "k":
-        spec = prime_spectrum(R)
-        return subspace(spec.space, [i for i, p in enumerate(spec.primes)
-                                     if is_k_ideal(R, p)])
-    return subspace(congruence_spectrum(R, "weak")[0],
-                    [i for i, c in enumerate(prime_congruences(R, "weak"))
-                     if primality(c, vis)])
 
 
 def primality(c: Congruence, flavor: str) -> bool:
@@ -222,59 +181,110 @@ def kernel_ideal(c: Congruence) -> frozenset[int]:
     return I
 
 
+CHAIN_LEVELS = ("twisted", "strong", "weak", "k", "prime")
+# the level each one maps down to
+_NEXT = dict(zip(CHAIN_LEVELS, CHAIN_LEVELS[1:]))
+
+
+def _points(R: FiniteSemiring, vis: str) -> tuple:
+    """The points of one visualization; computed once per semiring."""
+    return _memo(R, ("points", vis), lambda: _build_points(R, vis))
+
+
+def _build_points(R: FiniteSemiring, vis: str) -> tuple:
+    """The next level's points that pass this level's test, in its order;
+    the primes come from all ideals and the weak points from all
+    congruences."""
+    if vis == "prime":
+        return tuple(I for I in enumerate_ideals(R) if is_prime_ideal(R, I))
+    if vis == "k":
+        return tuple(p for p in _points(R, "prime") if is_k_ideal(R, p))
+    if vis == "weak":
+        return tuple(c for c in enumerate_congruences(R)
+                     if primality(c, "weak"))
+    if vis in FLAVORS:
+        return tuple(c for c in _points(R, _NEXT[vis]) if primality(c, vis))
+    raise ValueError(f"unknown visualization {vis!r}")
+
+
+def _key(point):
+    """A point's key in a position dict: an ideal itself, a congruence its
+    blocks, as hashing a congruence hashes its semiring's tables."""
+    return point.blocks if isinstance(point, Congruence) else point
+
+
+def _position(points) -> dict:
+    return {_key(p): i for i, p in enumerate(points)}
+
+
+def _level(R: FiniteSemiring, vis: str
+           ) -> tuple[FiniteTopSpace, ContinuousMap | None]:
+    """One visualization's space and its map down the chain (None for the
+    prime spectrum); computed once per semiring."""
+    return _memo(R, ("level", vis), lambda: _build_level(R, vis))
+
+
+def _build_level(R: FiniteSemiring, vis: str
+                 ) -> tuple[FiniteTopSpace, ContinuousMap | None]:
+    points = _points(R, vis)
+    if vis not in ("prime", "weak"):
+        # the subspace of the next level on the points that pass
+        position = _position(_points(R, _NEXT[vis]))
+        return subspace(_level(R, _NEXT[vis])[0],
+                        [position[_key(p)] for p in points])
+    # the weak points map to the k-points; their prime labels are checked
+    # first, so a label clash is reported on the prime spectrum
+    k_space = None if vis == "prime" else _level(R, "k")[0]
+    labels = _distinct_labels(
+        [set_label(R.elements, p) for p in points] if vis == "prime" else
+        ["".join(set_label(R.elements, block) for block in c.block_members())
+         for c in points])
+    # least open around q: {p : p <= q}, the meet of the U_h over h not in
+    # the prime q, or of the U_{a,b} the congruence q separates
+    space = from_preorder(labels, [[p <= q for q in points] for p in points])
+    if vis == "prime":
+        return space, None
+    k_points = _points(R, "k")
+    position = _position(k_points)
+    images = tuple(position[kernel_ideal(c)] for c in points)
+    # the preimage of a basic open U_h must be the basic open U_{h,0}
+    for h in range(R.n):
+        if any((h in k_points[i]) != c.related(h, R.zero)
+               for c, i in zip(points, images)):
+            raise InvariantError(
+                f"kernel map breaks the basic-open law at {h}")
+    return space, continuous_map(space, k_space, images)
+
+
+def k_spectrum(R: FiniteSemiring) -> tuple[FiniteTopSpace, ContinuousMap]:
+    """Subspace of the prime spectrum on the prime k-ideals, with its
+    inclusion map; computed once per semiring."""
+    return _level(R, "k")
+
+
 def prime_congruences(R: FiniteSemiring, flavor: str) -> list[Congruence]:
-    """The flavor-prime congruences in the order of the weak ones, which
-    are filtered from all congruences; each call returns a fresh list."""
-    weak = _memo(R, ("prime", "weak"), lambda: tuple(
-        c for c in enumerate_congruences(R) if primality(c, "weak")))
-    if flavor == "weak":
-        return list(weak)
-    return [weak[i] for i in _flavor_subspace(R, flavor)[1].images]
+    """The flavor-prime congruences in the order of the weak ones; each
+    call returns a fresh list."""
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown primality flavor {flavor!r}")
+    return list(_points(R, flavor))
 
 
 def congruence_spectrum(R: FiniteSemiring, flavor: str
                         ) -> tuple[FiniteTopSpace, ContinuousMap]:
     """Space of flavor-prime congruences plus the kernel map down to the
-    prime spectrum; computed once per semiring and flavor."""
-    if flavor == "weak":
-        return _memo(R, ("space", "weak"), lambda: _congruence_spectrum(R))
-    space, incl = _flavor_subspace(R, flavor)
-    return _memo(R, ("space", flavor), lambda: (
-        space, congruence_spectrum(R, "weak")[1].compose(incl)))
-
-
-def _congruence_spectrum(R: FiniteSemiring
-                         ) -> tuple[FiniteTopSpace, ContinuousMap]:
-    spec = prime_spectrum(R)
-    points = prime_congruences(R, "weak")
-    labels = _distinct_labels(["".join(set_label(R.elements, block)
-                                       for block in c.block_members())
-                               for c in points])
-    # least open around d: the meet of the U_{a,b} d separates, {c : c <= d}
-    space = from_preorder(labels, [[c <= d for d in points] for c in points])
-    images = tuple(spec.point_of(kernel_ideal(c)) for c in points)
-    down = continuous_map(space, spec.space, images)
-    # the preimage of a basic open U_h must be the basic open U_{h,0}
-    for h in range(R.n):
-        pre = frozenset(i for i in range(space.n)
-                        if images[i] in spec.basic_open(h))
-        direct = frozenset(i for i, c in enumerate(points)
-                           if not c.related(h, R.zero))
-        if pre != direct:
-            raise InvariantError(
-                f"kernel map breaks the basic-open law at {h}")
+    prime spectrum, the chain's maps composed."""
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown primality flavor {flavor!r}")
+    space, down = _level(R, flavor)
+    for vis in CHAIN_LEVELS[CHAIN_LEVELS.index(flavor) + 1:-1]:
+        down = _level(R, vis)[1].compose(down)
     return space, down
 
 
 def visualization_space(R: FiniteSemiring, vis: str) -> FiniteTopSpace:
     """The record's space of one of the five visualizations."""
-    if vis == "prime":
-        return prime_spectrum(R).space
-    if vis == "k":
-        return k_spectrum(R)[0]
-    if vis in FLAVORS:
-        return congruence_spectrum(R, vis)[0]
-    raise ValueError(f"unknown visualization {vis!r}")
+    return _level(R, vis)[0]
 
 
 class SpectraChain(_Record):
@@ -292,44 +302,22 @@ class SpectraChain(_Record):
 
 
 def visualization_chain(R: FiniteSemiring) -> SpectraChain:
-    """The chain over the five spaces the record keeps; computed once per
+    """The chain over the five levels the record keeps; computed once per
     semiring."""
     return _memo(R, "chain", lambda: _visualization_chain(R))
 
 
 def _visualization_chain(R: FiniteSemiring) -> SpectraChain:
-    spec = prime_spectrum(R)
-    k_space, k_incl = k_spectrum(R)
-    weak_space, weak_down = congruence_spectrum(R, "weak")
-    strong_space, strong_incl = _flavor_subspace(R, "strong")
-    twisted_space, twisted_incl = _flavor_subspace(R, "twisted")
-    # the hooks are injective as built; the kernel map lands in the k-points
-    t_to_s = continuous_map(twisted_space, strong_space, tuple(
-        strong_incl.images.index(i) for i in twisted_incl.images))
-    w_to_k = continuous_map(weak_space, k_space, tuple(
-        k_incl.images.index(i) for i in weak_down.images))
-    hit = set(w_to_k.images)
-    missing = tuple(p for j, p in enumerate(k_space.points) if j not in hit)
+    spaces, downs = zip(*(_level(R, vis) for vis in CHAIN_LEVELS))
+    hit = set(downs[2].images)
+    missing = tuple(p for j, p in enumerate(spaces[3].points) if j not in hit)
     return SpectraChain(
-        spaces=(twisted_space, strong_space, weak_space, k_space, spec.space),
-        names=("twisted", "strong", "weak", "k", "prime"),
-        maps=(t_to_s, strong_incl, w_to_k, k_incl),
+        spaces=spaces,
+        names=CHAIN_LEVELS,
+        maps=downs[:-1],
         kernel_map_surjective=not missing,
         unreached_k_points=missing,
     )
-
-
-def spectrum_pullback(f: SemiringHom) -> ContinuousMap:
-    """A hom f: R -> T induces the continuous map Spec T -> Spec R sending a
-    prime to its preimage."""
-    source_spec = prime_spectrum(f.source)
-    target_spec = prime_spectrum(f.target)
-    images = []
-    for q in target_spec.primes:
-        pre = frozenset(a for a in range(f.source.n) if f(a) in q)
-        images.append(source_spec.point_of(pre))
-    return continuous_map(target_spec.space, source_spec.space,
-                          tuple(images))
 
 
 def congruence_pullback(f: SemiringHom, c: Congruence) -> Congruence:
@@ -340,27 +328,34 @@ def congruence_pullback(f: SemiringHom, c: Congruence) -> Congruence:
     return Congruence(f.source, _canon_blocks(c.blocks[b] for b in f.images))
 
 
-def congruence_spectrum_pullback(f: SemiringHom, flavor: str
-                                 ) -> ContinuousMap:
-    """The map Cong(T) -> Cong(R) induced by a hom f: R -> T."""
-    src_points = prime_congruences(f.source, flavor)
-    src_space, _ = congruence_spectrum(f.source, flavor)
-    tgt_points = prime_congruences(f.target, flavor)
-    tgt_space, _ = congruence_spectrum(f.target, flavor)
+def visualization_map(h: SemiringHom, vis: str) -> ContinuousMap:
+    """The continuous map of visualization spaces a hom h: B -> A induces,
+    running from the A side to the B side; built once and kept in A's
+    record."""
+    return _memo(h.target, ("map", vis, h), lambda: _build_map(h, vis))
+
+
+def _build_map(h: SemiringHom, vis: str) -> ContinuousMap:
+    """Send each point of A's level to its pullback along h: the preimage
+    of a prime (k-)ideal, or `congruence_pullback` of a congruence."""
+    B, A = h.source, h.target
+    position = _position(_points(B, vis))
     images = []
-    for c in tgt_points:
-        back = congruence_pullback(f, c)
-        if not primality(back, flavor):
-            raise InvariantError("pullback dropped out of the flavor")
-        images.append(src_points.index(back))
-    return continuous_map(tgt_space, src_space, tuple(images))
+    for q in _points(A, vis):
+        back = (frozenset(a for a in range(B.n) if h(a) in q)
+                if vis in ("prime", "k") else congruence_pullback(h, q))
+        i = position.get(_key(back))
+        if i is None:
+            raise InvariantError(f"a pulled-back point leaves the {vis} level")
+        images.append(i)
+    return continuous_map(_level(A, vis)[0], _level(B, vis)[0], images)
 
 
 def localization_spectrum_map(loc: Localization
                               ) -> tuple[ContinuousMap, frozenset[int]]:
     """The pullback Spec R[1/h] -> Spec R together with the basic open U_h
     it lands on; the map is an open embedding with exactly that image."""
-    m = spectrum_pullback(loc.to_local)
+    m = visualization_map(loc.to_local, "prime")
     target = prime_spectrum(loc.base).basic_open(loc.h)
     image = frozenset(m.images)
     if image != target or not m.is_injective():

@@ -3,14 +3,15 @@
 Finite spaces are exactly preorders: x <= y holds when y lies in the
 closure of x, opens are the down-sets (stable under passing to more generic
 points), closed points sit at the top.  A space stores its specialization
-order as int-bitmask rows and lists its opens, the down-sets, only when a
-caller asks for them.  Every operation works on the order: closures are
-up-sets, least opens are down-sets, T0 is antisymmetry, continuity is
-monotonicity, and subspaces, disjoint unions, quotients and glued spaces
-are built from the restricted, block-diagonal or identified order.  Until
-construction learns to trust its own down-sets, `from_preorder` still
-checks the listed family for closure under unions and intersections, pair
-by pair.
+order as int-bitmask rows, sets each point's least open at construction,
+and lists its opens, the down-sets, only when a caller asks for them,
+keeping the listing in its derived data (`semiring._memo`).  Every
+operation works on the order: closures are up-sets, least opens are
+down-sets, T0 is antisymmetry, continuity is monotonicity, and subspaces,
+disjoint unions, quotients and glued spaces are built from the
+restricted, block-diagonal or identified order.  Until construction
+learns to trust its own down-sets, `from_preorder` still checks the
+listed family for closure under unions and intersections, pair by pair.
 
 Descent on both sites shares `matching_tuples`, the families that agree
 along given maps, and `descent_verdict`, whether restriction from the
@@ -19,10 +20,9 @@ base is a bijection onto them.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import compress
 
-from .semiring import InvariantError, _Map, _Record
+from .semiring import InvariantError, _Map, _memo, _Record
 
 
 class TopologyError(Exception):
@@ -65,20 +65,23 @@ def _listing_key(mask: int):
 
 class FiniteTopSpace(_Record):
     """Points and their specialization order: bit y of above[x] is set iff
-    x <= y, that is, y lies in the closure of x.  Derived data is cached on
-    first use, and equality, hash and repr ignore it."""
+    x <= y, that is, y lies in the closure of x.  The least opens are set
+    at construction and the opens kept in the record's derived data on
+    first use; equality, hash and repr ignore both."""
     points: tuple[str, ...]
     above: tuple[int, ...]
 
-    @cached_property
-    def _below(self) -> tuple[int, ...]:
-        """Per point x, its least open neighbourhood: the points y <= x."""
-        return _converse(self.above)
+    def __post_init__(self):
+        # per point x, its least open neighbourhood: the points y <= x
+        object.__setattr__(self, "_below", _converse(self.above))
 
-    @cached_property
+    @property
     def open_masks(self) -> tuple[int, ...]:
         """The opens, the down-sets of the order, as bitmasks in
         sorted_opens order."""
+        return _memo(self, "open_masks", self._down_sets)
+
+    def _down_sets(self) -> tuple[int, ...]:
         # mutually related points share a least open and travel together;
         # clusters come by size of least open, so after every cluster
         # strictly below them, and each joins the down-sets that already
@@ -93,13 +96,14 @@ class FiniteTopSpace(_Record):
             downs += [d | c for d in downs if d & strict == strict]
         return tuple(sorted(downs, key=_listing_key))
 
-    @cached_property
-    def _opens_listed(self) -> list[frozenset[int]]:
-        return [frozenset(_bits(m)) for m in self.open_masks]
+    @property
+    def _opens_listed(self) -> tuple[frozenset[int], ...]:
+        return _memo(self, "opens_listed", lambda: tuple(
+            frozenset(_bits(m)) for m in self.open_masks))
 
-    @cached_property
+    @property
     def opens(self) -> frozenset[frozenset[int]]:
-        return frozenset(self._opens_listed)
+        return _memo(self, "opens", lambda: frozenset(self._opens_listed))
 
     @property
     def n(self):

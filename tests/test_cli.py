@@ -374,27 +374,21 @@ def test_glue_builds_each_congruence_space_once(workdir, monkeypatch):
     pres.write_text("node A z6.sr\nnode B z6.sr\nnode O o.sr\n"
                     "arrow O A localize-at 2\narrow O B localize-at 2\n")
     builds = collections.Counter()
-    weak = finsite.spectra._congruence_spectrum
-    narrowed = finsite.spectra._subspectrum
+    real = finsite.spectra._build_level
 
-    def counted_weak(R):
-        builds[id(R), "weak"] += 1
-        return weak(R)
-
-    def counted_narrowed(R, vis):
+    def counted(R, vis):
         builds[id(R), vis] += 1
-        return narrowed(R, vis)
+        return real(R, vis)
 
-    monkeypatch.setattr(finsite.spectra, "_congruence_spectrum", counted_weak)
-    monkeypatch.setattr(finsite.spectra, "_subspectrum", counted_narrowed)
+    monkeypatch.setattr(finsite.spectra, "_build_level", counted)
     P = read_presentation(str(pres))
-    levels = ("weak", "strong", "twisted", "k")
-    for vis in levels:
+    for vis in ("weak", "strong", "twisted", "k"):
         glue_space(P, vis)
-    # one weak space, one strong and one twisted subspace of it and one
-    # k-subspace per distinct chart object
+    # one space per level and distinct chart object: the weak space maps
+    # to the k-points, which are a subspace of the prime spectrum
     assert builds == collections.Counter(
-        (i, vis) for i in set(map(id, P.semirings)) for vis in levels)
+        (i, vis) for i in set(map(id, P.semirings))
+        for vis in ("weak", "strong", "twisted", "k", "prime"))
 
 
 def test_equal_chart_files_share_one_object(workdir):

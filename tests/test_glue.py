@@ -11,7 +11,6 @@ import finsite.semiring
 import finsite.spectra
 from finsite.catalog import boolean, boolean_pair, catalog, trivial, zmod
 from finsite.glue import (
-    CHAIN_LEVELS,
     VISUALIZATIONS,
     DiagramPath,
     GlueError,
@@ -24,15 +23,15 @@ from finsite.glue import (
     MonodromyReport,
     is_monodromy_free,
     presentation,
-    visualization_map,
-    visualization_space,
 )
 from finsite.semiring import (DEFAULT_BUDGET, BudgetExceeded, SemiringHom,
                                enumerate_homs, find_isomorphism,
                                is_finite_localization, localize,
                                validate_semiring)
 from finsite.site import cover_family, covers
-from finsite.spectra import prime_spectrum, visualization_chain
+from finsite.spectra import (CHAIN_LEVELS, prime_spectrum,
+                             visualization_chain, visualization_map,
+                             visualization_space)
 from finsite.topology import disjoint_union, quotient_space
 
 from census import census_upto
@@ -582,29 +581,31 @@ def test_chain_and_gluing_share_one_space_per_visualization():
 
 def test_k_gluing_builds_one_subspace_per_chart_object(monkeypatch):
     builds = []
-    real = finsite.spectra._subspectrum
+    real = finsite.spectra._build_level
 
     def counted(R, vis):
         builds.append((id(R), vis))
         return real(R, vis)
 
-    monkeypatch.setattr(finsite.spectra, "_subspectrum", counted)
+    monkeypatch.setattr(finsite.spectra, "_build_level", counted)
     P = atlas(cover_family(zmod(6), [1, 2, 3]))
     glue_space(P, "k")
     glue_space(P, "k")
-    assert sorted(builds) == sorted((i, "k")
-                                    for i in set(map(id, P.semirings)))
+    # the k-subspace and the prime spectrum it sits in, once per chart
+    assert sorted(builds) == sorted((i, vis)
+                                    for i in set(map(id, P.semirings))
+                                    for vis in ("k", "prime"))
 
 
 def test_glued_chain_builds_each_level_map_once(monkeypatch):
     builds = []
-    real = finsite.glue._level_map
+    real = finsite.spectra._build_map
 
     def counted(h, vis):
         builds.append((h, vis))
         return real(h, vis)
 
-    monkeypatch.setattr(finsite.glue, "_level_map", counted)
+    monkeypatch.setattr(finsite.spectra, "_build_map", counted)
     for members in ([1], [2, 3], [1, 2, 3]):
         glued_chain(atlas(cover_family(zmod(6), members)))
     # five levels of the 2 arrows of the [2, 3] atlas and the 6 of [1, 2, 3]

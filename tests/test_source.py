@@ -58,3 +58,16 @@ def test_every_class_is_an_exception_or_a_record():
                   and obj.__module__ == module.__name__
                   and not issubclass(obj, (Exception, _Record))]
     assert found == []
+
+
+def test_no_module_uses_cached_property():
+    # a class attribute named like a cached value slows every later read of
+    # it on CPython 3.11; derived data lives in the record's `_derived` dict
+    found = []
+    for path in sorted(Path(finsite.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if "cached_property" in (getattr(node, "id", None),
+                                           getattr(node, "attr", None),
+                                           getattr(node, "name", None))]
+    assert found == []

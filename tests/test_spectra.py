@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import finsite.spectra
 from finsite.catalog import (
     boolean,
     catalog,
@@ -18,6 +19,7 @@ from finsite.catalog import (
 )
 from finsite.finset import finset, simplex_space
 from finsite.semiring import (
+    VISUALIZATIONS,
     Congruence,
     SemiringError,
     diagonal_congruence,
@@ -33,7 +35,6 @@ from finsite.spectra import (
     FLAVORS,
     congruence_pullback,
     congruence_spectrum,
-    congruence_spectrum_pullback,
     enumerate_ideals,
     ideal_closure,
     is_ideal,
@@ -45,9 +46,9 @@ from finsite.spectra import (
     primality,
     prime_congruences,
     prime_spectrum,
-    spectrum_pullback,
     spectrum_report,
     visualization_chain,
+    visualization_map,
 )
 from finsite.topology import from_preorder, subspace, validate_topology
 
@@ -379,17 +380,30 @@ def test_strong_and_twisted_spaces_carry_subspace_topology():
 
 def assert_flavor_records_match_oracle(R, name):
     """Each flavor's points are the brute-force congruences that pass the
-    brute-force test, in order, and its space is their refinement order."""
+    brute-force test, in order, and its space is their refinement order.
+    The kernel map sends each point to the prime of its 0-block, and the
+    strong and twisted hooks include their points in the next level's."""
     congruences = oracle_congruences(R)
+    primes = prime_spectrum(R).primes
+    expected = {}
     for flavor in FLAVORS:
-        expected = [b for b in congruences
-                    if oracle_is_prime_congruence(R, b, flavor)]
+        expected[flavor] = [b for b in congruences
+                            if oracle_is_prime_congruence(R, b, flavor)]
+        points = expected[flavor]
         assert [c.blocks for c in prime_congruences(R, flavor)] == \
-            expected, (name, flavor)
+            points, (name, flavor)
         refines = [[all(q[a] == q[b] for a in range(R.n) for b in range(R.n)
-                        if p[a] == p[b]) for q in expected] for p in expected]
-        space, _ = congruence_spectrum(R, flavor)
+                        if p[a] == p[b]) for q in points] for p in points]
+        space, down = congruence_spectrum(R, flavor)
         assert space == from_preorder(space.points, refines), (name, flavor)
+        assert [primes[down(i)] for i in range(space.n)] == [
+            frozenset(a for a in range(R.n) if b[a] == b[R.zero])
+            for b in points], (name, flavor)
+    twisted_to_strong, strong_to_weak = visualization_chain(R).maps[:2]
+    for hook, here, there in ((twisted_to_strong, "twisted", "strong"),
+                              (strong_to_weak, "strong", "weak")):
+        assert [expected[there][j] for j in hook.images] == \
+            expected[here], (name, here)
 
 
 def test_flavor_records_match_oracle_on_the_catalog():
@@ -420,16 +434,16 @@ def test_spectrum_pullback_is_contravariantly_functorial():
     homs = enumerate_homs(Z6, Z6)
     spec = prime_spectrum(Z6)
     for f in homs:
-        m = spectrum_pullback(f)
+        m = visualization_map(f, "prime")
         for i, q in enumerate(spec.primes):
             pre = frozenset(a for a in range(Z6.n) if f(a) in q)
             assert oracle_is_prime_ideal(Z6, pre)
             assert spec.primes[m(i)] == pre
         for g in homs:
             gf = g.compose(f)
-            left = spectrum_pullback(f).compose(
-                spectrum_pullback(g))
-            right = spectrum_pullback(gf)
+            left = visualization_map(f, "prime").compose(
+                visualization_map(g, "prime"))
+            right = visualization_map(gf, "prime")
             assert left.images == right.images
 
 
@@ -441,9 +455,71 @@ def test_congruence_pullback_preserves_flavors():
             for c in prime_congruences(B, flavor):
                 back = congruence_pullback(f, c)
                 assert primality(back, flavor)
-    m = congruence_spectrum_pullback(
-        enumerate_homs(N2, B)[0], "weak")
+    m = visualization_map(enumerate_homs(N2, B)[0], "weak")
     assert m.is_continuous()
+
+
+def level_points(R, vis):
+    """A level's points as the brute-force pullbacks below compare them:
+    ideals, or congruences by their blocks."""
+    if vis == "prime":
+        return list(prime_spectrum(R).primes)
+    if vis == "k":
+        return [prime_spectrum(R).primes[i] for i in k_spectrum(R)[1].images]
+    return [c.blocks for c in prime_congruences(R, vis)]
+
+
+def oracle_pullback(f, point):
+    """The preimage of an ideal, or the blocks of the congruence relating
+    a and b when f(a) and f(b) are related, numbered by first occurrence."""
+    if isinstance(point, frozenset):
+        return frozenset(a for a in range(f.source.n) if f(a) in point)
+    first = {}
+    return tuple(first.setdefault(point[f(a)], len(first))
+                 for a in range(f.source.n))
+
+
+def catalog_homs():
+    """Every hom between two catalog semirings, localizations or not."""
+    semirings = [R for _, R in catalog()]
+    return [f for R in semirings for S in semirings
+            for f in enumerate_homs(R, S)]
+
+
+def test_every_level_map_pulls_back_by_brute_force():
+    for f in catalog_homs():
+        for vis in VISUALIZATIONS:
+            m = visualization_map(f, vis)
+            source = level_points(f.source, vis)
+            for i, q in enumerate(level_points(f.target, vis)):
+                assert source[m(i)] == oracle_pullback(f, q), (f, vis, i)
+
+
+def test_level_maps_are_contravariantly_functorial():
+    homs = catalog_homs()
+    pairs = [(f, g) for f in homs for g in homs if g.source is f.target]
+    assert len(pairs) == 502
+    for f, g in pairs:
+        gf = g.compose(f)
+        for vis in VISUALIZATIONS:
+            assert visualization_map(gf, vis) == visualization_map(
+                f, vis).compose(visualization_map(g, vis)), (f, g, vis)
+
+
+def test_points_build_no_space(monkeypatch):
+    builds = []
+    real = finsite.spectra._build_level
+
+    def counted(R, vis):
+        builds.append(vis)
+        return real(R, vis)
+
+    monkeypatch.setattr(finsite.spectra, "_build_level", counted)
+    R = chain(6)
+    strong = prime_congruences(R, "strong")
+    twisted = prime_congruences(R, "twisted")
+    assert set(twisted) <= set(strong) <= set(prime_congruences(R, "weak"))
+    assert builds == []
 
 
 def test_localization_spectrum_is_an_open_embedding():
