@@ -263,7 +263,8 @@ def cmd_verify(ns):
     if not base.is_dir():
         raise formats.FormatError(f"{base} is not a directory")
     rows = []
-    for path in sorted(p for p in base.iterdir() if p.is_file()):
+    for path in sorted(p for p in base.iterdir()
+                       if p.is_file() and p.suffix == ".sr"):
         try:
             R = formats.read_semiring(str(path))
         except (formats.FormatError, SemiringError) as e:
@@ -410,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("element")
     p = add("sheaf-check", "descent along a cover family, all test objects")
     p.add_argument("file")
-    p = add("verify", "run every check over a directory of semiring files")
+    p = add("verify", "run every check over the *.sr files of a directory")
     p.add_argument("directory", nargs="?",
                    help="defaults to the bundled catalog")
     p = add("glue", "monodromy check, then the glued space of a presentation")

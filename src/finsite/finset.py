@@ -119,11 +119,7 @@ def simplex_space(A: FinSet) -> FiniteTopSpace:
     unique closed point."""
     if A.n == 0:
         raise FinSetError("a simplex needs at least one vertex")
-    faces = _subsets(A)
-    labels = tuple(face_label(A, f) for f in faces)
-    leq = [[faces[x] <= faces[y] for y in range(len(faces))]
-           for x in range(len(faces))]
-    space = from_preorder(labels, leq)
+    space = face_space(AbstractSimplicialComplex(A.labels, tuple(_subsets(A))))
     closed = [p for p in range(space.n) if space.is_closed(frozenset([p]))]
     if closed != [space.n - 1]:
         raise InvariantError("the top face must be the only closed point")
@@ -263,10 +259,9 @@ def asc(vertices, generating_faces) -> AbstractSimplicialComplex:
 def face_space(K: AbstractSimplicialComplex) -> FiniteTopSpace:
     """The face poset of K as a finite space, faces specializing toward
     larger faces."""
-    labels = K.face_labels()
-    leq = [[K.faces[x] <= K.faces[y] for y in range(len(K.faces))]
-           for x in range(len(K.faces))]
-    return from_preorder(labels, leq)
+    return from_preorder(K.face_labels(), [
+        sum(1 << j for j, g in enumerate(K.faces) if f <= g)
+        for f in K.faces])
 
 
 class FinSetPresentation(_Record):

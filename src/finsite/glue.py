@@ -97,10 +97,9 @@ def presentation(nodes, arrows) -> SPresentation:
 def _atlas_parts(S: CoverFamily):
     """Charts of a family of basic opens: one localization per member plus
     one per pairwise overlap, with the overlap arrows into both members."""
-    locs = [u.localization for u in S.members]
-    parts = [(f"U{i}", loc) for i, loc in enumerate(locs)]
+    parts = [(f"U{i}", loc) for i, loc in enumerate(S.members)]
     arrows = []
-    for (i, j), (both, ri, rj) in pairwise_overlaps(locs).items():
+    for (i, j), (both, ri, rj) in pairwise_overlaps(S.members).items():
         name = f"U{i}_{j}"
         parts.append((name, both))
         arrows.append((name, f"U{i}", ri))

@@ -5,7 +5,8 @@ points of its Stone dual are the completely prime filters; each such filter
 is generated by a join-prime element, so the dual space is computed from
 those generators.  By Birkhoff duality a finite distributive lattice is the
 lattice of down-sets of its join-irreducibles (the elements with exactly
-one lower cover), and these are exactly its join-primes.
+one lower cover), and these are exactly its join-primes.  A frame stores
+its order as a space does, in int-bitmask rows `above`.
 
 A finite space keeps its frame of opens, and a frame its Stone dual, in
 the record `semiring._memo` fills: each is built and validated once, on
@@ -14,12 +15,13 @@ first use, and equality, hash and repr ignore it.
 
 from __future__ import annotations
 
-from itertools import compress
-
 from .semiring import _Map, _memo, _Record
 from .topology import (
     ContinuousMap,
     FiniteTopSpace,
+    _bits,
+    _converse,
+    _restrict,
     continuous_map,
     cover_pairs,
     from_preorder,
@@ -33,12 +35,12 @@ class FrameError(Exception):
 
 
 class FiniteFrame(_Record):
-    """A validated finite bounded distributive lattice with its order,
-    meet and join tables and its join-primes; build through
-    `finite_frame`."""
+    """A validated finite bounded distributive lattice with its order
+    (bit b of above[a] is set iff a <= b), meet and join tables and its
+    join-primes; build through `finite_frame`."""
 
     elements: tuple[str, ...]
-    leq: tuple[tuple[bool, ...], ...]
+    above: tuple[int, ...]
     meet: tuple[tuple[int, ...], ...]
     join: tuple[tuple[int, ...], ...]
     bottom: int
@@ -58,7 +60,7 @@ class FiniteFrame(_Record):
 
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (a, b) with a strictly below b and nothing between."""
-        return cover_pairs(self.leq)
+        return cover_pairs(self.above)
 
     def join_primes(self) -> list[int]:
         """Non-bottom elements m with m <= a v b forcing m <= a or m <= b;
@@ -70,27 +72,25 @@ class FiniteFrame(_Record):
         return f"FiniteFrame({self.n} elements)"
 
 
-def finite_frame(elements, leq) -> FiniteFrame:
-    """Validate an order matrix into a frame: a bounded lattice whose meet
-    distributes over join.  The distributivity error carries a witness
-    triple."""
+def finite_frame(elements, above) -> FiniteFrame:
+    """Validate order rows (bit b of above[a] set iff a <= b) into a frame:
+    a bounded lattice whose meet distributes over join.  The
+    distributivity error carries a witness triple."""
     elements = tuple(elements)
     n = len(elements)
     if len(set(elements)) != n:
         raise FrameError("duplicate element labels")
-    leq = tuple(tuple(map(bool, row)) for row in leq)
-    if len(leq) != n or any(len(row) != n for row in leq):
-        raise FrameError("order matrix shape mismatch")
     # up[a] and down[a]: the elements above and below a, as bitmasks
-    powers = [1 << b for b in range(n)]
-    up = [sum(compress(powers, row)) for row in leq]
-    down = [sum(compress(powers, col)) for col in zip(*leq)]
+    up = tuple(above)
+    if len(up) != n or any(row >> n for row in up):
+        raise FrameError(f"order rows do not fit {n} elements")
+    down = _converse(up)
     for a in range(n):
-        if not leq[a][a]:
+        if not up[a] >> a & 1:
             raise FrameError(f"order not reflexive at {elements[a]}")
         # both checks concern the b above a, taken in index order
-        for b in compress(range(n), leq[a]):
-            if a != b and leq[b][a]:
+        for b in _bits(up[a]):
+            if a != b and up[b] >> a & 1:
                 raise FrameError(
                     f"order not antisymmetric on {elements[a]}, {elements[b]}")
             # some c above b is not above a
@@ -123,10 +123,10 @@ def finite_frame(elements, leq) -> FiniteFrame:
     # has j ^ (a v b) = j above (j ^ a) v (j ^ b), which lies under j's
     # one lower cover, so (j, a, b) witnesses the failure.
     lower = [0] * n
-    for _, b in cover_pairs(leq):
+    for _, b in cover_pairs(up):
         lower[b] += 1
     primes = tuple(j for j in range(n) if lower[j] == 1)
-    irreducible = sum(powers[j] for j in primes)
+    irreducible = sum(1 << j for j in primes)
     J = [d & irreducible for d in down]
     for a in range(n):
         Ja, row = J[a], join[a]
@@ -137,16 +137,13 @@ def finite_frame(elements, leq) -> FiniteFrame:
                 raise FrameError(
                     "meet does not distribute over join at "
                     f"({elements[j]}, {elements[a]}, {elements[b]})")
-    return FiniteFrame(elements, leq, meet, join, bottoms[0], tops[0], primes)
+    return FiniteFrame(elements, up, meet, join, bottoms[0], tops[0], primes)
 
 
 def frame_from_covers(elements, pairs) -> FiniteFrame:
     """Rebuild a frame from its covering pairs (a below b)."""
     elements = tuple(elements)
-    n = len(elements)
-    rows = order_closure(n, pairs)
-    return finite_frame(elements, [[bool(r >> b & 1) for b in range(n)]
-                                   for r in rows])
+    return finite_frame(elements, order_closure(len(elements), pairs))
 
 
 def frame_of_opens(X: FiniteTopSpace) -> FiniteFrame:
@@ -158,8 +155,9 @@ def frame_of_opens(X: FiniteTopSpace) -> FiniteFrame:
 def _frame_of_opens(X: FiniteTopSpace) -> FiniteFrame:
     labels = tuple(set_label(X.points, u) for u in X.sorted_opens())
     opens = X.open_masks
-    leq = tuple(tuple([u & ~v == 0 for v in opens]) for u in opens)
-    return finite_frame(labels, leq)
+    return finite_frame(labels, [
+        sum(1 << j for j, v in enumerate(opens) if u & ~v == 0)
+        for u in opens])
 
 
 class FrameMorphism(_Map):
@@ -215,12 +213,10 @@ def stone_dual(L: FiniteFrame) -> tuple[FiniteTopSpace, tuple[frozenset[int], ..
 
 def _stone_dual(L: FiniteFrame):
     gens = L.primes
-    filters = tuple(frozenset(u for u in range(L.n) if L.leq[m][u])
-                    for m in gens)
+    filters = tuple(frozenset(_bits(L.above[m])) for m in gens)
     labels = tuple(L.elements[m] for m in gens)
     # O_u = join-primes below u, and by Birkhoff every down-set is some O_u
-    space = from_preorder(labels, [[L.leq[m][k] for k in gens] for m in gens])
-    return space, filters
+    return from_preorder(labels, _restrict(L.above, gens)), filters
 
 
 def stone_map(h: FrameMorphism) -> ContinuousMap:
@@ -232,7 +228,7 @@ def stone_map(h: FrameMorphism) -> ContinuousMap:
     gens_N = N.join_primes()
     images = []
     for m in gens_N:
-        back = frozenset(u for u in range(M.n) if N.leq[m][h(u)])
+        back = frozenset(u for u in range(M.n) if N.above[m] >> h(u) & 1)
         images.append(filters_M.index(back))
     return continuous_map(dual_N, dual_M, tuple(images))
 
@@ -264,13 +260,18 @@ def is_sober(X: FiniteTopSpace):
 def spatiality_check(L: FiniteFrame) -> bool:
     """Whether u -> O_u identifies L with the open-set frame of its dual;
     for that the assignment must be injective and order-reflecting."""
-    gens = L.join_primes()
-    point_sets = [frozenset(i for i, m in enumerate(gens) if L.leq[m][u])
-                  for u in range(L.n)]
+    # point_sets[u]: O_u, the join-primes below u
+    point_sets = [0] * L.n
+    for m in L.primes:
+        for u in _bits(L.above[m]):
+            point_sets[u] |= 1 << m
     if len(set(point_sets)) != L.n:
         return False
-    for a in range(L.n):
-        for b in range(L.n):
-            if (point_sets[a] <= point_sets[b]) != L.leq[a][b]:
-                return False
+    # O_a lies in O_b iff b is above every join-prime below a
+    for a, ps in enumerate(point_sets):
+        reach = (1 << L.n) - 1
+        for m in _bits(ps):
+            reach &= L.above[m]
+        if reach != L.above[a]:
+            return False
     return True

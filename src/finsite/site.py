@@ -29,31 +29,14 @@ from .spectra import prime_spectrum
 from .topology import descent_verdict, matching_tuples
 
 
-class PrincipalOpen(_Record):
-    base: FiniteSemiring
-    element: int
-    localization: Localization
-
-    @property
-    def semiring(self) -> FiniteSemiring:
-        return self.localization.semiring
-
-    @property
-    def to_local(self) -> SemiringHom:
-        return self.localization.to_local
-
-
-def principal_open(R: FiniteSemiring, h: int) -> PrincipalOpen:
-    return PrincipalOpen(R, h, localize(R, h))
-
-
 class CoverFamily(_Record):
+    """Basic opens of Spec R, each member the localization R -> R[1/h]."""
     base: FiniteSemiring
-    members: tuple[PrincipalOpen, ...]
+    members: tuple[Localization, ...]
 
 
 def cover_family(R: FiniteSemiring, elements) -> CoverFamily:
-    return CoverFamily(R, tuple(principal_open(R, h) for h in elements))
+    return CoverFamily(R, tuple(localize(R, h) for h in elements))
 
 
 class OpenSubscheme(_Record):
@@ -77,7 +60,7 @@ def covers(S: CoverFamily) -> bool:
     spec = prime_spectrum(S.base)
     hit = frozenset()
     for m in S.members:
-        hit |= spec.basic_open(m.element)
+        hit |= spec.basic_open(m.h)
     return hit == frozenset(range(len(spec.primes)))
 
 
@@ -102,7 +85,7 @@ def _after(r: SemiringHom):
 def sheaf_axiom_check(S: CoverFamily, Y: FiniteSemiring):
     """Whether restriction identifies Hom(Y, R) with the matching tuples of
     homs into the member localizations; returns (flag, witness)."""
-    overlaps = pairwise_overlaps([m.localization for m in S.members])
+    overlaps = pairwise_overlaps(S.members)
     families = matching_tuples(
         [[g.images for g in enumerate_homs(Y, m.semiring)]
          for m in S.members],

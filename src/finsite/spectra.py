@@ -241,7 +241,8 @@ def _build_level(R: FiniteSemiring, vis: str
          for c in points])
     # least open around q: {p : p <= q}, the meet of the U_h over h not in
     # the prime q, or of the U_{a,b} the congruence q separates
-    space = from_preorder(labels, [[p <= q for q in points] for p in points])
+    space = from_preorder(labels, [
+        sum(1 << j for j, q in enumerate(points) if p <= q) for p in points])
     if vis == "prime":
         return space, None
     k_points = _points(R, "k")

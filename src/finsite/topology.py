@@ -9,7 +9,8 @@ keeping the listing in its derived data (`semiring._memo`).  Every
 operation works on the order: closures are up-sets, least opens are
 down-sets, T0 is antisymmetry, continuity is monotonicity, and subspaces,
 disjoint unions, quotients and glued spaces are built from the
-restricted, block-diagonal or identified order.  Until construction
+restricted, block-diagonal or identified order.  These rows are the one
+format of a finite order in finsite, frames included.  Until construction
 learns to trust its own down-sets, `from_preorder` still checks the
 listed family for closure under unions and intersections, pair by pair.
 
@@ -19,8 +20,6 @@ base is a bijection onto them.
 """
 
 from __future__ import annotations
-
-from itertools import compress
 
 from .semiring import InvariantError, _Map, _memo, _Record
 
@@ -140,11 +139,6 @@ class FiniteTopSpace(_Record):
     def min_open(self, x: int) -> frozenset:
         return frozenset(_bits(self._below[x]))
 
-    def specialization_leq(self) -> tuple[tuple[bool, ...], ...]:
-        """leq[x][y] iff y is in the closure of x (closed points on top)."""
-        return tuple(tuple(bool(up >> y & 1) for y in range(self.n))
-                     for up in self.above)
-
     def is_t0(self) -> bool:
         """The order is antisymmetric: no two points share a closure."""
         return len(set(self.above)) == self.n
@@ -163,7 +157,7 @@ class FiniteTopSpace(_Record):
         """Covering pairs of the specialization order by label, each from
         the more special point toward its generization."""
         return [(self.points[y], self.points[x])
-                for x, y in cover_pairs(self.specialization_leq())]
+                for x, y in cover_pairs(self.above)]
 
     def specialization_dot(self, edges=None) -> str:
         """Edges run from each closed point toward its generizations, one
@@ -240,34 +234,38 @@ def order_closure(n: int, pairs) -> list[int]:
     return rows
 
 
-def cover_pairs(leq) -> list[tuple[int, int]]:
-    """The covering pairs (x, y) of the preorder leq, in index order: x
-    lies strictly below y (leq[x][y] but not leq[y][x]) and no point lies
-    strictly between them."""
-    n = len(leq)
-    powers = [1 << y for y in range(n)]
-    # strict[x]: the points above x (its row) and not below x (its column)
-    strict = [sum(compress(powers, row)) & ~sum(compress(powers, col))
-              for row, col in zip(leq, zip(*leq))]
+def _restrict(above, subset) -> list[int]:
+    """The order rows on the points of subset, renumbered by their
+    position in it."""
+    return [sum(1 << j for j, y in enumerate(subset) if above[x] >> y & 1)
+            for x in subset]
+
+
+def cover_pairs(above) -> list[tuple[int, int]]:
+    """The covering pairs (x, y) of the preorder with rows `above`, in
+    index order: x lies strictly below y (bit y of above[x] is set, bit x
+    of above[y] is not) and no point lies strictly between them."""
+    strict = [row & ~col for row, col in zip(above, _converse(above))]
     out = []
-    for x, row in enumerate(leq):
+    for x, row in enumerate(strict):
         # y covers x when it lies strictly above x but not strictly above
         # any point strictly above x
-        above = strict[x]
-        covers = above
-        for z in compress(range(n), row):
-            if above >> z & 1:
-                covers &= ~strict[z]
+        covers = row
+        for z in _bits(row):
+            covers &= ~strict[z]
         out += [(x, y) for y in _bits(covers)]
     return out
 
 
-def from_preorder(points, leq) -> FiniteTopSpace:
+def from_preorder(points, above) -> FiniteTopSpace:
     """Space whose specialization order is the reflexive-transitive closure
-    of leq; opens are the down-sets (leq[x][y] reads: y specializes x)."""
+    of the relation with rows `above` (bit y of above[x]: y specializes
+    x); opens are the down-sets."""
     n = len(points)
+    if len(above) != n or any(row >> n for row in above):
+        raise TopologyError(f"order rows do not fit {n} points")
     return _space_of_order(points, order_closure(
-        n, [(x, y) for x in range(n) for y in range(n) if leq[x][y]]))
+        n, [(x, y) for x, row in enumerate(above) for y in _bits(row)]))
 
 
 def _space_of_order(points, above) -> FiniteTopSpace:
@@ -335,8 +333,7 @@ def subspace(X: FiniteTopSpace, subset) -> tuple[FiniteTopSpace, ContinuousMap]:
     """The subset with the restricted specialization order."""
     subset = sorted(frozenset(subset))
     S = _space_of_order(tuple(X.points[x] for x in subset),
-                        [sum(1 << j for j, y in enumerate(subset)
-                             if X.above[x] >> y & 1) for x in subset])
+                        _restrict(X.above, subset))
     incl = continuous_map(S, X, tuple(subset))
     return S, incl
 

@@ -36,10 +36,10 @@ def frame_builds(monkeypatch):
     counts = collections.Counter()
     original = finsite.locales.finite_frame
 
-    def counted(elements, leq):
+    def counted(elements, above):
         elements = tuple(elements)
         counts[elements] += 1
-        return original(elements, leq)
+        return original(elements, above)
 
     monkeypatch.setattr(finsite.locales, "finite_frame", counted)
     return counts

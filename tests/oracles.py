@@ -987,6 +987,18 @@ def oracle_t0_classes(X) -> list[int]:
 # -- finite frames and orders, by exhaustive search ------------------------
 
 
+def order_rows(leq) -> list[int]:
+    """A boolean order matrix as the bitmask rows finsite takes: bit y of
+    row x is set iff leq[x][y]."""
+    return [sum(1 << y for y, flag in enumerate(row) if flag) for row in leq]
+
+
+def order_matrix(rows) -> list[list[bool]]:
+    """Bitmask order rows on range(len(rows)) as a boolean matrix."""
+    n = len(rows)
+    return [[bool(row >> y & 1) for y in range(n)] for row in rows]
+
+
 def oracle_cover_pairs(leq) -> list[tuple[int, int]]:
     """Covering pairs (x, y) of a preorder in index order: x strictly below
     y, and no z strictly between them, by scanning every z."""
@@ -1119,3 +1131,47 @@ def oracle_order_isomorphism(a, b) -> tuple[int, ...] | None:
         return False
 
     return tuple(f) if extend() else None
+
+
+# -- mod-2 homology, by chains and elimination -----------------------------
+
+
+def oracle_order_chains(above) -> list[list[tuple[int, ...]]]:
+    """The simplices of the order complex of a finite T0 space, by
+    dimension: the chains x0 < x1 < ... < xk of its order, given by bare
+    bitmask rows (bit y of above[x] set iff x <= y).  By McCord's theorem
+    the space and its order complex have the same homology."""
+    n = len(above)
+    strict = [[y for y in range(n) if y != x and above[x] >> y & 1
+               and not above[y] >> x & 1] for x in range(n)]
+    chains = [[(x,) for x in range(n)]]
+    while chains[-1]:
+        chains.append([c + (y,) for c in chains[-1] for y in strict[c[-1]]])
+    return chains[:-1]
+
+
+def oracle_gf2_rank(rows) -> int:
+    """The rank over GF(2) of int-mask rows, by XOR elimination on the
+    leading bit."""
+    pivots = {}
+    for row in rows:
+        while row and row.bit_length() in pivots:
+            row ^= pivots[row.bit_length()]
+        if row:
+            pivots[row.bit_length()] = row
+    return len(pivots)
+
+
+def oracle_betti_mod2(simplices) -> tuple[int, ...]:
+    """The mod-2 Betti numbers of a simplicial complex given as lists of
+    simplices by dimension, each a tuple of vertices whose faces, the
+    tuples with one vertex left out, are listed one dimension lower."""
+    ranks = [0]
+    for k in range(1, len(simplices)):
+        index = {s: i for i, s in enumerate(simplices[k - 1])}
+        ranks.append(oracle_gf2_rank(
+            sum(1 << index[s[:i] + s[i + 1:]] for i in range(len(s)))
+            for s in simplices[k]))
+    ranks.append(0)
+    return tuple(len(level) - ranks[k] - ranks[k + 1]
+                 for k, level in enumerate(simplices))

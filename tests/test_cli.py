@@ -291,6 +291,20 @@ def test_repeated_point_labels_are_errors(workdir, capsys):
     assert lines[-1] == "10 checks, 3 failures"
 
 
+def test_verify_checks_only_semiring_files(workdir, capsys):
+    # a presentation, a lattice dump and a subdirectory sit beside the
+    # semiring files and get no rows
+    (workdir / "doubled.pres").write_text("node A z6.sr\n")
+    (workdir / "z6.lat").write_text("{} < {p}\n")
+    (workdir / "more.sr").mkdir()
+    code, out, _ = run(capsys, "verify", str(workdir))
+    lines = out.splitlines()
+    assert code == 0
+    assert sorted({line.split()[0] for line in lines[:-1]}) == [
+        "b.sr", "bxb.sr", "o.sr", "z6.sr"]
+    assert lines[-1] == "20 checks, 0 failures"
+
+
 def test_verify_empty_directory(workdir, capsys):
     empty = workdir / "empty"
     empty.mkdir()

@@ -5,8 +5,11 @@ import collections
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import finsite.finset
+from finsite.catalog import chain
 from finsite.finset import (
     FinSetError,
     all_injection_families,
@@ -31,7 +34,9 @@ from finsite.finset import (
 )
 from finsite.locales import is_sober, sobrification_unit
 
-from oracles import oracle_descent
+from finsite.spectra import congruence_spectrum
+
+from oracles import oracle_betti_mod2, oracle_descent, oracle_order_chains
 
 
 def letters(n):
@@ -173,8 +178,53 @@ def test_glued_space_equals_face_poset():
         G = finset_glue_space(asc_presentation(K))
         F = face_space(K)
         assert G.space.points == tuple(f"{l}:{l}" for l in K.face_labels())
-        assert G.space.specialization_leq() == F.specialization_leq()
+        assert G.space.above == F.above
         assert G.space.opens == F.opens
+
+
+def space_betti(X):
+    return oracle_betti_mod2(oracle_order_chains(X.above))
+
+
+def complex_betti(K):
+    dims = max(map(len, K.faces))
+    return oracle_betti_mod2([[tuple(sorted(f)) for f in K.faces
+                               if len(f) == k + 1] for k in range(dims)])
+
+
+@st.composite
+def complexes(draw, max_vertices=4):
+    """An abstract simplicial complex on at most max_vertices vertices,
+    from random generating faces, each vertex also a face of its own."""
+    n = draw(st.integers(1, max_vertices))
+    vertices = "abcd"[:n]
+    faces = draw(st.lists(st.sets(st.sampled_from(vertices), min_size=1),
+                          max_size=5))
+    return asc(vertices, [sorted(f) for f in faces] + list(vertices))
+
+
+@settings(max_examples=60, deadline=None)
+@given(complexes())
+def test_face_posets_have_the_homology_of_their_complex(K):
+    # the face poset and the glued face charts are finite models of K: an
+    # independent chain count gives them K's mod-2 Betti numbers
+    expected = complex_betti(K)
+    assert space_betti(face_space(K)) == expected
+    assert space_betti(finset_glue_space(asc_presentation(K)).space) == \
+        expected
+
+
+def test_homology_of_simplices_and_weak_chain_spectra():
+    hollow = asc("abc", ["ab", "bc", "ca"])
+    assert complex_betti(hollow) == (1, 1)
+    assert space_betti(face_space(hollow)) == (1, 1)
+    for n in range(4):
+        betti = space_betti(simplex_space(letters(n + 1)))
+        assert betti == (1,) + (0,) * n, n
+    for k in range(2, 6):
+        weak, _ = congruence_spectrum(chain(k), "weak")
+        betti = space_betti(weak)
+        assert betti[0] == 1 and not any(betti[1:]), k
 
 
 def test_glue_builds_each_chart_simplex_once(monkeypatch):

@@ -62,7 +62,7 @@ def test_cover_file(tmp_path):
     cov.write_text("semiring: z6.sr\ncover: 2 3\n")
     S = read_cover(str(cov))
     assert S.base == zmod(6)
-    assert [u.element for u in S.members] == [2, 3]
+    assert [u.h for u in S.members] == [2, 3]
     cov.write_text("semiring: z6.sr\ncover: 2 9\n")
     with pytest.raises(FormatError):
         read_cover(str(cov))

@@ -42,6 +42,8 @@ from oracles import (
     oracle_is_spatial,
     oracle_join_primes,
     oracle_reflexive_transitive,
+    order_matrix,
+    order_rows,
 )
 
 
@@ -55,7 +57,7 @@ def point_space():
 
 def chain_frame(k):
     leq = [[a <= b for b in range(k)] for a in range(k)]
-    return finite_frame(tuple(f"l{i}" for i in range(k)), leq)
+    return finite_frame(tuple(f"l{i}" for i in range(k)), order_rows(leq))
 
 
 def diamond():
@@ -63,19 +65,20 @@ def diamond():
            [False, True, False, True],
            [False, False, True, True],
            [False, False, False, True]]
-    return finite_frame(("0", "a", "b", "1"), leq)
+    return finite_frame(("0", "a", "b", "1"), order_rows(leq))
 
 
 def oracle_completely_prime_filters(L):
     """Direct subset scan against the filter axioms."""
     out = []
     n = L.n
+    leq = order_matrix(L.above)
     for r in range(1, n + 1):
         for sub in combinations(range(n), r):
             F = frozenset(sub)
             if L.top not in F or L.bottom in F:
                 continue
-            if any(L.leq[a][b] and a in F and b not in F
+            if any(leq[a][b] and a in F and b not in F
                    for a in range(n) for b in range(n)):
                 continue
             if any(L.meet[a][b] not in F for a in F for b in F):
@@ -111,10 +114,10 @@ def oracle_homeomorphic(X, Y):
 
 
 def test_frame_validation_rejects_bad_orders():
-    with pytest.raises(FrameError):
-        finite_frame(("a", "b"), [[False, True], [False, True]])  # not refl
-    with pytest.raises(FrameError):
-        finite_frame(("a", "b"), [[True, True], [True, True]])  # not antisym
+    with pytest.raises(FrameError):  # not reflexive
+        finite_frame(("a", "b"), order_rows([[False, True], [False, True]]))
+    with pytest.raises(FrameError):  # not antisymmetric
+        finite_frame(("a", "b"), order_rows([[True, True], [True, True]]))
     # pentagon-free check: M3 has meets/joins but is not distributive
     n = 5
     leq = [[a == b for b in range(n)] for a in range(n)]
@@ -122,9 +125,19 @@ def test_frame_validation_rejects_bad_orders():
         leq[0][x] = True
         leq[x][4] = True
     with pytest.raises(FrameError) as err:
-        finite_frame(("0", "x", "y", "z", "1"), leq)
+        finite_frame(("0", "x", "y", "z", "1"), order_rows(leq))
     assert "distribute" in str(err.value)
     assert_witness_fails(("0", "x", "y", "z", "1"), leq, err.value)
+
+
+def test_frame_refuses_rows_that_do_not_fit():
+    with pytest.raises(FrameError, match="order rows do not fit 2 elements"):
+        finite_frame(("0", "1"), [0b11])  # one row for two elements
+    with pytest.raises(FrameError, match="order rows do not fit 2 elements"):
+        finite_frame(("0", "1"), [0b11, 0b110])  # bit 2 of a 2-element order
+    # labels are checked first, as before
+    with pytest.raises(FrameError, match="duplicate element labels"):
+        finite_frame(("0", "0"), [0b11])
 
 
 def assert_witness_fails(elements, leq, error):
@@ -144,7 +157,7 @@ def test_frame_rejects_posets_without_meets():
     # two maximal elements: no top, no join
     leq = [[True, True, True], [False, True, False], [False, False, True]]
     with pytest.raises(FrameError):
-        finite_frame(("0", "a", "b"), leq)
+        finite_frame(("0", "a", "b"), order_rows(leq))
 
 
 def test_frame_of_opens_examples():
@@ -153,7 +166,8 @@ def test_frame_of_opens_examples():
     assert L1.elements == ("{}", "{*}")
     L3 = frame_of_opens(sierpinski())
     assert L3.n == 3
-    assert all(L3.leq[a][b] for a in range(3) for b in range(3) if a <= b)
+    assert all(L3.above[a] >> b & 1 for a in range(3) for b in range(3)
+               if a <= b)
     LE = frame_of_opens(validate_topology((), [set()]))
     assert LE.n == 1 and LE.bottom == LE.top
 
@@ -193,8 +207,8 @@ def test_duality_round_trip_on_t0_spaces():
 
 def test_dual_of_non_t0_space_is_its_kolmogorov_quotient():
     X = from_preorder(("a", "b", "c"),
-                      [[True, True, False], [True, True, False],
-                       [False, False, True]])
+                      order_rows([[True, True, False], [True, True, False],
+                                  [False, False, True]]))
     assert not X.is_t0()
     dual, _ = stone_dual(frame_of_opens(X))
     K, _ = kolmogorov_quotient(X)
@@ -206,7 +220,7 @@ def test_dual_of_non_t0_space_is_its_kolmogorov_quotient():
 def test_sober_iff_t0_on_finite_spaces():
     batch = [point_space(), sierpinski(),
              validate_topology((), [set()]),
-             from_preorder(("a", "b"), [[True, True], [True, True]]),
+             from_preorder(("a", "b"), order_rows([[True, True], [True, True]])),
              prime_spectrum(zmod(6)).space]
     for name, R in catalog():
         batch.append(prime_spectrum(R).space)
@@ -220,7 +234,7 @@ def test_sober_iff_t0_on_finite_spaces():
 
 
 def test_sober_witness_for_indiscrete_pair():
-    I = from_preorder(("a", "b"), [[True, True], [True, True]])
+    I = from_preorder(("a", "b"), order_rows([[True, True], [True, True]]))
     flag, (closed, gens) = is_sober(I)
     assert not flag
     assert closed == frozenset({0, 1})
@@ -245,13 +259,14 @@ def test_spatiality_canonical_map_reconstructs_the_frame():
         # order isomorphism through the canonical point sets
         gens = L.join_primes()
         point_sets = [frozenset(i for i, m in enumerate(gens)
-                                if L.leq[m][u]) for u in range(L.n)]
+                                if L.above[m] >> u & 1) for u in range(L.n)]
         order = sorted(range(L.n),
                        key=lambda u: (len(point_sets[u]),
                                       sorted(point_sets[u])))
+        leq, leq2 = order_matrix(L.above), order_matrix(L2.above)
         for a in range(L.n):
             for b in range(L.n):
-                assert L.leq[order[a]][order[b]] == L2.leq[a][b]
+                assert leq[order[a]][order[b]] == leq2[a][b]
 
 
 def test_frame_morphism_validation():
@@ -333,7 +348,7 @@ def test_finite_frame_accepts_what_the_search_oracle_accepts(order):
     elements, leq = order
     expected = oracle_frame(elements, leq)
     try:
-        finite_frame(elements, leq)
+        finite_frame(elements, order_rows(leq))
     except FrameError as err:
         assert isinstance(expected, str), str(err)
         if not expected.startswith("meet does not distribute"):
@@ -351,7 +366,7 @@ def test_frame_operations_match_the_search_oracle(order):
     expected = oracle_frame(elements, leq)
     assume(not isinstance(expected, str))
     meet, join, bottom, top = expected
-    L = finite_frame(elements, leq)
+    L = finite_frame(elements, order_rows(leq))
     assert [list(row) for row in L.meet] == meet
     assert [list(row) for row in L.join] == join
     assert (L.bottom, L.top) == (bottom, top)
@@ -368,10 +383,10 @@ def test_stone_dual_built_from_join_primes_has_the_opens_o_u(order):
     # be exactly the O_u = join-primes below u, one per element u
     elements, leq = order
     assume(not isinstance(oracle_frame(elements, leq), str))
-    L = finite_frame(elements, leq)
+    L = finite_frame(elements, order_rows(leq))
     dual, _ = stone_dual(L)
     gens = L.join_primes()
-    opens = {frozenset(i for i, m in enumerate(gens) if L.leq[m][u])
+    opens = {frozenset(i for i, m in enumerate(gens) if L.above[m] >> u & 1)
              for u in range(L.n)}
     assert dual == validate_topology(dual.points, opens)
 
@@ -383,7 +398,7 @@ def test_distributivity_error_names_a_failing_triple(order):
     expected = oracle_frame(elements, leq)
     assume(isinstance(expected, str) and "distribute" in expected)
     with pytest.raises(FrameError) as err:
-        finite_frame(elements, leq)
+        finite_frame(elements, order_rows(leq))
     assert_witness_fails(elements, leq, err.value)
 
 
@@ -392,7 +407,7 @@ def test_distributivity_error_names_a_failing_triple(order):
 def test_covers_round_trip_on_random_frames(order):
     elements, leq = order
     assume(not isinstance(oracle_frame(elements, leq), str))
-    L = finite_frame(elements, leq)
+    L = finite_frame(elements, order_rows(leq))
     assert frame_from_covers(L.elements, L.covers()) == L
 
 
@@ -460,7 +475,7 @@ def test_theorem_A_and_spatiality_over_the_census():
         opens = X.sorted_opens()
         leq = [[u <= v for v in opens] for u in opens]
         L = frame_of_opens(X)
-        assert [list(row) for row in L.leq] == leq, tables
+        assert order_matrix(L.above) == leq, tables
         meet, join, bottom, top = oracle_frame(L.elements, leq)
         assert [list(row) for row in L.meet] == meet, tables
         assert [list(row) for row in L.join] == join, tables

@@ -28,7 +28,6 @@ from finsite.site import (
     intrinsic_order_check,
     lambda_X,
     open_subscheme,
-    principal_open,
     principal_open_props_check,
     principal_sections_iso,
     sheaf_axiom_check,
@@ -52,6 +51,12 @@ def test_cover_criterion_on_examples():
     # no member at all covers only an empty spectrum
     assert covers(cover_family(trivial(), []))
     assert not covers(cover_family(Z6, []))
+
+
+def test_cover_members_are_their_localizations():
+    Z6 = zmod(6)
+    assert cover_family(Z6, [2, 3]).members == (localize(Z6, 2),
+                                                localize(Z6, 3))
 
 
 def test_identity_cover_always_satisfies_the_sheaf_condition():
@@ -119,7 +124,7 @@ def test_lambda_frames():
     assert frame6.n == 4  # Boolean lattice of a 2-point discrete space
     frameN, subsN = lambda_X(truncated_naturals(2))
     assert frameN.n == 3  # chain: nested primes {0} in {0,T}
-    assert all(frameN.leq[a][b] for a in range(3) for b in range(3)
+    assert all(frameN.above[a] >> b & 1 for a in range(3) for b in range(3)
                if a <= b)
     for name, R in catalog():
         assert spatiality_check(lambda_X(R)[0]), name

@@ -57,7 +57,7 @@ from oracles import (full_primality, oracle_congruences,
                      oracle_generated_opens, oracle_ideals,
                      oracle_is_k_ideal, oracle_is_prime_congruence,
                      oracle_is_prime_ideal, oracle_order_isomorphism,
-                     oracle_primes)
+                     oracle_primes, order_matrix, order_rows)
 
 # (name, ideal count, k-ideal count, chain sizes (t, s, w, k, prime), opens)
 FROZEN_TABLE = [
@@ -158,7 +158,7 @@ def test_basic_open_laws():
 def test_specialization_order_is_prime_containment():
     for name, R in catalog():
         spec = prime_spectrum(R)
-        leq = spec.space.specialization_leq()
+        leq = order_matrix(spec.space.above)
         k = len(spec.primes)
         for i in range(k):
             for j in range(k):
@@ -311,10 +311,10 @@ def test_weak_spectrum_of_a_chain_is_the_opposite_simplex(k, points, opens):
     simplex = simplex_space(finset([f"v{i}" for i in range(k - 1)]))
     assert (weak.n, len(weak.opens)) == (points, opens)
     assert (simplex.n, len(simplex.opens)) == (points, opens)
-    leq = simplex.specialization_leq()
+    leq = order_matrix(simplex.above)
     opposite = [[leq[y][x] for y in range(simplex.n)]
                 for x in range(simplex.n)]
-    assert oracle_order_isomorphism(weak.specialization_leq(),
+    assert oracle_order_isomorphism(order_matrix(weak.above),
                                     opposite) is not None
 
 
@@ -395,7 +395,8 @@ def assert_flavor_records_match_oracle(R, name):
         refines = [[all(q[a] == q[b] for a in range(R.n) for b in range(R.n)
                         if p[a] == p[b]) for q in points] for p in points]
         space, down = congruence_spectrum(R, flavor)
-        assert space == from_preorder(space.points, refines), (name, flavor)
+        assert space == from_preorder(space.points, order_rows(refines)), \
+            (name, flavor)
         assert [primes[down(i)] for i in range(space.n)] == [
             frozenset(a for a in range(R.n) if b[a] == b[R.zero])
             for b in points], (name, flavor)

@@ -42,6 +42,8 @@ from oracles import (
     oracle_reflexive_transitive,
     oracle_subspace_opens,
     oracle_t0_classes,
+    order_matrix,
+    order_rows,
 )
 
 
@@ -58,12 +60,12 @@ def space_from_opens(points, opens):
 
 def chain_space(n):
     leq = [[j == i + 1 for j in range(n)] for i in range(n)]
-    return from_preorder(tuple(f"x{i}" for i in range(n)), leq)
+    return from_preorder(tuple(f"x{i}" for i in range(n)), order_rows(leq))
 
 
 def discrete(labels):
     k = len(labels)
-    return from_preorder(tuple(labels), [[False] * k for _ in range(k)])
+    return from_preorder(tuple(labels), [0] * k)
 
 
 def oracle_quotient_opens(X, proj, k):
@@ -120,7 +122,7 @@ def test_space_from_opens_closes_the_family():
 def test_sierpinski_specialization_and_closure():
     S = sierpinski()
     assert S.is_t0()
-    leq = S.specialization_leq()
+    leq = order_matrix(S.above)
     assert leq[0][1] and not leq[1][0]
     assert S.closure({0}) == {0, 1}
     assert S.closure({1}) == {1}
@@ -130,8 +132,15 @@ def test_sierpinski_specialization_and_closure():
 
 def test_from_preorder_round_trips_specialization():
     for X in [sierpinski(), chain_space(3), discrete("abc")]:
-        Y = from_preorder(X.points, X.specialization_leq())
+        Y = from_preorder(X.points, X.above)
         assert Y.opens == X.opens
+
+
+def test_from_preorder_refuses_rows_that_do_not_fit():
+    with pytest.raises(TopologyError, match="order rows do not fit 2 points"):
+        from_preorder(("a", "b"), [0b11])  # one row for two points
+    with pytest.raises(TopologyError, match="order rows do not fit 2 points"):
+        from_preorder(("a", "b"), [0b01, 0b110])  # bit 2 of a 2-point order
 
 
 def test_order_cache_is_invisible():
@@ -145,7 +154,7 @@ def test_order_cache_is_invisible():
 
 
 def test_preorder_cycle_collapses_to_indiscrete_cluster():
-    I = from_preorder(("a", "b"), [[True, True], [True, True]])
+    I = from_preorder(("a", "b"), order_rows([[True, True], [True, True]]))
     assert I.opens == {frozenset(), frozenset({0, 1})}
     assert not I.is_t0()
     K, pi = kolmogorov_quotient(I)
@@ -244,8 +253,8 @@ def test_quotient_labels_must_name_every_class():
 
 def test_kolmogorov_quotient_is_t0_and_idempotent():
     I = from_preorder(("a", "b", "c"),
-                      [[True, True, False], [True, True, False],
-                       [False, False, False]])
+                      order_rows([[True, True, False], [True, True, False],
+                                  [False, False, False]]))
     K, pi = kolmogorov_quotient(I)
     assert K.is_t0()
     assert K.n == 2
@@ -283,8 +292,8 @@ def spaces_and_opens(draw, max_points=6):
         opens = {frozenset(u) for r in range(n + 1)
                  for u in combinations(range(n), r)
                  if all(x in u for y in u for x in range(n) if leq[x][y])}
-        return from_preorder(labels, [[(x, y) in edges for y in range(n)]
-                                      for x in range(n)]), opens
+        return from_preorder(labels, order_rows(
+            [[(x, y) in edges for y in range(n)] for x in range(n)])), opens
     opens = oracle_generated_opens(n, draw(st.lists(subsets(n), max_size=6)))
     return validate_topology(labels, opens), opens
 
@@ -309,8 +318,8 @@ def test_order_operations_match_open_set_oracles(space, Y, data):
     assert X.interior(subset) == oracle_interior(X, subset)
     for x in range(X.n):
         assert X.min_open(x) == oracle_min_open(X, x)
-        assert X.specialization_leq()[x] == tuple(
-            y in oracle_closure(X, {x}) for y in range(X.n))
+        assert order_matrix(X.above)[x] == [
+            y in oracle_closure(X, {x}) for y in range(X.n)]
     assert X.irreducible_closed_sets() == sorted(
         {oracle_closure(X, {x}) for x in range(X.n)},
         key=lambda c: (len(c), sorted(c)))
@@ -411,7 +420,7 @@ def test_cover_pairs_match_the_between_scan(relation):
     # random preorders: cycles in the relation make them non-T0
     n, pairs = relation
     leq = oracle_reflexive_transitive(n, pairs)
-    assert cover_pairs(leq) == oracle_cover_pairs(leq)
+    assert cover_pairs(order_rows(leq)) == oracle_cover_pairs(leq)
 
 
 def loop_depth(node) -> int:
