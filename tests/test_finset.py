@@ -33,7 +33,6 @@ from finsite.finset import (
     _subset_orbit_reps,
 )
 from finsite.locales import is_sober, sobrification_unit
-
 from finsite.spectra import congruence_spectrum
 
 from oracles import oracle_betti_mod2, oracle_descent, oracle_order_chains
