@@ -273,6 +273,8 @@ class FinSetPresentation(_Record):
     arrows: tuple[tuple[int, int, Injection], ...]
 
     def node(self, name: str) -> int:
+        if name not in self.names:
+            raise FinSetError(f"no chart named {name!r}")
         return self.names.index(name)
 
 

@@ -59,6 +59,8 @@ class SPresentation(_Record):
     arrows: tuple[tuple[int, int, SemiringHom], ...]
 
     def node(self, name: str) -> int:
+        if name not in self.names:
+            raise GlueError(f"no chart named {name!r}")
         return self.names.index(name)
 
     def arrow_names(self):

@@ -1,16 +1,14 @@
 """Finite frames (bounded distributive lattices) and Stone duality.
 
 At finite scale a frame is exactly a bounded distributive lattice, and the
-points of its Stone dual are the completely prime filters; each such filter
-is generated by a join-prime element, so the dual space is computed from
-those generators.  By Birkhoff duality a finite distributive lattice is the
-lattice of down-sets of its join-irreducibles (the elements with exactly
-one lower cover), and these are exactly its join-primes.  A frame stores
-its order as a space does, in int-bitmask rows `above`.
-
-A finite space keeps its frame of opens, and a frame its Stone dual, in
-the record `semiring._memo` fills: each is built and validated once, on
-first use, and equality, hash and repr ignore it.
+points of its Stone dual are the completely prime filters, each the up-set
+of a join-prime.  By Birkhoff a finite distributive lattice is the lattice
+of down-sets of its join-primes (its elements with exactly one lower
+cover), so a frame stores each element as the bitmask of the join-primes
+below it: `finite_frame` validates parsed orders, and `frame_of_opens`
+reads the masks off a space's least opens.  A space keeps its frame of
+opens, and a frame its Stone dual, in the record `semiring._memo` fills,
+built once on first use; equality, hash and repr ignore it.
 """
 
 from __future__ import annotations
@@ -21,6 +19,7 @@ from .topology import (
     FiniteTopSpace,
     _bits,
     _converse,
+    _mask,
     _restrict,
     continuous_map,
     cover_pairs,
@@ -35,16 +34,13 @@ class FrameError(Exception):
 
 
 class FiniteFrame(_Record):
-    """A validated finite bounded distributive lattice with its order
-    (bit b of above[a] is set iff a <= b), meet and join tables and its
-    join-primes; build through `finite_frame`."""
+    """A finite distributive lattice: bit j of masks[a] is set iff the
+    join-prime j (an element index) lies below a, so the order is mask
+    inclusion, meet is &, join is |, bottom's mask is empty and top's full;
+    build through `finite_frame` or `frame_of_opens`."""
 
     elements: tuple[str, ...]
-    above: tuple[int, ...]
-    meet: tuple[tuple[int, ...], ...]
-    join: tuple[tuple[int, ...], ...]
-    bottom: int
-    top: int
+    masks: tuple[int, ...]
     primes: tuple[int, ...]
 
     @property
@@ -55,17 +51,20 @@ class FiniteFrame(_Record):
         try:
             return self.elements.index(label)
         except ValueError:
-            raise FrameError(f"no lattice element labeled {label!r}") \
-                from None
+            raise FrameError(f"no lattice element labeled {label!r}") from None
 
     def covers(self) -> list[tuple[int, int]]:
-        """Pairs (a, b) with a strictly below b and nothing between."""
-        return cover_pairs(self.above)
+        """Pairs (a, b) with a strictly below b and nothing between, in
+        index order: b adds one join-prime whose other join-primes a
+        holds."""
+        position = {m: c for c, m in enumerate(self.masks)}
+        return sorted((a, position[m | 1 << j])
+                      for a, m in enumerate(self.masks) for j in self.primes
+                      if self.masks[j] & ~m == 1 << j)
 
     def join_primes(self) -> list[int]:
-        """Non-bottom elements m with m <= a v b forcing m <= a or m <= b;
-        these generate the completely prime filters.  In a distributive
-        lattice they are the join-irreducibles `finite_frame` found."""
+        """Non-bottom elements m with m <= a v b forcing m <= a or m <= b,
+        the generators of the completely prime filters."""
         return list(self.primes)
 
     def __repr__(self):
@@ -100,22 +99,19 @@ def finite_frame(elements, above) -> FiniteFrame:
 
     # in a poset an element is fixed by its up-set: a v b, when it exists,
     # is the element whose up-set is up(a) & up(b), and dually for meets
-    def table(masks, kind):
+    def bounds(masks, kind):
         by_mask = {m: c for c, m in enumerate(masks)}
-        rows = tuple(tuple(map(by_mask.get, [m & k for k in masks]))
-                     for m in masks)
-        for a, row in enumerate(rows):
-            if None in row:
-                raise FrameError(f"no {kind} for {elements[a]}, "
-                                 f"{elements[row.index(None)]}")
-        return rows
+        for a, m in enumerate(masks):
+            for b, k in enumerate(masks):
+                if m & k not in by_mask:
+                    raise FrameError(
+                        f"no {kind} for {elements[a]}, {elements[b]}")
+        return by_mask
 
-    meet = table(down, "meet")
-    join = table(up, "join")
+    bounds(down, "meet")
+    join = bounds(up, "join")
     full = (1 << n) - 1
-    bottoms = [a for a in range(n) if up[a] == full]
-    tops = [a for a in range(n) if down[a] == full]
-    if len(bottoms) != 1 or len(tops) != 1:
+    if up.count(full) != 1 or down.count(full) != 1:
         raise FrameError("missing bottom or top")
     # Birkhoff: a finite lattice is distributive iff each join-irreducible
     # is join-prime, that is J(a v b) = J(a) | J(b) with J(x) the
@@ -127,17 +123,17 @@ def finite_frame(elements, above) -> FiniteFrame:
         lower[b] += 1
     primes = tuple(j for j in range(n) if lower[j] == 1)
     irreducible = sum(1 << j for j in primes)
-    J = [d & irreducible for d in down]
+    J = tuple(d & irreducible for d in down)
     for a in range(n):
-        Ja, row = J[a], join[a]
         for b in range(a + 1, n):
-            missed = J[row[b]] & ~(Ja | J[b])
+            missed = J[join[up[a] & up[b]]] & ~(J[a] | J[b])
             if missed:
                 j = (missed & -missed).bit_length() - 1
                 raise FrameError(
                     "meet does not distribute over join at "
                     f"({elements[j]}, {elements[a]}, {elements[b]})")
-    return FiniteFrame(elements, up, meet, join, bottoms[0], tops[0], primes)
+    # the J(a) are the masks: distributivity makes them the frame's order
+    return FiniteFrame(elements, J, primes)
 
 
 def frame_from_covers(elements, pairs) -> FiniteFrame:
@@ -148,16 +144,20 @@ def frame_from_covers(elements, pairs) -> FiniteFrame:
 
 def frame_of_opens(X: FiniteTopSpace) -> FiniteFrame:
     """The lattice of open sets ordered by inclusion, in canonical order;
-    validated on first use and kept by X."""
+    built on first use and kept by X."""
     return _memo(X, "frame", lambda: _frame_of_opens(X))
 
 
 def _frame_of_opens(X: FiniteTopSpace) -> FiniteFrame:
-    labels = tuple(set_label(X.points, u) for u in X.sorted_opens())
+    # the join-primes of a lattice of down-sets are its distinct least
+    # opens, and those inside an open u are the least opens of u's points
     opens = X.open_masks
-    return finite_frame(labels, [
-        sum(1 << j for j, v in enumerate(opens) if u & ~v == 0)
-        for u in opens])
+    position = {u: i for i, u in enumerate(opens)}
+    prime = [position[least] for least in X._below]
+    return FiniteFrame(
+        tuple(set_label(X.points, _bits(u)) for u in opens),
+        tuple(_mask(prime[x] for x in _bits(u)) for u in opens),
+        tuple(sorted(set(prime))))
 
 
 class FrameMorphism(_Map):
@@ -172,19 +172,20 @@ def frame_morphism(source, target, images) -> FrameMorphism:
     if len(images) != source.n or \
             any(not 0 <= y < target.n for y in images):
         raise FrameError("element assignment out of range")
-    if images[source.bottom] != target.bottom:
+    # the masks of a and of its image; top's mask is full, so the largest
+    S, T = source.masks, [target.masks[y] for y in images]
+    if T[S.index(0)]:
         raise FrameError("bottom not preserved")
-    if images[source.top] != target.top:
+    if T[S.index(max(S))] != max(target.masks):
         raise FrameError("top not preserved")
+    position = {m: c for c, m in enumerate(S)}
     for a in range(source.n):
         for b in range(source.n):
-            if images[source.meet[a][b]] != \
-                    target.meet[images[a]][images[b]]:
+            if T[position[S[a] & S[b]]] != T[a] & T[b]:
                 raise FrameError(
                     f"meet not preserved at ({source.elements[a]}, "
                     f"{source.elements[b]})")
-            if images[source.join[a][b]] != \
-                    target.join[images[a]][images[b]]:
+            if T[position[S[a] | S[b]]] != T[a] | T[b]:
                 raise FrameError(
                     f"join not preserved at ({source.elements[a]}, "
                     f"{source.elements[b]})")
@@ -194,13 +195,12 @@ def frame_morphism(source, target, images) -> FrameMorphism:
 def opens_pullback(f: ContinuousMap) -> FrameMorphism:
     """A continuous map induces the preimage map between open-set frames,
     running the other way."""
-    LY = frame_of_opens(f.target)
-    LX = frame_of_opens(f.source)
     position = {u: i for i, u in enumerate(f.source.open_masks)}
     images = [position[sum(1 << x for x, y in enumerate(f.images)
                            if v >> y & 1)]
               for v in f.target.open_masks]
-    return frame_morphism(LY, LX, images)
+    return frame_morphism(frame_of_opens(f.target), frame_of_opens(f.source),
+                          images)
 
 
 def stone_dual(L: FiniteFrame) -> tuple[FiniteTopSpace, tuple[frozenset[int], ...]]:
@@ -213,10 +213,12 @@ def stone_dual(L: FiniteFrame) -> tuple[FiniteTopSpace, tuple[frozenset[int], ..
 
 def _stone_dual(L: FiniteFrame):
     gens = L.primes
-    filters = tuple(frozenset(_bits(L.above[m])) for m in gens)
+    up = _converse(L.masks)  # up[m]: the elements above m
+    filters = tuple(frozenset(_bits(up[m])) for m in gens)
     labels = tuple(L.elements[m] for m in gens)
-    # O_u = join-primes below u, and by Birkhoff every down-set is some O_u
-    return from_preorder(labels, _restrict(L.above, gens)), filters
+    # O_u = join-primes below u, and by Birkhoff every down-set is some O_u;
+    # on gens the masks list the join-primes below each one
+    return from_preorder(labels, _converse(_restrict(L.masks, gens))), filters
 
 
 def stone_map(h: FrameMorphism) -> ContinuousMap:
@@ -225,12 +227,9 @@ def stone_map(h: FrameMorphism) -> ContinuousMap:
     M, N = h.source, h.target
     dual_M, filters_M = stone_dual(M)
     dual_N, _ = stone_dual(N)
-    gens_N = N.join_primes()
-    images = []
-    for m in gens_N:
-        back = frozenset(u for u in range(M.n) if N.above[m] >> h(u) & 1)
-        images.append(filters_M.index(back))
-    return continuous_map(dual_N, dual_M, tuple(images))
+    images = tuple(filters_M.index(frozenset(
+        u for u in range(M.n) if N.masks[h(u)] >> m & 1)) for m in N.primes)
+    return continuous_map(dual_N, dual_M, images)
 
 
 def sobrification_unit(X: FiniteTopSpace) -> ContinuousMap:
@@ -241,8 +240,7 @@ def sobrification_unit(X: FiniteTopSpace) -> ContinuousMap:
     # the opens around x are those holding x's least open: the up-set of
     # that open, a join-prime, so the filter of the dual's point there
     position = {u: i for i, u in enumerate(X.open_masks)}
-    point = {m: p for p, m in enumerate(L.primes)}
-    return continuous_map(X, dual, tuple(point[position[least]]
+    return continuous_map(X, dual, tuple(L.primes.index(position[least])
                                          for least in X._below))
 
 
@@ -258,13 +256,8 @@ def is_sober(X: FiniteTopSpace):
 
 
 def spatiality_check(L: FiniteFrame) -> bool:
-    """Whether u -> O_u identifies L with the open-set frame of its dual;
-    for that the assignment must be injective and order-reflecting.  It
-    preserves meets, O_{a ^ b} = O_a & O_b, so injective is enough: O_a
-    inside O_b gives O_{a ^ b} = O_a, so a ^ b = a and a <= b."""
-    # point_sets[u]: O_u, the join-primes below u
-    point_sets = [0] * L.n
-    for m in L.primes:
-        for u in _bits(L.above[m]):
-            point_sets[u] |= 1 << m
-    return len(set(point_sets)) == L.n
+    """Whether u -> O_u, the join-primes below u or masks[u], identifies L
+    with the open-set frame of its dual: it must be injective and
+    order-reflecting.  It preserves meets, O_{a ^ b} = O_a & O_b, so
+    injective is enough: O_a inside O_b gives O_{a ^ b} = O_a, so a <= b."""
+    return len(set(L.masks)) == L.n

@@ -23,6 +23,7 @@ from .semiring import (
     SemiringError,
     SemiringHom,
     Localization,
+    TableError,
     _Record,
     _canon_blocks,
     _memo,
@@ -127,6 +128,8 @@ class Spectrum(_Record):
 
     def basic_open(self, h: int) -> frozenset[int]:
         """Point set of U_h: the primes avoiding h."""
+        if not 0 <= h < self.semiring.n:
+            raise TableError("element index out of range")
         return frozenset(i for i, p in enumerate(self.primes) if h not in p)
 
 

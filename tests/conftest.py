@@ -28,18 +28,17 @@ def enumerations(monkeypatch):
 
 @pytest.fixture
 def frame_builds(monkeypatch):
-    """Counter, per tuple of element labels, of frames validated by
-    `locales.finite_frame`: the builds behind the frame each space keeps,
-    not calls to `frame_of_opens`."""
+    """Counter, per space, of frames of opens built by
+    `locales._frame_of_opens`: the builds behind the frame each space
+    keeps, not calls to `frame_of_opens`."""
     import finsite.locales
 
     counts = collections.Counter()
-    original = finsite.locales.finite_frame
+    original = finsite.locales._frame_of_opens
 
-    def counted(elements, above):
-        elements = tuple(elements)
-        counts[elements] += 1
-        return original(elements, above)
+    def counted(X):
+        counts[X] += 1
+        return original(X)
 
-    monkeypatch.setattr(finsite.locales, "finite_frame", counted)
+    monkeypatch.setattr(finsite.locales, "_frame_of_opens", counted)
     return counts

@@ -999,6 +999,12 @@ def order_matrix(rows) -> list[list[bool]]:
     return [[bool(row >> y & 1) for y in range(n)] for row in rows]
 
 
+def mask_order(masks) -> list[list[bool]]:
+    """The order of a frame stored as join-prime masks, as a boolean
+    matrix: a <= b iff masks[a] lies inside masks[b]."""
+    return [[not a & ~b for b in masks] for a in masks]
+
+
 def oracle_cover_pairs(leq) -> list[tuple[int, int]]:
     """Covering pairs (x, y) of a preorder in index order: x strictly below
     y, and no z strictly between them, by scanning every z."""

@@ -297,6 +297,13 @@ def test_path_limits_open_and_closed():
         finset_path_limit(P, P.node("{a,b}"), ((a_ab, True),), "opened")
 
 
+def test_node_names_the_unknown_chart():
+    P = asc_presentation(asc("abc", ["ab", "ac"]))
+    assert [P.node(name) for name in P.names] == list(range(len(P.names)))
+    with pytest.raises(FinSetError, match="^no chart named 'B'$"):
+        P.node("B")
+
+
 def test_path_limit_labels_in_product_order_and_self_arrows():
     X = finset(("x", "y", "z"))
     U = finset(("p", "q"))

@@ -211,6 +211,13 @@ def test_walk_validation_and_description():
         DiagramPath(P, P.node("A"), ((0, True),)).nodes_visited()
 
 
+def test_node_names_the_unknown_chart():
+    P = doubled_point_presentation()
+    assert [P.node(name) for name in P.names] == list(range(len(P.names)))
+    with pytest.raises(GlueError, match="^no chart named 'C'$"):
+        P.node("C")
+
+
 def test_walks_refuse_unknown_starts_and_arrows():
     P = atlas(cover_family(zmod(6), [2, 3]))
     for start, steps, match in ((-1, (), "unknown chart"),

@@ -31,6 +31,7 @@ from finsite.topology import (
     disjoint_union,
     from_preorder,
     kolmogorov_quotient,
+    set_label,
     validate_topology,
 )
 
@@ -41,9 +42,9 @@ from oracles import (
     oracle_distributivity_failures,
     oracle_frame,
     oracle_is_spatial,
+    mask_order,
     oracle_join_primes,
     oracle_reflexive_transitive,
-    order_matrix,
     order_rows,
 )
 
@@ -70,21 +71,26 @@ def diamond():
 
 
 def oracle_completely_prime_filters(L):
-    """Direct subset scan against the filter axioms."""
+    """Direct subset scan against the filter axioms, with meets and joins
+    read off the masks as & and |."""
     out = []
     n = L.n
-    leq = order_matrix(L.above)
+    leq = mask_order(L.masks)
+    element = {m: a for a, m in enumerate(L.masks)}
+    meet = [[element[m & k] for k in L.masks] for m in L.masks]
+    join = [[element[m | k] for k in L.masks] for m in L.masks]
+    bottom, top = element[0], element[max(L.masks)]
     for r in range(1, n + 1):
         for sub in combinations(range(n), r):
             F = frozenset(sub)
-            if L.top not in F or L.bottom in F:
+            if top not in F or bottom in F:
                 continue
             if any(leq[a][b] and a in F and b not in F
                    for a in range(n) for b in range(n)):
                 continue
-            if any(L.meet[a][b] not in F for a in F for b in F):
+            if any(meet[a][b] not in F for a in F for b in F):
                 continue
-            if any(L.join[a][b] in F and a not in F and b not in F
+            if any(join[a][b] in F and a not in F and b not in F
                    for a in range(n) for b in range(n)):
                 continue
             out.append(F)
@@ -167,10 +173,12 @@ def test_frame_of_opens_examples():
     assert L1.elements == ("{}", "{*}")
     L3 = frame_of_opens(sierpinski())
     assert L3.n == 3
-    assert all(L3.above[a] >> b & 1 for a in range(3) for b in range(3)
-               if a <= b)
+    leq = mask_order(L3.masks)
+    assert all(leq[a][b] for a in range(3) for b in range(3) if a <= b)
     LE = frame_of_opens(validate_topology((), [set()]))
-    assert LE.n == 1 and LE.bottom == LE.top
+    # one element, bottom and top at once: with no join-primes its mask is
+    # both the empty and the full one
+    assert LE.n == 1 and LE.masks == (0,) and LE.primes == ()
 
 
 def test_stone_dual_points_match_filter_oracle():
@@ -260,11 +268,11 @@ def test_spatiality_canonical_map_reconstructs_the_frame():
         # order isomorphism through the canonical point sets
         gens = L.join_primes()
         point_sets = [frozenset(i for i, m in enumerate(gens)
-                                if L.above[m] >> u & 1) for u in range(L.n)]
+                                if L.masks[u] >> m & 1) for u in range(L.n)]
         order = sorted(range(L.n),
                        key=lambda u: (len(point_sets[u]),
                                       sorted(point_sets[u])))
-        leq, leq2 = order_matrix(L.above), order_matrix(L2.above)
+        leq, leq2 = mask_order(L.masks), mask_order(L2.masks)
         for a in range(L.n):
             for b in range(L.n):
                 assert leq[order[a]][order[b]] == leq2[a][b]
@@ -366,15 +374,28 @@ def test_frame_operations_match_the_search_oracle(order):
     elements, leq = order
     expected = oracle_frame(elements, leq)
     assume(not isinstance(expected, str))
+    assert_frame_matches_oracle(finite_frame(elements, order_rows(leq)), leq,
+                                expected)
+
+
+def assert_frame_matches_oracle(L, leq, expected, note=None):
+    """L's mask order, meets and joins (& and |), bottom and top (the
+    empty and full masks), join-primes, covers and spatiality against the
+    search-built tables `oracle_frame` returned for leq."""
     meet, join, bottom, top = expected
-    L = finite_frame(elements, order_rows(leq))
-    assert [list(row) for row in L.meet] == meet
-    assert [list(row) for row in L.join] == join
-    assert (L.bottom, L.top) == (bottom, top)
+    masks = L.masks
+    assert mask_order(masks) == leq, note
+    for a in range(L.n):
+        assert [masks[c] for c in meet[a]] == [masks[a] & m for m in masks], \
+            note
+        assert [masks[c] for c in join[a]] == [masks[a] | m for m in masks], \
+            note
+    assert (masks[bottom], masks[top]) == (0, max(masks)), note
+    assert masks[top] == sum(1 << m for m in L.primes), note
     primes = oracle_join_primes(leq, join, bottom)
-    assert L.join_primes() == primes
-    assert L.covers() == oracle_cover_pairs(leq)
-    assert spatiality_check(L) == oracle_is_spatial(leq, primes)
+    assert L.join_primes() == primes, note
+    assert L.covers() == oracle_cover_pairs(leq), note
+    assert spatiality_check(L) == oracle_is_spatial(leq, primes), note
 
 
 @settings(max_examples=200, deadline=None)
@@ -388,13 +409,12 @@ def test_spatiality_check_matches_the_oracle_on_any_lattice(order):
     assume(not isinstance(expected, str)
            or expected == "meet does not distribute over join")
     n = len(elements)
-    meet, join = ([[oracle_bound(leq, a, b, below) for b in range(n)]
-                   for a in range(n)] for below in (True, False))
+    join = [[oracle_bound(leq, a, b, False) for b in range(n)]
+            for a in range(n)]
     bottom = next(a for a in range(n) if all(leq[a]))
-    top = next(a for a in range(n) if all(row[a] for row in leq))
     primes = oracle_join_primes(leq, join, bottom)
-    L = FiniteFrame(elements, tuple(order_rows(leq)), meet, join, bottom, top,
-                    tuple(primes))
+    masks = tuple(sum(1 << m for m in primes if leq[m][a]) for a in range(n))
+    L = FiniteFrame(elements, masks, tuple(primes))
     assert spatiality_check(L) == oracle_is_spatial(leq, primes)
 
 
@@ -408,7 +428,7 @@ def test_stone_dual_built_from_join_primes_has_the_opens_o_u(order):
     L = finite_frame(elements, order_rows(leq))
     dual, _ = stone_dual(L)
     gens = L.join_primes()
-    opens = {frozenset(i for i, m in enumerate(gens) if L.above[m] >> u & 1)
+    opens = {frozenset(i for i, m in enumerate(gens) if L.masks[u] >> m & 1)
              for u in range(L.n)}
     assert dual == validate_topology(dual.points, opens)
 
@@ -450,16 +470,46 @@ def test_join_primes_of_the_3_simplex_are_its_least_opens():
     assert_join_primes_are_least_opens(X)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+# up to four faces on at most four vertices, each vertex a face too
+face_complexes = st.integers(1, 4).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.frozensets(st.integers(0, n - 1), min_size=1),
-                         max_size=4))))
-def test_join_primes_of_face_spaces_are_least_opens(complex_spec):
+                         max_size=4)))
+
+
+def face_space_of(complex_spec):
     n, faces = complex_spec
     vertices = tuple("abcd"[:n])
     faces = [[vertices[v] for v in f] for f in faces]
     faces += [[v] for v in vertices]
-    assert_join_primes_are_least_opens(face_space(asc(vertices, faces)))
+    return face_space(asc(vertices, faces))
+
+
+@settings(max_examples=40, deadline=None)
+@given(face_complexes)
+def test_join_primes_of_face_spaces_are_least_opens(complex_spec):
+    assert_join_primes_are_least_opens(face_space_of(complex_spec))
+
+
+def assert_frame_of_opens_is_the_validated_frame(X, note=None):
+    # frame_of_opens reads the masks off X's least opens and checks
+    # nothing; the validator of parsed lattices, given the inclusion order
+    # of the same opens, must return the same frame
+    opens = X.sorted_opens()
+    labels = [set_label(X.points, u) for u in opens]
+    rows = order_rows([[u <= v for v in opens] for u in opens])
+    assert frame_of_opens(X) == finite_frame(labels, rows), note
+
+
+@settings(max_examples=40, deadline=None)
+@given(face_complexes)
+def test_frame_of_opens_of_face_spaces_matches_the_validator(complex_spec):
+    assert_frame_of_opens_is_the_validated_frame(face_space_of(complex_spec))
+
+
+def test_frame_of_opens_of_census_spectra_matches_the_validator():
+    for R in census_upto(5):
+        assert_frame_of_opens_is_the_validated_frame(
+            prime_spectrum(R).space, (R.elements, R.add, R.mul))
 
 
 def test_theorem_A_spatiality_and_the_unit_build_one_frame(frame_builds):
@@ -497,10 +547,5 @@ def test_theorem_A_and_spatiality_over_the_census():
         opens = X.sorted_opens()
         leq = [[u <= v for v in opens] for u in opens]
         L = frame_of_opens(X)
-        assert order_matrix(L.above) == leq, tables
-        meet, join, bottom, top = oracle_frame(L.elements, leq)
-        assert [list(row) for row in L.meet] == meet, tables
-        assert [list(row) for row in L.join] == join, tables
-        assert (L.bottom, L.top) == (bottom, top), tables
-        assert L.join_primes() == oracle_join_primes(leq, join, bottom), \
-            tables
+        assert_frame_matches_oracle(L, leq, oracle_frame(L.elements, leq),
+                                    tables)

@@ -17,6 +17,7 @@ from finsite.catalog import (
 import finsite.site
 from finsite.semiring import (
     SemiringError,
+    TableError,
     are_isomorphic,
     enumerate_homs,
     hom_kernel,
@@ -37,7 +38,7 @@ from finsite.site import (
 from finsite.spectra import prime_spectrum
 from finsite.locales import spatiality_check
 
-from oracles import oracle_site_descent, pushout
+from oracles import mask_order, oracle_site_descent, pushout
 
 
 def test_cover_criterion_on_examples():
@@ -124,10 +125,23 @@ def test_lambda_frames():
     assert frame6.n == 4  # Boolean lattice of a 2-point discrete space
     frameN, subsN = lambda_X(truncated_naturals(2))
     assert frameN.n == 3  # chain: nested primes {0} in {0,T}
-    assert all(frameN.above[a] >> b & 1 for a in range(3) for b in range(3)
-               if a <= b)
+    leq = mask_order(frameN.masks)
+    assert all(leq[a][b] for a in range(3) for b in range(3) if a <= b)
     for name, R in catalog():
         assert spatiality_check(lambda_X(R)[0]), name
+
+
+def test_basic_opens_refuse_elements_out_of_range():
+    # U_h is defined for elements h of R alone, as R[1/h] is: an index
+    # outside range(R.n) names no element, so it has no basic open
+    R = zmod(6)
+    spec = prime_spectrum(R)
+    for h in (-1, R.n, 99):
+        with pytest.raises(TableError, match="element index out of range"):
+            spec.basic_open(h)
+    with pytest.raises(TableError, match="element index out of range"):
+        open_subscheme(R, [99])
+    assert open_subscheme(R, [2]).extent == spec.basic_open(2)
 
 
 def test_lambda_elements_carry_generators():
