@@ -44,10 +44,6 @@ def chain(k: int) -> FiniteSemiring:
     return validate_semiring(labels, add, mul, 0, k - 1)
 
 
-def trivial() -> FiniteSemiring:
-    return validate_semiring(("*",), ((0,),), ((0,),), 0, 0)
-
-
 def catalog() -> list[tuple[str, FiniteSemiring]]:
     """The bench in canonical order; names are stable identifiers."""
     return [

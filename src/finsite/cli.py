@@ -7,10 +7,14 @@ document with stable key order; reports are byte-identical across runs
 on identical inputs.
 
 Each command imports the modules it calls when it runs: `check` and
-`localize` load only `formats` and `semiring`, only `glue` loads `colimit`,
-and none loads `dataclasses`, `inspect` or `pkgutil`.  The `glue`
-command's monodromy check runs one union-find per closed walk, the walk's
-colimit of sets.
+`localize` load only `formats` and `semiring`, only `glue` and `claims`
+load `colimit`, and none loads `dataclasses`, `inspect` or `pkgutil`.
+The `glue` command's monodromy check runs one union-find per closed walk,
+the walk's colimit of sets.  `claims` runs the paper's checks over the
+catalog semirings and so also reaches `site`, `glue`, `colimit` and
+`finset`: the principal-open properties, sections over basic opens,
+affine atlases, the glued comparison chain, descent and face charts on the
+finite-set site, and the wedge refused at both sites.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from pathlib import Path
 
 from . import formats
 from .semiring import (DEFAULT_BUDGET, FLAVORS, VISUALIZATIONS, AxiomError,
-                       SemiringError, enumerate_congruences, localize)
+                       InvariantError, SemiringError, SemiringHom,
+                       enumerate_congruences, localize)
 
 
 def _space_listing(space, dot=None) -> tuple[list[str], dict]:
@@ -348,6 +353,149 @@ def cmd_simplex(ns):
     return 0, lines, data
 
 
+def _props_row(rows, unit):
+    """One of P1-P3 from its rows: their count, or the first failure."""
+    bad = [row for row in rows if not row["pass"]]
+    if not bad:
+        return True, f"{len(rows)} {unit}"
+    return False, " ".join(
+        f"{key} {','.join(value) if isinstance(value, list) else value}"
+        for key, value in bad[0].items() if key != "pass")
+
+
+def _sections_row(entries):
+    from .site import principal_sections_iso
+
+    pairs = 0
+    for name, R in entries:
+        for h in range(R.n):
+            pairs += 1
+            try:
+                principal_sections_iso(R, h)
+            except SemiringError:
+                return False, f"{name} at {R.elements[h]}"
+    return True, f"{pairs} pairs"
+
+
+def _atlas_row(entries):
+    """Every covering family of at most two elements of each entry."""
+    from itertools import combinations
+
+    from .glue import affine_glue_check
+    from .site import cover_family, covers
+
+    families = 0
+    for name, R in entries:
+        for size in (1, 2):
+            for els in combinations(range(R.n), size):
+                S = cover_family(R, els)
+                if not covers(S):
+                    continue
+                families += 1
+                if not affine_glue_check(S)[0]:
+                    return False, f"{name} at " + " ".join(
+                        R.elements[h] for h in els)
+    return True, f"{families} covering families"
+
+
+def _chain_claim_row(Z6):
+    """The glued chain of the README's doubled point of Z6."""
+    from .glue import glued_chain, presentation
+
+    loc = localize(Z6, 2)
+    chain = glued_chain(presentation(
+        [("A", Z6), ("B", Z6), ("O", loc.semiring)],
+        [("O", "A", loc.to_local), ("O", "B", loc.to_local)]))
+    return True, ", ".join(f"{name} {G.space.n}" for name, G
+                           in zip(chain.names, chain.levels)) + " points"
+
+
+def _descent_row():
+    from .finset import subcanonicity_sweep
+
+    sweep = subcanonicity_sweep(3, 3)
+    if sweep["agree"]:
+        return True, f"{sweep['families']} families"
+    return False, "disagree at " + " ".join(
+        f"{a}:{mask}" for a, mask in sweep["disagreements"])
+
+
+def _face_row():
+    from .finset import asc, asc_presentation, face_space, finset_glue_space
+
+    complexes = (("abc", ("ab", "bc", "ca")), ("abcd", ("abc", "bcd")),
+                 ("abcd", ("abcd",)), ("abc", ("ab", "c")))
+    for vertices, faces in complexes:
+        K = asc(vertices, faces)
+        if finset_glue_space(asc_presentation(K)).space.above \
+                != face_space(K).above:
+            return False, "faces " + " ".join(faces)
+    return True, f"{len(complexes)} complexes"
+
+
+def _finset_wedge_row():
+    from .finset import monodromy_wedge_counterexample
+
+    wedge = monodromy_wedge_counterexample()
+    return not wedge.free, (f"{wedge.witness}: limits of "
+                            f"{wedge.closed_limit.n} and "
+                            f"{wedge.opened_limit.n} elements")
+
+
+def _semiring_wedge_row(B, BB):
+    """The two projections of BxB onto B as two arrows of U into X."""
+    from .glue import is_monodromy_free, presentation
+
+    report = is_monodromy_free(presentation(
+        [("X", BB), ("U", B)],
+        [("U", "X", SemiringHom(BB, B, (0, 0, 1, 1))),
+         ("U", "X", SemiringHom(BB, B, (0, 1, 0, 1)))]))
+    return not report.free, report.verdict()
+
+
+def cmd_claims(ns):
+    from .catalog import catalog
+    from .finset import FinSetError
+    from .glue import GlueError
+    from .site import principal_open_props_check
+
+    entries = catalog()
+    named = dict(entries)
+    props = principal_open_props_check(entries)
+    claims = (
+        ("P1 localizing at 1 is an isomorphism",
+         lambda: _props_row(props["P1"], "semirings")),
+        ("P2 localizing twice is localizing at the product",
+         lambda: _props_row(props["P2"], "semirings")),
+        ("P3 base change of a principal open is principal",
+         lambda: _props_row(props["P3"], "homs")),
+        ("sections over U_h are R[1/h]", lambda: _sections_row(entries)),
+        ("affine atlases glue back to Spec R", lambda: _atlas_row(entries)),
+        ("glued comparison chain of the doubled Z6",
+         lambda: _chain_claim_row(named["Z6"])),
+        ("finite-set descent is joint surjectivity", _descent_row),
+        ("face charts glue to the face poset", _face_row),
+        ("wedge refused at the finite-set site", _finset_wedge_row),
+        ("wedge refused at the semiring site",
+         lambda: _semiring_wedge_row(named["B"], named["BxB"])),
+    )
+    rows = []
+    for claim, run in claims:
+        try:
+            ok, note = run()
+        except (SemiringError, InvariantError, GlueError, FinSetError) as e:
+            ok, note = False, str(e)        # a failed claim, not a failed run
+        rows.append((claim, ok, note))
+    failures = sum(1 for _, ok, _ in rows if not ok)
+    lines = [f"{claim}: " + ("pass" if ok else "fail") + f" ({note})"
+             for claim, ok, note in rows]
+    lines.append(f"{len(rows)} claims, {failures} failures")
+    data = {"rows": [{"claim": claim, "result": "pass" if ok else "fail",
+                      "note": note} for claim, ok, note in rows],
+            "failures": failures}
+    return (1 if failures else 0), lines, data
+
+
 HANDLERS = {
     "check": cmd_check,
     "spectrum": cmd_spectrum,
@@ -359,6 +507,7 @@ HANDLERS = {
     "verify": cmd_verify,
     "glue": cmd_glue,
     "simplex": cmd_simplex,
+    "claims": cmd_claims,
 }
 
 
@@ -428,6 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("file", nargs="?")
     p.add_argument("--dot", metavar="PATH",
                    help="write the specialization graph here")
+    add("claims", "check the paper's claims over the catalog semirings")
     return ap
 
 

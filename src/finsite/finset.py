@@ -67,10 +67,6 @@ def injection(source: FinSet, target: FinSet, images) -> Injection:
     return Injection(source, target, images)
 
 
-def identity_injection(A: FinSet) -> Injection:
-    return injection(A, A, range(A.n))
-
-
 def _common_target(family, target):
     """The target all members share; an empty family must be given one."""
     if target is None:
@@ -87,10 +83,6 @@ def is_jointly_surjective(family, target: FinSet | None = None) -> bool:
     family = list(family)
     target = _common_target(family, target)
     return len(set().union(*(f.images for f in family))) == target.n
-
-
-def contains_bijection(family) -> bool:
-    return any(f.is_bijective() for f in family)
 
 
 def _subsets(A: FinSet):
@@ -148,15 +140,6 @@ def sheaf_axiom_check(family, Y: FinSet, target: FinSet | None = None):
         ((h, tuple(tuple(h[a] for a in f.images) for f in family))
          for h in itertools.product(range(Y.n), repeat=target.n)),
         families)
-
-
-def all_injection_families(A: FinSet):
-    """Every family of injections into A, one per nonempty set of image
-    subsets (the empty subset included as the empty injection)."""
-    subsets = [frozenset()] + _subsets(A)
-    for r in range(1, len(subsets) + 1):
-        for combo in itertools.combinations(subsets, r):
-            yield [face_injection(A, s) for s in combo]
 
 
 def _subset_orbit_reps(size: int):
@@ -226,8 +209,15 @@ class AbstractSimplicialComplex(_Record):
     faces: tuple[frozenset[int], ...]
 
     def face_labels(self) -> tuple[str, ...]:
+        """One label per face; refuses vertex labels with commas that
+        print two faces alike."""
         A = FinSet(self.vertices)
-        return tuple(face_label(A, f) for f in self.faces)
+        first = {}
+        for f in self.faces:
+            label = face_label(A, f)
+            if first.setdefault(label, f) != f:
+                raise FinSetError(f"two faces are labeled {label}")
+        return tuple(first)
 
 
 def asc(vertices, generating_faces) -> AbstractSimplicialComplex:

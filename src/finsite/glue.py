@@ -63,9 +63,6 @@ class SPresentation(_Record):
             raise GlueError(f"no chart named {name!r}")
         return self.names.index(name)
 
-    def arrow_names(self):
-        return tuple((self.names[s], self.names[d]) for s, d, _ in self.arrows)
-
 
 def presentation(nodes, arrows) -> SPresentation:
     """Build a presentation from (name, semiring) pairs and
@@ -109,11 +106,6 @@ def _atlas_parts(S: CoverFamily):
     return parts, arrows
 
 
-def atlas(S: CoverFamily) -> SPresentation:
-    parts, arrows = _atlas_parts(S)
-    return presentation([(nm, loc.semiring) for nm, loc in parts], arrows)
-
-
 class DiagramPath(_Record):
     """A walk in the index graph: a start node and a sequence of
     (arrow id, forward?) steps, each step traversing the arrow with or
@@ -151,12 +143,6 @@ class DiagramPath(_Record):
         for (ai, forward), node in zip(self.steps, seq[1:]):
             text += (" -> " if forward else " <- ") + P.names[node]
         return text
-
-
-def closed_walks(P: SPresentation, bound: int = 8) -> list[DiagramPath]:
-    """Self-loop traversals, there-and-back doublings of every arrow, and
-    one representative of every simple cycle of at most bound steps."""
-    return _closed_walks(P, bound)[0]
 
 
 def _closed_walks(P: SPresentation, bound: int):

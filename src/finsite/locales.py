@@ -13,7 +13,7 @@ built once on first use; equality, hash and repr ignore it.
 
 from __future__ import annotations
 
-from .semiring import _Map, _memo, _Record
+from .semiring import _memo, _Record
 from .topology import (
     ContinuousMap,
     FiniteTopSpace,
@@ -160,49 +160,6 @@ def _frame_of_opens(X: FiniteTopSpace) -> FiniteFrame:
         tuple(sorted(set(prime))))
 
 
-class FrameMorphism(_Map):
-    """A lattice map preserving bottom, top, binary meets and joins; build
-    through `frame_morphism`."""
-
-    _error = FrameError
-
-
-def frame_morphism(source, target, images) -> FrameMorphism:
-    images = tuple(images)
-    if len(images) != source.n or \
-            any(not 0 <= y < target.n for y in images):
-        raise FrameError("element assignment out of range")
-    # the masks of a and of its image; top's mask is full, so the largest
-    S, T = source.masks, [target.masks[y] for y in images]
-    if T[S.index(0)]:
-        raise FrameError("bottom not preserved")
-    if T[S.index(max(S))] != max(target.masks):
-        raise FrameError("top not preserved")
-    position = {m: c for c, m in enumerate(S)}
-    for a in range(source.n):
-        for b in range(source.n):
-            if T[position[S[a] & S[b]]] != T[a] & T[b]:
-                raise FrameError(
-                    f"meet not preserved at ({source.elements[a]}, "
-                    f"{source.elements[b]})")
-            if T[position[S[a] | S[b]]] != T[a] | T[b]:
-                raise FrameError(
-                    f"join not preserved at ({source.elements[a]}, "
-                    f"{source.elements[b]})")
-    return FrameMorphism(source, target, images)
-
-
-def opens_pullback(f: ContinuousMap) -> FrameMorphism:
-    """A continuous map induces the preimage map between open-set frames,
-    running the other way."""
-    position = {u: i for i, u in enumerate(f.source.open_masks)}
-    images = [position[sum(1 << x for x, y in enumerate(f.images)
-                           if v >> y & 1)]
-              for v in f.target.open_masks]
-    return frame_morphism(frame_of_opens(f.target), frame_of_opens(f.source),
-                          images)
-
-
 def stone_dual(L: FiniteFrame) -> tuple[FiniteTopSpace, tuple[frozenset[int], ...]]:
     """The space of completely prime filters of L, each the up-set of a
     join-prime; built from the join-prime order, whose down-sets are the
@@ -219,17 +176,6 @@ def _stone_dual(L: FiniteFrame):
     # O_u = join-primes below u, and by Birkhoff every down-set is some O_u;
     # on gens the masks list the join-primes below each one
     return from_preorder(labels, _converse(_restrict(L.masks, gens))), filters
-
-
-def stone_map(h: FrameMorphism) -> ContinuousMap:
-    """A frame map M -> N induces the continuous map between the duals in
-    the reverse direction, by pulling filters back."""
-    M, N = h.source, h.target
-    dual_M, filters_M = stone_dual(M)
-    dual_N, _ = stone_dual(N)
-    images = tuple(filters_M.index(frozenset(
-        u for u in range(M.n) if N.masks[h(u)] >> m & 1)) for m in N.primes)
-    return continuous_map(dual_N, dual_M, images)
 
 
 def sobrification_unit(X: FiniteTopSpace) -> ContinuousMap:

@@ -269,10 +269,6 @@ def hom_violation(h: SemiringHom):
     return None
 
 
-def identity_hom(R: FiniteSemiring) -> SemiringHom:
-    return SemiringHom(R, R, tuple(range(R.n)))
-
-
 def enumerate_homs(A: FiniteSemiring, B: FiniteSemiring,
                    bijective_only: bool = False) -> list[SemiringHom]:
     """All semiring homs A -> B, in lexicographic order of the image vector.
@@ -343,12 +339,8 @@ def find_isomorphism(A: FiniteSemiring, B: FiniteSemiring) -> SemiringHom | None
     return isos[0] if isos else None
 
 
-def are_isomorphic(A: FiniteSemiring, B: FiniteSemiring) -> bool:
-    return find_isomorphism(A, B) is not None
-
-
 # ---------------------------------------------------------------------------
-# Congruences and quotients
+# Congruences and kernels
 
 
 class Congruence(_Record):
@@ -403,10 +395,6 @@ def diagonal_congruence(R: FiniteSemiring) -> Congruence:
     return Congruence(R, tuple(range(R.n)))
 
 
-def total_congruence(R: FiniteSemiring) -> Congruence:
-    return Congruence(R, (0,) * R.n)
-
-
 def congruence_closure(R: FiniteSemiring, gen_pairs) -> Congruence:
     """Smallest congruence of R containing the generating pairs: union-find
     closed under translation and scaling by every element."""
@@ -436,21 +424,6 @@ def congruence_closure(R: FiniteSemiring, gen_pairs) -> Congruence:
             merge(R.add[a][c], R.add[b][c])
             merge(R.mul[a][c], R.mul[b][c])
     return Congruence(R, _canon_blocks([find(i) for i in range(R.n)]))
-
-
-def is_congruence(R: FiniteSemiring, blocks) -> tuple[bool, tuple | None]:
-    """Check stability of a partition; returns (ok, witness)."""
-    n = R.n
-    for a in range(n):
-        for b in range(a + 1, n):
-            if blocks[a] != blocks[b]:
-                continue
-            for c in range(n):
-                if blocks[R.add[a][c]] != blocks[R.add[b][c]]:
-                    return False, (a, b, c, "add")
-                if blocks[R.mul[a][c]] != blocks[R.mul[b][c]]:
-                    return False, (a, b, c, "mul")
-    return True, None
 
 
 def congruence_join(c1: Congruence, c2: Congruence) -> Congruence:
@@ -487,28 +460,6 @@ def _congruences(R: FiniteSemiring) -> tuple[Congruence, ...]:
                 found[j.blocks] = j
                 queue.append(j)
     return tuple(sorted(found.values(), key=lambda c: c.blocks))
-
-
-def quotient(R: FiniteSemiring, c: Congruence) -> tuple[FiniteSemiring, SemiringHom]:
-    """Quotient semiring by block arithmetic plus the projection hom.
-
-    Blocks are labelled by their least member's label.
-    """
-    ok, witness = is_congruence(R, c.blocks)
-    if not ok:
-        raise AxiomError("congruence-stability", witness,
-                         f"partition is not a congruence, witness {witness}")
-    members = c.block_members()
-    reps = [min(m) for m in members]
-    labels = tuple(R.elements[r] for r in reps)
-    k = len(reps)
-    add = tuple(tuple(c.blocks[R.add[reps[i]][reps[j]]] for j in range(k))
-                for i in range(k))
-    mul = tuple(tuple(c.blocks[R.mul[reps[i]][reps[j]]] for j in range(k))
-                for i in range(k))
-    Q = validate_semiring(labels, add, mul, c.blocks[R.zero], c.blocks[R.one])
-    proj = SemiringHom(R, Q, tuple(c.blocks))
-    return Q, proj
 
 
 def hom_kernel(h: SemiringHom) -> Congruence:

@@ -45,15 +45,6 @@ class OpenSubscheme(_Record):
     extent: frozenset[int]
 
 
-def open_subscheme(R: FiniteSemiring, generators) -> OpenSubscheme:
-    spec = prime_spectrum(R)
-    gens = tuple(sorted(set(generators)))
-    extent = frozenset()
-    for h in gens:
-        extent |= spec.basic_open(h)
-    return OpenSubscheme(R, gens, extent)
-
-
 def covers(S: CoverFamily) -> bool:
     """Point-level criterion: the basic opens of the members exhaust the
     prime spectrum."""

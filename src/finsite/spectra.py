@@ -39,20 +39,6 @@ from .topology import (
 )
 
 
-def is_ideal(R: FiniteSemiring, members) -> bool:
-    members = frozenset(members)
-    if R.zero not in members:
-        return False
-    for a in members:
-        for b in members:
-            if R.add[a][b] not in members:
-                return False
-        for r in range(R.n):
-            if R.mul[r][a] not in members:
-                return False
-    return True
-
-
 def ideal_closure(R: FiniteSemiring, gens) -> frozenset[int]:
     """Smallest ideal containing gens."""
     members = {R.zero} | set(gens)
@@ -264,14 +250,6 @@ def k_spectrum(R: FiniteSemiring) -> tuple[FiniteTopSpace, ContinuousMap]:
     """Subspace of the prime spectrum on the prime k-ideals, with its
     inclusion map; computed once per semiring."""
     return _level(R, "k")
-
-
-def prime_congruences(R: FiniteSemiring, flavor: str) -> list[Congruence]:
-    """The flavor-prime congruences in the order of the weak ones; each
-    call returns a fresh list."""
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown primality flavor {flavor!r}")
-    return list(_points(R, flavor))
 
 
 def congruence_spectrum(R: FiniteSemiring, flavor: str

@@ -1,4 +1,4 @@
-"""Finite topological spaces, continuous maps, quotients, and gluing.
+"""Finite topological spaces, continuous maps, subspaces, and gluing.
 
 Finite spaces are exactly preorders: x <= y holds when y lies in the
 closure of x, opens are the down-sets (stable under passing to more generic
@@ -7,12 +7,12 @@ order as int-bitmask rows, sets each point's least open at construction,
 and lists its opens, the down-sets, only when a caller asks for them,
 keeping the listing in its derived data (`semiring._memo`).  Every
 operation works on the order: closures are up-sets, least opens are
-down-sets, T0 is antisymmetry, continuity is monotonicity, and subspaces,
-disjoint unions, quotients and glued spaces are built from the
-restricted, block-diagonal or identified order.  These rows are the one
-format of a finite order in finsite, frames included.  Until construction
-learns to trust its own down-sets, `from_preorder` still checks the
-listed family for closure under unions and intersections, pair by pair.
+down-sets, T0 is antisymmetry, continuity is monotonicity, and subspaces
+and glued spaces are built from the restricted or identified order.
+These rows are the one format of a finite order in finsite, frames
+included.  Until construction learns to trust its own down-sets,
+`from_preorder` still checks the listed family for closure under unions
+and intersections, pair by pair.
 
 Descent on both sites shares `matching_tuples`, the families that agree
 along given maps, and `descent_verdict`, whether restriction from the
@@ -338,15 +338,6 @@ def subspace(X: FiniteTopSpace, subset) -> tuple[FiniteTopSpace, ContinuousMap]:
     return S, incl
 
 
-def disjoint_union(spaces, prefixes=None) -> tuple[FiniteTopSpace, tuple[ContinuousMap, ...]]:
-    """The spaces glued along no maps: the block-diagonal order, each point
-    labeled by its space's prefix."""
-    if prefixes is None:
-        prefixes = [str(i) for i in range(len(spaces))]
-    X, incls, _ = glue_along_maps(prefixes, spaces, ())
-    return X, incls
-
-
 def _classes(n: int, pairs) -> tuple[list[int], list[int]]:
     """Classes of the equivalence on range(n) generated by pairs, numbered
     in the order of their least members; returns the class of each point
@@ -367,26 +358,6 @@ def _classes(n: int, pairs) -> tuple[list[int], list[int]]:
     reps = sorted({find(x) for x in range(n)})
     idx = {r: i for i, r in enumerate(reps)}
     return [idx[find(x)] for x in range(n)], reps
-
-
-def quotient_space(X: FiniteTopSpace, pairs, labels=None) -> tuple[FiniteTopSpace, ContinuousMap]:
-    """Quotient by the equivalence generated by pairs; opens are exactly the
-    sets with open preimage (computed through the projected specialization
-    preorder, which finite spaces make exact)."""
-    proj, reps = _classes(X.n, pairs)
-    if labels is None:
-        labels = tuple(X.points[r] for r in reps)
-    if len(labels) != len(reps):
-        raise TopologyError(f"{len(labels)} labels for {len(reps)} classes")
-    Q = _space_of_order(labels, order_closure(
-        len(reps), [(proj[x], proj[y]) for x in range(X.n)
-                    for y in _bits(X.above[x])]))
-    # the quotient topology must agree with the order picture: every open
-    # of Q has an open preimage exactly when the projection is monotone
-    pi = ContinuousMap(X, Q, tuple(proj))
-    if pi.continuity_violation() is not None:
-        raise TopologyError("quotient opens disagree with preimages")
-    return Q, pi
 
 
 def glue_along_maps(names, spaces, arrows):
@@ -487,10 +458,3 @@ def descent_verdict(base, families):
         if key not in seen:
             return False, ("not surjective", key)
     return True, None
-
-
-def kolmogorov_quotient(X: FiniteTopSpace) -> tuple[FiniteTopSpace, ContinuousMap]:
-    """Identify x and y when x <= y <= x: points with the same least open."""
-    first = {}
-    return quotient_space(X, [(first.setdefault(below, x), x)
-                              for x, below in enumerate(X._below)])

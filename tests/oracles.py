@@ -8,8 +8,10 @@ quotients; the colimit fold (`colimit`, `pushout`, `path_limit`) on
 congruence quotients, which the package's union-find monodromy check and
 its P3 check replaced; the monodromy comparison map (`loop_comparison`)
 from two colimits; the finite-localization search that builds and extends every
-candidate localization (`search_finite_localization`); and primality
-quantified over every element (`full_primality`).
+candidate localization (`search_finite_localization`); primality
+quantified over every element (`full_primality`); and, at the end, the
+constructions no command reaches (`quotient`, `atlas`, `frame_morphism`,
+`quotient_space` and the rest), which the tests build values with.
 """
 
 from __future__ import annotations
@@ -18,13 +20,22 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 
-from finsite.glue import GlueError
-from finsite.semiring import (DEFAULT_BUDGET, AxiomError, BudgetExceeded,
-                              FiniteSemiring, InvariantError, SemiringError,
-                              SemiringHom, TableError, _Record,
-                              congruence_closure, hom_violation,
-                              identity_hom, localize, quotient,
+from finsite.finset import (FinSet, Injection, _subsets, face_injection,
+                            injection)
+from finsite.glue import (DiagramPath, GlueError, SPresentation, _atlas_parts,
+                          _closed_walks, presentation)
+from finsite.locales import FrameError, frame_of_opens, stone_dual
+from finsite.semiring import (DEFAULT_BUDGET, FLAVORS, AxiomError,
+                              BudgetExceeded, Congruence, FiniteSemiring,
+                              InvariantError, SemiringError, SemiringHom,
+                              TableError, _Map, _Record, congruence_closure,
+                              find_isomorphism, hom_violation, localize,
                               validate_semiring)
+from finsite.site import CoverFamily, OpenSubscheme
+from finsite.spectra import _points, prime_spectrum
+from finsite.topology import (ContinuousMap, FiniteTopSpace, TopologyError,
+                              _bits, _classes, _space_of_order,
+                              continuous_map, glue_along_maps, order_closure)
 
 
 def oracle_is_semiring(labels, add, mul, zero, one) -> bool:
@@ -1181,3 +1192,215 @@ def oracle_betti_mod2(simplices) -> tuple[int, ...]:
     ranks.append(0)
     return tuple(len(level) - ranks[k] - ranks[k + 1]
                  for k, level in enumerate(simplices))
+
+
+# ---------------------------------------------------------------------------
+# Constructions no command and no benchmark case calls, kept here with the
+# tests that build values through them.  `tests/test_source.py` requires
+# every definition in `src/finsite` to be reached from a command or the
+# benchmark; these are built on the package's own records and routines.
+
+def trivial() -> FiniteSemiring:
+    return validate_semiring(("*",), ((0,),), ((0,),), 0, 0)
+
+
+def identity_injection(A: FinSet) -> Injection:
+    return injection(A, A, range(A.n))
+
+
+def contains_bijection(family) -> bool:
+    return any(f.is_bijective() for f in family)
+
+
+def all_injection_families(A: FinSet):
+    """Every family of injections into A, one per nonempty set of image
+    subsets (the empty subset included as the empty injection)."""
+    subsets = [frozenset()] + _subsets(A)
+    for r in range(1, len(subsets) + 1):
+        for combo in itertools.combinations(subsets, r):
+            yield [face_injection(A, s) for s in combo]
+
+
+def atlas(S: CoverFamily) -> SPresentation:
+    parts, arrows = _atlas_parts(S)
+    return presentation([(nm, loc.semiring) for nm, loc in parts], arrows)
+
+
+def arrow_names(P: SPresentation):
+    return tuple((P.names[s], P.names[d]) for s, d, _ in P.arrows)
+
+
+def closed_walks(P: SPresentation, bound: int = 8) -> list[DiagramPath]:
+    """Self-loop traversals, there-and-back doublings of every arrow, and
+    one representative of every simple cycle of at most bound steps."""
+    return _closed_walks(P, bound)[0]
+
+
+class FrameMorphism(_Map):
+    """A lattice map preserving bottom, top, binary meets and joins; build
+    through `frame_morphism`."""
+
+    _error = FrameError
+
+
+def frame_morphism(source, target, images) -> FrameMorphism:
+    images = tuple(images)
+    if len(images) != source.n or \
+            any(not 0 <= y < target.n for y in images):
+        raise FrameError("element assignment out of range")
+    # the masks of a and of its image; top's mask is full, so the largest
+    S, T = source.masks, [target.masks[y] for y in images]
+    if T[S.index(0)]:
+        raise FrameError("bottom not preserved")
+    if T[S.index(max(S))] != max(target.masks):
+        raise FrameError("top not preserved")
+    position = {m: c for c, m in enumerate(S)}
+    for a in range(source.n):
+        for b in range(source.n):
+            if T[position[S[a] & S[b]]] != T[a] & T[b]:
+                raise FrameError(
+                    f"meet not preserved at ({source.elements[a]}, "
+                    f"{source.elements[b]})")
+            if T[position[S[a] | S[b]]] != T[a] | T[b]:
+                raise FrameError(
+                    f"join not preserved at ({source.elements[a]}, "
+                    f"{source.elements[b]})")
+    return FrameMorphism(source, target, images)
+
+
+def opens_pullback(f: ContinuousMap) -> FrameMorphism:
+    """A continuous map induces the preimage map between open-set frames,
+    running the other way."""
+    position = {u: i for i, u in enumerate(f.source.open_masks)}
+    images = [position[sum(1 << x for x, y in enumerate(f.images)
+                           if v >> y & 1)]
+              for v in f.target.open_masks]
+    return frame_morphism(frame_of_opens(f.target), frame_of_opens(f.source),
+                          images)
+
+
+def stone_map(h: FrameMorphism) -> ContinuousMap:
+    """A frame map M -> N induces the continuous map between the duals in
+    the reverse direction, by pulling filters back."""
+    M, N = h.source, h.target
+    dual_M, filters_M = stone_dual(M)
+    dual_N, _ = stone_dual(N)
+    images = tuple(filters_M.index(frozenset(
+        u for u in range(M.n) if N.masks[h(u)] >> m & 1)) for m in N.primes)
+    return continuous_map(dual_N, dual_M, images)
+
+
+def identity_hom(R: FiniteSemiring) -> SemiringHom:
+    return SemiringHom(R, R, tuple(range(R.n)))
+
+
+def are_isomorphic(A: FiniteSemiring, B: FiniteSemiring) -> bool:
+    return find_isomorphism(A, B) is not None
+
+
+def total_congruence(R: FiniteSemiring) -> Congruence:
+    return Congruence(R, (0,) * R.n)
+
+
+def is_congruence(R: FiniteSemiring, blocks) -> tuple[bool, tuple | None]:
+    """Check stability of a partition; returns (ok, witness)."""
+    n = R.n
+    for a in range(n):
+        for b in range(a + 1, n):
+            if blocks[a] != blocks[b]:
+                continue
+            for c in range(n):
+                if blocks[R.add[a][c]] != blocks[R.add[b][c]]:
+                    return False, (a, b, c, "add")
+                if blocks[R.mul[a][c]] != blocks[R.mul[b][c]]:
+                    return False, (a, b, c, "mul")
+    return True, None
+
+
+def quotient(R: FiniteSemiring, c: Congruence) -> tuple[FiniteSemiring, SemiringHom]:
+    """Quotient semiring by block arithmetic plus the projection hom.
+
+    Blocks are labelled by their least member's label.
+    """
+    ok, witness = is_congruence(R, c.blocks)
+    if not ok:
+        raise AxiomError("congruence-stability", witness,
+                         f"partition is not a congruence, witness {witness}")
+    members = c.block_members()
+    reps = [min(m) for m in members]
+    labels = tuple(R.elements[r] for r in reps)
+    k = len(reps)
+    add = tuple(tuple(c.blocks[R.add[reps[i]][reps[j]]] for j in range(k))
+                for i in range(k))
+    mul = tuple(tuple(c.blocks[R.mul[reps[i]][reps[j]]] for j in range(k))
+                for i in range(k))
+    Q = validate_semiring(labels, add, mul, c.blocks[R.zero], c.blocks[R.one])
+    proj = SemiringHom(R, Q, tuple(c.blocks))
+    return Q, proj
+
+
+def open_subscheme(R: FiniteSemiring, generators) -> OpenSubscheme:
+    spec = prime_spectrum(R)
+    gens = tuple(sorted(set(generators)))
+    extent = frozenset()
+    for h in gens:
+        extent |= spec.basic_open(h)
+    return OpenSubscheme(R, gens, extent)
+
+
+def is_ideal(R: FiniteSemiring, members) -> bool:
+    members = frozenset(members)
+    if R.zero not in members:
+        return False
+    for a in members:
+        for b in members:
+            if R.add[a][b] not in members:
+                return False
+        for r in range(R.n):
+            if R.mul[r][a] not in members:
+                return False
+    return True
+
+
+def prime_congruences(R: FiniteSemiring, flavor: str) -> list[Congruence]:
+    """The flavor-prime congruences in the order of the weak ones; each
+    call returns a fresh list."""
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown primality flavor {flavor!r}")
+    return list(_points(R, flavor))
+
+
+def disjoint_union(spaces, prefixes=None) -> tuple[FiniteTopSpace, tuple[ContinuousMap, ...]]:
+    """The spaces glued along no maps: the block-diagonal order, each point
+    labeled by its space's prefix."""
+    if prefixes is None:
+        prefixes = [str(i) for i in range(len(spaces))]
+    X, incls, _ = glue_along_maps(prefixes, spaces, ())
+    return X, incls
+
+
+def quotient_space(X: FiniteTopSpace, pairs, labels=None) -> tuple[FiniteTopSpace, ContinuousMap]:
+    """Quotient by the equivalence generated by pairs; opens are exactly the
+    sets with open preimage (computed through the projected specialization
+    preorder, which finite spaces make exact)."""
+    proj, reps = _classes(X.n, pairs)
+    if labels is None:
+        labels = tuple(X.points[r] for r in reps)
+    if len(labels) != len(reps):
+        raise TopologyError(f"{len(labels)} labels for {len(reps)} classes")
+    Q = _space_of_order(labels, order_closure(
+        len(reps), [(proj[x], proj[y]) for x in range(X.n)
+                    for y in _bits(X.above[x])]))
+    # the quotient topology must agree with the order picture: every open
+    # of Q has an open preimage exactly when the projection is monotone
+    pi = ContinuousMap(X, Q, tuple(proj))
+    if pi.continuity_violation() is not None:
+        raise TopologyError("quotient opens disagree with preimages")
+    return Q, pi
+
+
+def kolmogorov_quotient(X: FiniteTopSpace) -> tuple[FiniteTopSpace, ContinuousMap]:
+    """Identify x and y when x <= y <= x: points with the same least open."""
+    first = {}
+    return quotient_space(X, [(first.setdefault(below, x), x)
+                              for x, below in enumerate(X._below)])

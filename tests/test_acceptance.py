@@ -20,7 +20,6 @@ from finsite.catalog import boolean, boolean_pair, catalog, zmod
 from finsite.cli import bundled_catalog_dir
 from finsite.finset import (
     asc,
-    contains_bijection,
     face_injection,
     face_label,
     face_space,
@@ -53,7 +52,6 @@ from finsite.site import (
     covers,
     intrinsic_order_check,
     lambda_X,
-    open_subscheme,
     principal_sections_iso,
     sheaf_axiom_check,
     structure_sheaf_sections,
@@ -62,10 +60,11 @@ from finsite.site import (
 from finsite.spectra import (
     k_spectrum,
     kernel_ideal,
-    prime_congruences,
     prime_spectrum,
     visualization_chain,
 )
+
+from oracles import contains_bijection, open_subscheme, prime_congruences
 
 
 @contextmanager

@@ -3,9 +3,9 @@
 import itertools
 
 from finsite.catalog import catalog
-from finsite.semiring import are_isomorphic
 
 from census import census
+from oracles import are_isomorphic
 
 
 def test_census_counts_per_order():

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import collections
 import hashlib
 import importlib
@@ -18,13 +19,17 @@ import finsite.formats
 import finsite.glue
 import finsite.locales
 import finsite.semiring
+import finsite.site
 import finsite.spectra
 from finsite.catalog import boolean, boolean_pair, zmod
 from finsite.cli import main
 from finsite.formats import (parse_lattice, parse_semiring,
                              read_presentation, render_semiring)
 from finsite.glue import VISUALIZATIONS, glue_space
-from finsite.semiring import are_isomorphic, localize, validate_semiring
+from finsite.semiring import localize, validate_semiring
+
+from census import census_upto
+from oracles import are_isomorphic
 
 
 @pytest.fixture
@@ -523,6 +528,75 @@ def test_simplex_complex_file(workdir, capsys):
     assert lines[-1] == "closed points: {a,b} {a,c} {b,c}"
 
 
+def test_claims_pass_over_the_catalog(capsys):
+    code, out, _ = run(capsys, "claims")
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[-1] == "10 claims, 0 failures"
+    assert [line.partition(": ")[2] for line in lines[:3]] == [
+        "pass (8 semirings)", "pass (8 semirings)", "pass (47 homs)"]
+    assert lines[3:8] == [
+        "sections over U_h are R[1/h]: pass (28 pairs)",
+        "affine atlases glue back to Spec R: pass (38 covering families)",
+        "glued comparison chain of the doubled Z6: pass (twisted 3, "
+        "strong 3, weak 3, k 3, prime 3 points)",
+        "finite-set descent is joint surjectivity: pass (96 families)",
+        "face charts glue to the face poset: pass (4 complexes)"]
+    assert lines[8:10] == [
+        "wedge refused at the finite-set site: pass (V <- U -> V: limits "
+        "of 0 and 1 elements)",
+        "wedge refused at the semiring site: pass (monodromy obstruction "
+        "along X <- U -> X)"]
+    code, out, _ = run(capsys, "claims", "--format", "structured")
+    data = json.loads(out)
+    assert (code, data["failures"]) == (0, 0)
+    assert [row["result"] for row in data["rows"]] == ["pass"] * 10
+
+
+def test_claims_name_a_failing_row(capsys, monkeypatch):
+    real = finsite.site.principal_sections_iso
+
+    def broken(R, h):
+        if R.n == 6 and h == 2:
+            raise finsite.semiring.SemiringError("no isomorphism")
+        return real(R, h)
+
+    monkeypatch.setattr(finsite.site, "principal_sections_iso", broken)
+    code, out, _ = run(capsys, "claims")
+    lines = out.splitlines()
+    assert code == 1
+    assert [line for line in lines if ": fail" in line] == [
+        "sections over U_h are R[1/h]: fail (Z6 at 2)"]
+    assert lines[-1] == "10 claims, 1 failures"
+
+
+def test_file_commands_on_every_census_semiring(tmp_path):
+    # every semiring of order at most 5, written out and read back by
+    # `check`, `congruences`, `locale` and `localize` at each element:
+    # each run is a report or a failed check, never an uncaught error
+    codes = collections.Counter()
+    for i, R in enumerate(census_upto(5)):
+        path = str(tmp_path / f"c{i}.sr")
+        (tmp_path / f"c{i}.sr").write_text(render_semiring(R),
+                                           encoding="utf-8")
+        runs = [("check", {}), ("congruences", {}), ("locale", {"dot": None})]
+        runs += [("localize", {"element": e}) for e in R.elements]
+        for command, options in runs:
+            code, _, _ = finsite.cli.HANDLERS[command](
+                argparse.Namespace(file=path, **options))
+            codes[code] += 1
+    assert set(codes) <= {0, 1}
+    assert sum(codes.values()) == 3 * 273 + 1307
+
+
+def test_simplex_refuses_faces_labeled_alike(workdir, capsys):
+    # the face {a,b} and the vertex named "a,b" print alike
+    clash = workdir / "clash.asc"
+    clash.write_text("vertices: a b a,b\nface: a b\nface: a,b\n")
+    code, out, err = run(capsys, "simplex", str(clash))
+    assert (code, out, err) == (1, "", "error: two faces are labeled {a,b}\n")
+
+
 def test_simplex_requires_one_input(workdir, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simplex", "--n", "1", str(workdir / "hollow.asc")])
@@ -763,6 +837,7 @@ def _command_inputs(workdir):
     (("locale", "z6.sr"), {"glue", "colimit"}),
     (("sheaf-check", "cov.txt"), {"glue", "colimit"}),
     (("verify",), {"glue", "colimit"}),
+    (("claims",), set()),
 ])
 def test_commands_load_only_what_they_call(workdir, argv, absent):
     _command_inputs(workdir)
@@ -775,13 +850,13 @@ def test_commands_load_only_what_they_call(workdir, argv, absent):
     ("check", "z6.sr"), ("--help",), ("simplex", "--n", "1"),
     ("spectrum", "z6.sr"), ("congruences", "z6.sr"), ("stone", "chain.lat"),
     ("locale", "z6.sr"), ("sheaf-check", "cov.txt"), ("verify",),
-    ("glue", "doubled.pres")], ids=lambda argv: argv[0])
+    ("glue", "doubled.pres"), ("claims",)], ids=lambda argv: argv[0])
 def test_no_command_loads_dataclasses_inspect_or_pkgutil(workdir, argv):
     _command_inputs(workdir)
     status, modules, heavy = loaded_modules(workdir, *argv)
     assert status == 0
     assert heavy == set()
-    assert ("finsite.colimit" in modules) == (argv[0] == "glue")
+    assert ("finsite.colimit" in modules) == (argv[0] in ("glue", "claims"))
 
 
 def test_every_submodule_is_an_attribute_of_the_package(tmp_path):

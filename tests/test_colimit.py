@@ -6,13 +6,13 @@ import pytest
 
 import finsite
 from finsite.catalog import (boolean, boolean_pair, catalog, chain,
-                             trivial, truncated_naturals, zmod)
+                             truncated_naturals, zmod)
 from finsite.colimit import colimit as set_colimit
 from finsite.semiring import (BudgetExceeded, TableError, congruence_closure,
                               enumerate_homs, find_isomorphism, hom_violation,
-                              identity_hom, localize, product_semiring,
-                              quotient)
-from oracles import SemiringDiagram, colimit, oracle_pushout, pushout, tensor
+                              localize, product_semiring)
+from oracles import (SemiringDiagram, colimit, identity_hom, oracle_pushout,
+                     pushout, quotient, tensor, trivial)
 
 
 def small_bench():

@@ -12,10 +12,8 @@ import finsite.finset
 from finsite.catalog import chain
 from finsite.finset import (
     FinSetError,
-    all_injection_families,
     asc,
     asc_presentation,
-    contains_bijection,
     face_injection,
     face_label,
     face_space,
@@ -23,7 +21,6 @@ from finsite.finset import (
     finset_glue_space,
     finset_path_limit,
     finset_presentation,
-    identity_injection,
     injection,
     is_jointly_surjective,
     monodromy_wedge_counterexample,
@@ -35,7 +32,9 @@ from finsite.finset import (
 from finsite.locales import is_sober, sobrification_unit
 from finsite.spectra import congruence_spectrum
 
-from oracles import oracle_betti_mod2, oracle_descent, oracle_order_chains
+from oracles import (all_injection_families, contains_bijection,
+                     identity_injection, oracle_betti_mod2, oracle_descent,
+                     oracle_order_chains)
 
 
 def letters(n):

@@ -9,15 +9,13 @@ from hypothesis import strategies as st
 import finsite.glue
 import finsite.semiring
 import finsite.spectra
-from finsite.catalog import boolean, boolean_pair, catalog, trivial, zmod
+from finsite.catalog import boolean, boolean_pair, catalog, zmod
 from finsite.glue import (
     VISUALIZATIONS,
     DiagramPath,
     GlueError,
     SPresentation,
     affine_glue_check,
-    atlas,
-    closed_walks,
     glue_space,
     glued_chain,
     MonodromyReport,
@@ -32,10 +30,10 @@ from finsite.site import cover_family, covers
 from finsite.spectra import (CHAIN_LEVELS, prime_spectrum,
                              visualization_chain, visualization_map,
                              visualization_space)
-from finsite.topology import disjoint_union, quotient_space
 
 from census import census_upto
-from oracles import loop_comparison, path_limit
+from oracles import (arrow_names, atlas, closed_walks, disjoint_union,
+                     loop_comparison, path_limit, quotient_space, trivial)
 
 
 def oracle_homeomorphic(X, Y):
@@ -131,7 +129,7 @@ def test_atlas_shapes():
     P = atlas(cover_family(Z6, [2, 3]))
     assert P.names == ("U0", "U1", "U0_1")
     assert [R.n for R in P.semirings] == [3, 2, 1]
-    assert P.arrow_names() == (("U0_1", "U0"), ("U0_1", "U1"))
+    assert arrow_names(P) == (("U0_1", "U0"), ("U0_1", "U1"))
 
     BB = boolean_pair()
     split = atlas(cover_family(

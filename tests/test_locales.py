@@ -13,39 +13,39 @@ from finsite.locales import (
     FiniteFrame,
     FrameError,
     frame_from_covers,
-    frame_morphism,
     frame_of_opens,
     finite_frame,
     is_sober,
-    opens_pullback,
     sobrification_unit,
     spatiality_check,
     stone_dual,
-    stone_map,
 )
 from finsite.site import lambda_X, theorem_A_check
 from finsite.spectra import prime_spectrum
 from finsite.topology import (
     FiniteTopSpace,
     continuous_map,
-    disjoint_union,
     from_preorder,
-    kolmogorov_quotient,
     set_label,
     validate_topology,
 )
 
 from census import census_upto
 from oracles import (
+    disjoint_union,
+    frame_morphism,
+    kolmogorov_quotient,
+    mask_order,
+    opens_pullback,
     oracle_bound,
     oracle_cover_pairs,
     oracle_distributivity_failures,
     oracle_frame,
     oracle_is_spatial,
-    mask_order,
     oracle_join_primes,
     oracle_reflexive_transitive,
     order_rows,
+    stone_map,
 )
 
 

@@ -6,24 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finsite.catalog import boolean, boolean_pair, catalog, chain, trivial, \
-    truncated_naturals, zmod
+from finsite.catalog import (boolean, boolean_pair, catalog, chain,
+                             truncated_naturals, zmod)
 import finsite.semiring
 from finsite.semiring import (AxiomError, Congruence, InvariantError,
                               SemiringError, SemiringHom, TableError,
-                              are_isomorphic, congruence_closure,
-                              diagonal_congruence, enumerate_congruences,
-                              enumerate_homs, find_isomorphism, hom_kernel,
-                              hom_violation, identity_hom,
+                              congruence_closure, diagonal_congruence,
+                              enumerate_congruences, enumerate_homs,
+                              find_isomorphism, hom_kernel, hom_violation,
                               is_finite_localization, localize,
-                              product_semiring, quotient, total_congruence,
-                              validate_semiring)
+                              product_semiring, validate_semiring)
 
-from oracles import (all_partitions, oracle_congruences, oracle_extend,
+from oracles import (all_partitions, are_isomorphic, identity_hom,
+                     oracle_congruences, oracle_extend,
                      oracle_finite_localization, oracle_homs,
                      oracle_is_semiring, oracle_isomorphic,
-                     oracle_localization, oracle_stable_partition,
-                     search_finite_localization)
+                     oracle_localization, oracle_stable_partition, quotient,
+                     search_finite_localization, total_congruence, trivial)
 
 CATALOG = catalog()
 

@@ -10,7 +10,6 @@ from finsite.catalog import (
     boolean_pair,
     catalog,
     chain,
-    trivial,
     truncated_naturals,
     zmod,
 )
@@ -18,7 +17,6 @@ import finsite.site
 from finsite.semiring import (
     SemiringError,
     TableError,
-    are_isomorphic,
     enumerate_homs,
     hom_kernel,
     localize,
@@ -28,7 +26,6 @@ from finsite.site import (
     covers,
     intrinsic_order_check,
     lambda_X,
-    open_subscheme,
     principal_open_props_check,
     principal_sections_iso,
     sheaf_axiom_check,
@@ -38,7 +35,8 @@ from finsite.site import (
 from finsite.spectra import prime_spectrum
 from finsite.locales import spatiality_check
 
-from oracles import mask_order, oracle_site_descent, pushout
+from oracles import (are_isomorphic, mask_order, open_subscheme,
+                     oracle_site_descent, pushout, trivial)
 
 
 def test_cover_criterion_on_examples():

@@ -71,3 +71,95 @@ def test_no_module_uses_cached_property():
                                            getattr(node, "attr", None),
                                            getattr(node, "name", None))]
     assert found == []
+
+
+# A top-level function or class of `src/finsite` stays only if a command,
+# the benchmark or a kept definition reaches it.  The roots are `cli.main`,
+# every module-level statement that defines nothing (`cli.HANDLERS`,
+# `cli.EXIT_CODES` and the `__main__` guards among them), and the finsite
+# names that the benchmark's case runner, driver and span keys use.
+BENCH = Path(__file__).parent.parent / "perfbench"
+BENCH_FILES = ("cases.py", "run.py", "spans.py")
+
+
+def _reachability():
+    """Every top-level definition, keyed (module, name), and the set of
+    those the roots reach."""
+    pkg = Path(finsite.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(pkg.glob("*.py"))}
+    defs = {(mod, node.name): node for mod, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    # per module, local name -> (module, name) for `from .m import n` and
+    # -> module m for `from . import m`, wherever the import stands
+    imports = {mod: {} for mod in trees}
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    imports[mod][alias.asname or alias.name] = (
+                        (node.module, alias.name) if node.module
+                        else alias.name)
+
+    def resolve(mod, name):
+        """The definition `name` means in `mod`, through re-exports."""
+        while (mod, name) not in defs:
+            target = imports.get(mod, {}).get(name)
+            if not isinstance(target, tuple):
+                return None
+            mod, name = target
+        return mod, name
+
+    def named(text):
+        """The definitions a dotted name such as `finsite.glue.GlueError`,
+        `topology.validate_topology` or `FiniteFrame.index` names."""
+        parts = text.removeprefix("finsite.").split(".")
+        if parts[0] in trees:
+            return [resolve(*parts[:2])] if len(parts) > 1 else []
+        return [key for key in defs if key[1] == parts[0]]
+
+    def references(mod, node):
+        out = []
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.append(resolve(mod, sub.id))
+            elif (isinstance(sub, ast.Attribute)
+                  and isinstance(sub.value, ast.Name)
+                  and isinstance(imports[mod].get(sub.value.id), str)):
+                out.append(resolve(imports[mod][sub.value.id], sub.attr))
+            elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+                  and sub.value.startswith("finsite.")):
+                out += named(sub.value)
+        return out
+
+    roots = [("cli", "main")]
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                roots += references(mod, node)
+    for name in BENCH_FILES:
+        tree = ast.parse((BENCH / name).read_text(encoding="utf-8"))
+        for sub in ast.walk(tree):
+            # `fs.glue.glue_space`, and span keys such as "semiring.localize"
+            if (isinstance(sub, ast.Attribute)
+                    and isinstance(sub.value, ast.Attribute)
+                    and sub.value.attr in trees):
+                roots.append(resolve(sub.value.attr, sub.attr))
+            elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+                  and "." in sub.value and " " not in sub.value):
+                roots += named(sub.value)
+    reached = set()
+    todo = roots
+    while todo:
+        key = todo.pop()
+        if key is not None and key not in reached:
+            reached.add(key)
+            todo += references(key[0], defs[key])
+    return defs, reached
+
+
+def test_every_definition_is_reached_from_a_command_or_the_benchmark():
+    defs, reached = _reachability()
+    assert sorted(f"{mod}.{name}" for mod, name in defs.keys() - reached) \
+        == []

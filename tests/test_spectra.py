@@ -13,7 +13,6 @@ from finsite.catalog import (
     boolean,
     catalog,
     chain,
-    trivial,
     truncated_naturals,
     zmod,
 )
@@ -27,8 +26,6 @@ from finsite.semiring import (
     enumerate_homs,
     localize,
     product_semiring,
-    quotient,
-    total_congruence,
     validate_semiring,
 )
 from finsite.spectra import (
@@ -37,14 +34,12 @@ from finsite.spectra import (
     congruence_spectrum,
     enumerate_ideals,
     ideal_closure,
-    is_ideal,
     is_k_ideal,
     is_prime_ideal,
     k_spectrum,
     kernel_ideal,
     localization_spectrum_map,
     primality,
-    prime_congruences,
     prime_spectrum,
     spectrum_report,
     visualization_chain,
@@ -53,11 +48,12 @@ from finsite.spectra import (
 from finsite.topology import from_preorder, subspace, validate_topology
 
 from census import census_upto
-from oracles import (full_primality, oracle_congruences,
-                     oracle_generated_opens, oracle_ideals,
-                     oracle_is_k_ideal, oracle_is_prime_congruence,
-                     oracle_is_prime_ideal, oracle_order_isomorphism,
-                     oracle_primes, order_matrix, order_rows)
+from oracles import (full_primality, is_ideal, oracle_congruences,
+                     oracle_generated_opens, oracle_ideals, oracle_is_k_ideal,
+                     oracle_is_prime_congruence, oracle_is_prime_ideal,
+                     oracle_order_isomorphism, oracle_primes, order_matrix,
+                     order_rows, prime_congruences, quotient, total_congruence,
+                     trivial)
 
 # (name, ideal count, k-ideal count, chain sizes (t, s, w, k, prime), opens)
 FROZEN_TABLE = [
@@ -531,6 +527,33 @@ def test_localization_spectrum_is_an_open_embedding():
             m, image = localization_spectrum_map(loc)
             assert image == spec.basic_open(h), (name, h)
             assert m.is_open_embedding()
+
+
+def test_weak_localization_image_is_where_the_idempotent_power_is_one():
+    # R[1/h] is the corner eR, e the idempotent power of h, so the weak
+    # points it reaches are those with e ~ 1: not always U_{h,0}, the
+    # points where h is not ~ 0, and not always an open set.  Gluing weak spaces glues
+    # along these closed embeddings.
+    pairs = differ = 0
+    for R in [R for _, R in catalog()] + census_upto(5):
+        weak = prime_congruences(R, "weak")
+        for h in range(R.n):
+            e = R.idempotent_power(h)
+            image = set(visualization_map(localize(R, h).to_local,
+                                          "weak").images)
+            assert image == {i for i, c in enumerate(weak)
+                             if c.related(e, R.one)}, (R, h)
+            pairs += 1
+            differ += image != {i for i, c in enumerate(weak)
+                                if not c.related(h, R.zero)}
+    assert (pairs, differ) == (1335, 545)
+    # the smallest case: N2 at T reaches one weak point, a closed one
+    N2 = truncated_naturals(2)
+    X = finsite.spectra.visualization_space(N2, "weak")
+    image = set(visualization_map(localize(N2, N2.index("T")).to_local,
+                                  "weak").images)
+    assert len(image) == 1 and X.is_closed(frozenset(image))
+    assert frozenset(image) not in X.opens
 
 
 def test_spectrum_report_enumerates_congruences_once(enumerations):
