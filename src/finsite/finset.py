@@ -9,7 +9,8 @@ target; the sheaf condition for plain maps of sets turns out to track
 joint surjectivity of the family, and the pretopology that demands a
 bijective member is strictly smaller.  Face charts glue through
 `topology.glue_along_maps`, once each chart is seen to embed in the glued
-set of elements; descent and walk limits share `matching_tuples` and
+set of elements; presentations, their walks, descent and walk limits
+share the record `_Presentation` with its `walk`, `matching_tuples` and
 `descent_verdict` there with the semiring site.
 """
 
@@ -22,6 +23,8 @@ from .semiring import InvariantError, _Map, _Record
 from .topology import (
     ContinuousMap,
     FiniteTopSpace,
+    _Presentation,
+    _presentation,
     continuous_map,
     descent_verdict,
     from_preorder,
@@ -254,38 +257,21 @@ def face_space(K: AbstractSimplicialComplex) -> FiniteTopSpace:
         for f in K.faces])
 
 
-class FinSetPresentation(_Record):
+class FinSetPresentation(_Presentation):
     """Charts that are finite sets, glued along injections: an arrow
     (src, dst, f) embeds the src chart into the dst chart."""
 
-    names: tuple[str, ...]
-    carriers: tuple[FinSet, ...]
-    arrows: tuple[tuple[int, int, Injection], ...]
-
-    def node(self, name: str) -> int:
-        if name not in self.names:
-            raise FinSetError(f"no chart named {name!r}")
-        return self.names.index(name)
+    _error = FinSetError
 
 
 def finset_presentation(nodes, arrows) -> FinSetPresentation:
-    items = list(nodes.items()) if isinstance(nodes, dict) else list(nodes)
-    names = tuple(name for name, _ in items)
-    if len(set(names)) != len(names):
-        raise FinSetError("duplicate chart name")
-    carriers = tuple(A for _, A in items)
-    index = {name: i for i, name in enumerate(names)}
-    packed = []
-    for src, dst, f in arrows:
-        if src not in index or dst not in index:
-            raise FinSetError(f"arrow endpoint {src!r} or {dst!r} is not a chart")
-        si, di = index[src], index[dst]
-        if f.source != carriers[si] or f.target != carriers[di]:
+    def check(arrow, tail, head, f):
+        if f.source != tail or f.target != head:
             raise FinSetError(
-                f"arrow {src} -> {dst} must carry an injection between the "
-                "chart sets")
-        packed.append((si, di, f))
-    return FinSetPresentation(names, carriers, tuple(packed))
+                f"{arrow} must carry an injection between the chart sets")
+        return f
+
+    return _presentation(FinSetPresentation, nodes, arrows, check)
 
 
 def asc_presentation(K: AbstractSimplicialComplex) -> FinSetPresentation:
@@ -321,7 +307,6 @@ def _face_map(f: Injection, src_space: FiniteTopSpace,
 class FinSetGluedSpace(_Record):
     presentation: FinSetPresentation
     space: FiniteTopSpace
-    chart_spaces: tuple[FiniteTopSpace, ...]
     charts: tuple[ContinuousMap, ...]
     provenance: tuple[tuple[tuple[str, str], ...], ...]
 
@@ -333,13 +318,13 @@ def finset_glue_space(P: FinSetPresentation) -> FinSetGluedSpace:
     side with each x joined to f(x) for each arrow f.  Two elements of one
     chart joined there are a monodromy obstruction, a closed walk of
     arrows carrying one onto the other."""
-    spaces = [simplex_space(A) for A in P.carriers]
+    spaces = [simplex_space(A) for A in P.charts]
     glued, charts, provenance = glue_along_maps(
         P.names, spaces, [(si, di, _face_map(f, spaces[si], spaces[di]))
                           for si, di, f in P.arrows])
     # a simplex lists its vertices first, and the face maps join vertex to
     # vertex exactly as the arrows join element to element
-    for name, A, chart in zip(P.names, P.carriers, charts):
+    for name, A, chart in zip(P.names, P.charts, charts):
         first = {}
         for x in range(A.n):
             y = first.setdefault(chart(x), x)
@@ -347,7 +332,7 @@ def finset_glue_space(P: FinSetPresentation) -> FinSetGluedSpace:
                 raise FinSetError(
                     f"monodromy: the arrows identify {A.labels[y]} and "
                     f"{A.labels[x]} in chart {name}")
-    return FinSetGluedSpace(P, glued, tuple(spaces), charts, provenance)
+    return FinSetGluedSpace(P, glued, charts, provenance)
 
 
 def _same(x):
@@ -362,24 +347,14 @@ def finset_path_limit(P: FinSetPresentation, start: int, steps,
     if mode not in ("closed", "opened"):
         raise ValueError(f"unknown walk mode {mode!r}")
     steps = tuple(steps)
-    if start not in range(len(P.carriers)):
-        raise FinSetError(f"walk starts at unknown chart {start!r}")
-    seq = [start]
-    for ai, forward in steps:
-        if ai not in range(len(P.arrows)):
-            raise FinSetError(f"walk steps along unknown arrow {ai!r}")
-        si, di, _ = P.arrows[ai]
-        tail, head = (si, di) if forward else (di, si)
-        if seq[-1] != tail:
-            raise FinSetError("walk step does not start where the walk stands")
-        seq.append(head)
+    seq = P.walk(start, steps)
     if mode == "closed":
         if seq[0] != seq[-1]:
             raise FinSetError("cannot identify the endpoints of an open walk")
         m = len(steps) if steps else 1
     else:
         m = len(steps) + 1
-    carriers = [P.carriers[seq[t]] for t in range(m)]
+    carriers = [P.charts[seq[t]] for t in range(m)]
     # step t links visit t to visit t + 1; a closed walk's last step links
     # back to the first visit, or to itself when it has one visit
     links = []

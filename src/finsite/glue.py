@@ -7,9 +7,13 @@ principal open.  Closed walks in the graph can force identifications a
 plain disjoint union would not see, and gluing refuses presentations where
 some loop does.  The colimit of a closed walk of k steps is the colimit of
 the walk cut open, coequalized along its end legs i_0 and i_k, so the loop
-is glue-safe exactly when i_0 == i_k: when each x of the start chart lands
-in one class at both ends of the cut-open walk's colimit, which `colimit`
-computes with one union-find (gluing arrows are surjective).  A glued
+is glue-safe at that cut exactly when i_0 == i_k: when each x of the start
+chart lands in one class at both ends of the cut-open walk's colimit,
+which `colimit` computes with one union-find (gluing arrows are
+surjective).  A loop can pass at one cut and fail at another, as the
+wedge of two arrows from a point does when cut at the point, so every
+loop is cut at each chart it visits.  A presentation is the record
+`topology._Presentation` that the finite-set site shares.  A glued
 space joins the charts' spaces of one visualization along the maps
 `spectra.visualization_map` pulls back along the arrows' algebra maps.
 """
@@ -21,7 +25,6 @@ from .semiring import (
     DEFAULT_BUDGET,
     VISUALIZATIONS,
     BudgetExceeded,
-    FiniteSemiring,
     InvariantError,
     SemiringHom,
     _Record,
@@ -39,6 +42,8 @@ from .spectra import (
 from .topology import (
     ContinuousMap,
     FiniteTopSpace,
+    _Presentation,
+    _presentation,
     continuous_map,
     glue_along_maps,
 )
@@ -47,50 +52,33 @@ class GlueError(Exception):
     pass
 
 
-class SPresentation(_Record):
+class SPresentation(_Presentation):
     """Named charts plus localization arrows between them.
 
     An arrow (src, dst, h) points the src chart into the dst chart; its
     algebra map h runs the other way, from dst's semiring to src's, and has
     to be a finite localization followed by an isomorphism."""
 
-    names: tuple[str, ...]
-    semirings: tuple[FiniteSemiring, ...]
-    arrows: tuple[tuple[int, int, SemiringHom], ...]
-
-    def node(self, name: str) -> int:
-        if name not in self.names:
-            raise GlueError(f"no chart named {name!r}")
-        return self.names.index(name)
+    _error = GlueError
 
 
 def presentation(nodes, arrows) -> SPresentation:
     """Build a presentation from (name, semiring) pairs and
     (src_name, dst_name, hom) triples, checking every hom is a finite
-    localization of the dst chart's algebra.  Charts with equal semirings
-    share one object, so they share its derived data."""
-    items = list(nodes.items()) if isinstance(nodes, dict) else list(nodes)
-    names = tuple(name for name, _ in items)
-    if len(set(names)) != len(names):
-        raise GlueError("duplicate chart name")
-    canon: dict[FiniteSemiring, FiniteSemiring] = {}
-    semirings = tuple(canon.setdefault(R, R) for _, R in items)
-    index = {name: i for i, name in enumerate(names)}
-    packed = []
-    for src, dst, h in arrows:
-        if src not in index or dst not in index:
-            raise GlueError(f"arrow endpoint {src!r} or {dst!r} is not a chart")
-        si, di = index[src], index[dst]
-        if h.source != semirings[di] or h.target != semirings[si]:
+    localization of the dst chart's algebra."""
+
+    def check(arrow, tail, head, h):
+        if h.source != head or h.target != tail:
             raise GlueError(
-                f"arrow {src} -> {dst} must carry a map from the algebra "
+                f"{arrow} must carry a map from the algebra "
                 "of its head chart to the algebra of its tail chart")
         # rebound onto the shared chart objects
-        h = SemiringHom(semirings[di], semirings[si], h.images)
+        h = SemiringHom(head, tail, h.images)
         if is_finite_localization(h) is None:
-            raise GlueError(f"arrow {src} -> {dst} is not a finite localization")
-        packed.append((si, di, h))
-    return SPresentation(names, semirings, tuple(packed))
+            raise GlueError(f"{arrow} is not a finite localization")
+        return h
+
+    return _presentation(SPresentation, nodes, arrows, check)
 
 
 def _atlas_parts(S: CoverFamily):
@@ -116,20 +104,7 @@ class DiagramPath(_Record):
     steps: tuple[tuple[int, bool], ...]
 
     def nodes_visited(self) -> tuple[int, ...]:
-        P = self.presentation
-        if self.start not in range(len(P.names)):
-            raise GlueError(f"walk starts at unknown chart {self.start!r}")
-        seq = [self.start]
-        for ai, forward in self.steps:
-            if ai not in range(len(P.arrows)):
-                raise GlueError(f"walk steps along unknown arrow {ai!r}")
-            si, di, _ = P.arrows[ai]
-            here = seq[-1]
-            tail, head = (si, di) if forward else (di, si)
-            if here != tail:
-                raise GlueError("walk step does not start where the walk stands")
-            seq.append(head)
-        return tuple(seq)
+        return self.presentation.walk(self.start, self.steps)
 
     @property
     def is_closed(self) -> bool:
@@ -210,21 +185,27 @@ class MonodromyReport(_Record):
 
 def is_monodromy_free(P: SPresentation, bound: int = 8,
                       budget: int = DEFAULT_BUDGET) -> MonodromyReport:
-    """Check every enumerated closed walk with one union-find (see above).
-    A failing walk is conclusive; a clean sweep is conclusive only if the
-    bound pruned no simple cycle, and is otherwise reported as
-    inconclusive beyond the bound."""
+    """Check every enumerated closed walk cut at each chart it visits, its
+    enumerated start first, with one union-find per cut (see above).  The
+    first failing cut is conclusive and is the witness; a clean sweep is
+    conclusive only if the bound pruned no simple cycle, and is otherwise
+    reported as inconclusive beyond the bound."""
     walks, truncated = _closed_walks(P, bound)
     for p in walks:
-        if not _loop_is_free(p, budget):
-            return MonodromyReport(False, p, True, len(walks))
+        cut = _failing_cut(p, budget)
+        if cut is not None:
+            return MonodromyReport(False, cut, True, len(walks))
     return MonodromyReport(True, None, not truncated, len(walks))
 
 
-def _loop_is_free(p: DiagramPath, budget: int) -> bool:
-    """Whether the end legs of the closed walk p agree (see above)."""
+def _failing_cut(p: DiagramPath, budget: int) -> DiagramPath | None:
+    """The closed walk p restarted at the first of its visits where the
+    end legs of the cut-open walk disagree (see above), or None.  A walk
+    out and back along one surjective arrow agrees at both of its cuts, so
+    its second cut is skipped."""
     P = p.presentation
-    charts = [P.semirings[node] for node in p.nodes_visited()]
+    seq = p.nodes_visited()
+    charts = [P.charts[node] for node in seq]
     largest = max(R.n for R in charts)
     if largest > budget:
         raise BudgetExceeded(f"table size: a diagram node has {largest} "
@@ -234,11 +215,17 @@ def _loop_is_free(p: DiagramPath, budget: int) -> bool:
         raise ValueError(f"walk {p.describe()} crosses an arrow that is not "
                          "surjective: its colimit needs a coproduct, which "
                          "the union-find does not build")
-    offsets, of = colimit(charts, [
-        # h runs against the walk: out of visit t+1 on a forward step
-        (t + forward, t + 1 - forward, h)
-        for t, ((_, forward), h) in enumerate(zip(p.steps, homs))])
-    return all(of[x] == of[offsets[-2] + x] for x in range(charts[0].n))
+    # h runs against the walk: out of visit t+1 on a forward step
+    legs = [(forward, h) for (_, forward), h in zip(p.steps, homs)]
+    k = len(legs)
+    for t in range(1 if k == 2 and p.steps[0][0] == p.steps[1][0] else k):
+        rotated = legs[t:] + legs[:t]
+        offsets, of = colimit(charts[t:k] + charts[:t + 1], [
+            (i + forward, i + 1 - forward, h)
+            for i, (forward, h) in enumerate(rotated)])
+        if any(of[x] != of[offsets[-2] + x] for x in range(charts[t].n)):
+            return DiagramPath(P, seq[t], p.steps[t:] + p.steps[:t])
+    return None
 
 
 class GluedSpace(_Record):
@@ -248,7 +235,6 @@ class GluedSpace(_Record):
     presentation: SPresentation
     vis: str
     space: FiniteTopSpace
-    chart_spaces: tuple[FiniteTopSpace, ...]
     charts: tuple[ContinuousMap, ...]
     provenance: tuple[tuple[tuple[str, str], ...], ...]
     monodromy: MonodromyReport
@@ -272,11 +258,11 @@ def _glue_checked(P: SPresentation, vis: str,
     several visualizations run the check once."""
     if not report.free:
         raise GlueError("refusing to glue: " + report.verdict())
-    spaces = [visualization_space(R, vis) for R in P.semirings]
+    spaces = [visualization_space(R, vis) for R in P.charts]
     glued, charts, provenance = glue_along_maps(
         P.names, spaces,
         [(si, di, visualization_map(h, vis)) for si, di, h in P.arrows])
-    return GluedSpace(P, vis, glued, tuple(spaces), charts, provenance, report)
+    return GluedSpace(P, vis, glued, charts, provenance, report)
 
 
 class GluedChain(_Record):
@@ -292,7 +278,7 @@ class GluedChain(_Record):
 
 def glued_chain(P: SPresentation, bound: int = 8,
                 budget: int = DEFAULT_BUDGET) -> GluedChain:
-    chains = [visualization_chain(R) for R in P.semirings]
+    chains = [visualization_chain(R) for R in P.charts]
     report = is_monodromy_free(P, bound, budget)
     levels = tuple(_glue_checked(P, vis, report) for vis in CHAIN_LEVELS)
     # the square of each arrow against each comparison map must commute

@@ -14,9 +14,11 @@ included.  Until construction learns to trust its own down-sets,
 `from_preorder` still checks the listed family for closure under unions
 and intersections, pair by pair.
 
-Descent on both sites shares `matching_tuples`, the families that agree
-along given maps, and `descent_verdict`, whether restriction from the
-base is a bijection onto them.
+Both sites present their charts in one record, `_Presentation`, built
+by `_presentation` and walked by its `walk`, and decide descent by
+`matching_tuples`, the families that agree along given maps, and
+`descent_verdict`, whether restriction from the base is a bijection onto
+them.
 """
 
 from __future__ import annotations
@@ -398,6 +400,57 @@ def glue_along_maps(names, spaces, arrows):
                        tuple(of[offsets[ci] + x] for x in range(X.n)))
         for ci, X in enumerate(spaces))
     return glued, charts, tuple(tuple(ps) for ps in provenance)
+
+
+class _Presentation(_Record):
+    """Named charts and arrows (src, dst, map) between them, on either
+    site; the subclass's `_error` is raised for an unknown chart or walk."""
+
+    names: tuple[str, ...]
+    charts: tuple
+    arrows: tuple[tuple[int, int, object], ...]
+
+    def node(self, name: str) -> int:
+        if name not in self.names:
+            raise self._error(f"no chart named {name!r}")
+        return self.names.index(name)
+
+    def walk(self, start: int, steps) -> tuple[int, ...]:
+        """The charts visited from `start` by (arrow id, forward?) steps."""
+        if start not in range(len(self.names)):
+            raise self._error(f"walk starts at unknown chart {start!r}")
+        seq = [start]
+        for ai, forward in steps:
+            if ai not in range(len(self.arrows)):
+                raise self._error(f"walk steps along unknown arrow {ai!r}")
+            si, di, _ = self.arrows[ai]
+            if seq[-1] != (si if forward else di):
+                raise self._error(
+                    "walk step does not start where the walk stands")
+            seq.append(di if forward else si)
+        return tuple(seq)
+
+
+def _presentation(cls, nodes, arrows, check):
+    """A presentation of class cls from (name, chart) pairs and (src, dst,
+    map) triples by name; equal charts share one object, and check(arrow,
+    tail chart, head chart, map) returns the map to keep or raises."""
+    items = list(nodes.items()) if isinstance(nodes, dict) else list(nodes)
+    names = tuple(name for name, _ in items)
+    if len(set(names)) != len(names):
+        raise cls._error("duplicate chart name")
+    canon = {}
+    charts = tuple(canon.setdefault(c, c) for _, c in items)
+    index = {name: i for i, name in enumerate(names)}
+    packed = []
+    for src, dst, m in arrows:
+        if src not in index or dst not in index:
+            raise cls._error(
+                f"arrow endpoint {src!r} or {dst!r} is not a chart")
+        si, di = index[src], index[dst]
+        packed.append((si, di, check(f"arrow {src} -> {dst}", charts[si],
+                                     charts[di], m)))
+    return cls(names, charts, tuple(packed))
 
 
 def matching_tuples(candidates, links) -> list[tuple]:

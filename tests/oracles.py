@@ -661,7 +661,7 @@ def _walk_diagram(p, identify_ends: bool) -> SemiringDiagram:
         m = k if k else 1
     else:
         m = k + 1
-    nodes = tuple(P.semirings[seq[t]] for t in range(m))
+    nodes = tuple(P.charts[seq[t]] for t in range(m))
     arrows = []
     for t, (ai, forward) in enumerate(p.steps):
         _, _, h = P.arrows[ai]

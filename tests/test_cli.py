@@ -355,10 +355,6 @@ def test_glue_wedge_refused(workdir, capsys):
     assert lines[1] == "monodromy: monodromy obstruction along X <- U -> X"
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 9: the monodromy verdict depends on node order; listed "
-    "U first, the wedge is called free (3 loops) and X's two points glue "
-    "into one"))
 def test_glue_wedge_refused_in_either_node_order(workdir, capsys):
     pres = workdir / "wedge_u_first.pres"
     pres.write_text("node U b.sr\nnode X bxb.sr\n"
@@ -384,8 +380,8 @@ def test_glue_enumerates_each_chart_congruences_once(workdir, enumerations):
     for vis in VISUALIZATIONS:
         glue_space(P, vis)
     # A and B share one chart object: one enumeration per distinct chart
-    assert P.semirings[0] is P.semirings[1]
-    assert enumerations == collections.Counter(set(P.semirings))
+    assert P.charts[0] is P.charts[1]
+    assert enumerations == collections.Counter(set(P.charts))
 
 
 def test_glue_builds_each_congruence_space_once(workdir, monkeypatch):
@@ -406,7 +402,7 @@ def test_glue_builds_each_congruence_space_once(workdir, monkeypatch):
     # one space per level and distinct chart object: the weak space maps
     # to the k-points, which are a subspace of the prime spectrum
     assert builds == collections.Counter(
-        (i, vis) for i in set(map(id, P.semirings))
+        (i, vis) for i in set(map(id, P.charts))
         for vis in ("weak", "strong", "twisted", "k", "prime"))
 
 
@@ -416,10 +412,10 @@ def test_equal_chart_files_share_one_object(workdir):
     pres.write_text("node A z6.sr\nnode B z6copy.sr\nnode O o.sr\n"
                     "arrow O A localize-at 2\narrow O B localize-at 2\n")
     P = read_presentation(str(pres))
-    A, B, O = P.semirings
+    A, B, O = P.charts
     assert A is B and A is not O
     for si, di, h in P.arrows:
-        assert h.source is P.semirings[di] and h.target is P.semirings[si]
+        assert h.source is P.charts[di] and h.target is P.charts[si]
 
 
 def test_presentation_reads_each_file_once(workdir, monkeypatch):
@@ -445,7 +441,7 @@ def test_presentation_reads_each_file_once(workdir, monkeypatch):
     assert reads == {"doubled.pres": 1, "z6.sr": 1, "o.sr": 1}
     assert validations == [zmod(6).elements,
                            localize(zmod(6), 2).semiring.elements]
-    assert len({id(R) for R in P.semirings}) == 2
+    assert len({id(R) for R in P.charts}) == 2
 
 
 def test_glue_budget_exceeded(workdir, capsys):

@@ -13,6 +13,7 @@ from finsite.catalog import (
     truncated_naturals,
     zmod,
 )
+import finsite.semiring
 import finsite.site
 from finsite.semiring import (
     SemiringError,
@@ -236,6 +237,19 @@ def test_principal_open_props_small_bench():
         [name for name, _ in entries]
     assert all(row["pass"] for row in report["P2"])
     assert all(row["pass"] for row in report["P3"])
+
+
+def test_principal_open_props_name_their_first_failure(monkeypatch):
+    # with every pair failing, P2 names its first (g, h) and P3 its first h
+    monkeypatch.setattr(finsite.semiring._Map, "is_bijective",
+                        lambda self: False)
+    monkeypatch.setattr(finsite.site, "_pushout_kernel", lambda s, f: None)
+    entries = [("z6", zmod(6)), ("b", boolean())]
+    report = principal_open_props_check(entries)
+    assert not report["all_pass"]
+    assert [row["witness"] for row in report["P2"]] == [["0", "0"]] * 2
+    assert report["P3"] and all(
+        not row["pass"] and row["witness"] == "0" for row in report["P3"])
 
 
 def test_p3_congruence_is_the_kernel_of_the_pushout_leg():

@@ -12,7 +12,11 @@ from hypothesis import strategies as st
 
 import finsite.locales
 import finsite.topology
-from finsite.semiring import InvariantError
+from finsite.catalog import zmod
+from finsite.finset import (FinSetError, finset, finset_path_limit,
+                            finset_presentation, injection)
+from finsite.glue import DiagramPath, GlueError, presentation
+from finsite.semiring import InvariantError, localize
 from finsite.topology import (
     ContinuousMap,
     TopologyError,
@@ -545,3 +549,44 @@ def test_descent_verdict_names_the_first_failure():
         False, ("not surjective", ("p",)))
     with pytest.raises(InvariantError):
         descent_verdict([("a", ("s",))], families)
+
+
+def _glue_site():
+    Z6 = zmod(6)
+    loc = localize(Z6, 2)
+    P = presentation([("X", Z6), ("U", loc.semiring)],
+                     [("U", "X", loc.to_local)])
+    return P, GlueError, lambda start, steps: DiagramPath(
+        P, start, steps).nodes_visited()
+
+
+def _finset_site():
+    X, U = finset(("x", "y")), finset(("x",))
+    P = finset_presentation([("X", X), ("U", U)],
+                            [("U", "X", injection(U, X, (0,)))])
+    return P, FinSetError, lambda start, steps: finset_path_limit(
+        P, start, steps, "opened")
+
+
+@pytest.mark.parametrize("site", [_glue_site, _finset_site],
+                         ids=["glue", "finset"])
+def test_both_sites_name_charts_and_refuse_walks_alike(site):
+    # each site's presentation is the shared record, and its own walker
+    # (a diagram path's visits, a walk limit) refuses through `walk`
+    P, error, walk = site()
+    assert isinstance(P, finsite.topology._Presentation)
+    assert [P.node(name) for name in P.names] == [0, 1]
+    with pytest.raises(error, match="^no chart named 'C'$"):
+        P.node("C")
+    assert P.walk(1, ((0, True),)) == (1, 0)
+    assert P.walk(0, ((0, False), (0, True))) == (0, 1, 0)
+    walk(1, ((0, True), (0, False)))
+    for start, steps, message in (
+            (-1, (), "walk starts at unknown chart -1"),
+            (2, (), "walk starts at unknown chart 2"),
+            (0, ((99, True),), "walk steps along unknown arrow 99"),
+            (0, ((-1, True),), "walk steps along unknown arrow -1"),
+            (0, ((0, True),), "walk step does not start where the walk "
+                              "stands")):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            walk(start, steps)
