@@ -292,6 +292,15 @@ def test_path_limits_open_and_closed():
     assert start_only.n == 2
     with pytest.raises(ValueError):
         finset_path_limit(P, 0, (), "sideways")
+    with pytest.raises(FinSetError):
+        finset_path_limit(P, P.node("{a,b}"), ((a_ab, True),), "opened")
+
+
+def test_node_names_the_unknown_chart():
+    P = asc_presentation(asc("abc", ["ab", "ac"]))
+    assert [P.node(name) for name in P.names] == list(range(len(P.names)))
+    with pytest.raises(FinSetError, match="^no chart named 'B'$"):
+        P.node("B")
 
 
 def test_path_limit_labels_in_product_order_and_self_arrows():
@@ -316,6 +325,16 @@ def test_path_limit_labels_in_product_order_and_self_arrows():
         "(x,y)", "(y,x)", "(z,z)")
     assert finset_path_limit(P, 0, ((3, True),), "closed").labels == (
         "(x)", "(y)", "(z)")
+
+
+def test_path_limit_refuses_unknown_charts_and_arrows():
+    X = finset(("x",))
+    P = finset_presentation([("X", X)], [("X", "X", injection(X, X, (0,)))])
+    assert finset_path_limit(P, 0, ((0, True),), "closed").labels == ("(x)",)
+    for start, steps in ((5, ()), (-1, ()), (0, ((3, True),)),
+                         (0, ((-1, True),))):
+        with pytest.raises(FinSetError):
+            finset_path_limit(P, start, steps)
 
 
 def test_wedge_counterexample():

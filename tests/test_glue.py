@@ -205,6 +205,28 @@ def test_walk_validation_and_description():
     loop = DiagramPath(P, P.node("O"), ((0, True), (0, False)))
     assert loop.describe() == "O -> A <- O"
     assert loop.is_closed
+    with pytest.raises(GlueError, match="does not start"):
+        DiagramPath(P, P.node("A"), ((0, True),)).nodes_visited()
+
+
+def test_node_names_the_unknown_chart():
+    P = doubled_point_presentation()
+    assert [P.node(name) for name in P.names] == list(range(len(P.names)))
+    with pytest.raises(GlueError, match="^no chart named 'C'$"):
+        P.node("C")
+
+
+def test_walks_refuse_unknown_starts_and_arrows():
+    P = atlas(cover_family(zmod(6), [2, 3]))
+    for start, steps, match in ((-1, (), "unknown chart"),
+                                (len(P.names), (), "unknown chart"),
+                                (0, ((99, True),), "unknown arrow"),
+                                (0, ((-1, True),), "unknown arrow")):
+        walk = DiagramPath(P, start, steps)
+        with pytest.raises(GlueError, match=match):
+            walk.nodes_visited()
+        with pytest.raises(GlueError, match=match):
+            path_limit(walk)
 
 
 def test_closed_walk_census():
