@@ -1,16 +1,16 @@
 """Ideals, prime ideals, k-ideals, and the spectra built from them.
 
 A semiring has five visualizations, joined by the comparison chain
-twisted -> strong -> weak -> k -> prime.  Each level's points are the
-next level's points that pass its test, and its space is the next level's
-subspace on them.  The weak points are the exception: they are filtered
-from all congruences, and they map to the k-points by their kernel ideal.
-The prime spectrum is built from inclusion of primes, whose down-sets are
-the opens the basic opens U_h = primes avoiding h generate; the weak space
-from refinement, whose down-sets are the opens the U_{a,b} = congruences
-separating a and b generate.  A semiring's record keeps each level's
-points and its space with the map down, each built once; a hom's map of a
-level pulls every point back and is kept in its target's record.
+twisted -> strong -> weak -> k -> prime.  Each level's points are the next
+level's points that pass its test, ordered as there: a subspace.  The weak
+points are the exception: filtered from all congruences and ordered by
+refinement, they map to the k-points by their kernel ideal.  The primes are
+ordered by inclusion, whose down-sets are the opens the U_h = primes
+avoiding h generate, as refinement's are those the U_{a,b} = congruences
+separating a and b generate.  A record keeps each level's points, labels
+and order, its space built from these alone, and its map down only where a
+chain map is used; a hom's map of a level pulls every point back and is
+kept in its target's record.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ from .semiring import (
 from .topology import (
     ContinuousMap,
     FiniteTopSpace,
+    _restrict,
+    _space_of_order,
     continuous_map,
-    from_preorder,
     set_label,
-    subspace,
 )
 
 
@@ -122,7 +122,7 @@ class Spectrum(_Record):
 def prime_spectrum(R: FiniteSemiring) -> Spectrum:
     """Computed once per semiring: every call returns the same Spectrum."""
     return _memo(R, "spectrum", lambda: Spectrum(
-        R, _level(R, "prime")[0], _points(R, "prime")))
+        R, _space(R, "prime"), _points(R, "prime")))
 
 
 def _distinct_labels(labels) -> tuple[str, ...]:
@@ -206,6 +206,43 @@ def _position(points) -> dict:
     return {_key(p): i for i, p in enumerate(points)}
 
 
+def _order(R: FiniteSemiring, vis: str) -> tuple:
+    """One visualization's point labels, order rows, and its points' places
+    among the next level's (None if not a subspace); computed once."""
+    return _memo(R, ("order", vis), lambda: _build_order(R, vis))
+
+
+def _build_order(R: FiniteSemiring, vis: str) -> tuple:
+    points = _points(R, vis)
+    if vis not in ("prime", "weak"):
+        # a subspace is its restricted preorder: the next level's labels
+        # and rows sliced to the points that pass
+        labels, above, _ = _order(R, _NEXT[vis])
+        position = _position(_points(R, _NEXT[vis]))
+        hooks = [position[_key(p)] for p in points]
+        return tuple(labels[x] for x in hooks), _restrict(above, hooks), hooks
+    if vis == "weak":
+        _order(R, "prime")  # a label clash is reported on the primes first
+    labels = _distinct_labels(
+        [set_label(R.elements, p) for p in points] if vis == "prime" else
+        ["".join(set_label(R.elements, block) for block in c.block_members())
+         for c in points])
+    # least open around q: {p : p <= q}, the meet of the U_h over h not in
+    # the prime q, or of the U_{a,b} the congruence q separates; inclusion
+    # and refinement are orders, so the rows need no closing
+    return labels, [sum(1 << j for j, q in enumerate(points) if p <= q)
+                    for p in points], None
+
+
+def _space(R: FiniteSemiring, vis: str) -> FiniteTopSpace:
+    """One visualization's space, built from its order alone, once."""
+    return _memo(R, ("space", vis), lambda: _build_space(R, vis))
+
+
+def _build_space(R: FiniteSemiring, vis: str) -> FiniteTopSpace:
+    return _space_of_order(*_order(R, vis)[:2])
+
+
 def _level(R: FiniteSemiring, vis: str
            ) -> tuple[FiniteTopSpace, ContinuousMap | None]:
     """One visualization's space and its map down the chain (None for the
@@ -215,26 +252,13 @@ def _level(R: FiniteSemiring, vis: str
 
 def _build_level(R: FiniteSemiring, vis: str
                  ) -> tuple[FiniteTopSpace, ContinuousMap | None]:
-    points = _points(R, vis)
-    if vis not in ("prime", "weak"):
-        # the subspace of the next level on the points that pass
-        position = _position(_points(R, _NEXT[vis]))
-        return subspace(_level(R, _NEXT[vis])[0],
-                        [position[_key(p)] for p in points])
-    # the weak points map to the k-points; their prime labels are checked
-    # first, so a label clash is reported on the prime spectrum
-    k_space = None if vis == "prime" else _level(R, "k")[0]
-    labels = _distinct_labels(
-        [set_label(R.elements, p) for p in points] if vis == "prime" else
-        ["".join(set_label(R.elements, block) for block in c.block_members())
-         for c in points])
-    # least open around q: {p : p <= q}, the meet of the U_h over h not in
-    # the prime q, or of the U_{a,b} the congruence q separates
-    space = from_preorder(labels, [
-        sum(1 << j for j, q in enumerate(points) if p <= q) for p in points])
+    space = _space(R, vis)
     if vis == "prime":
         return space, None
-    k_points = _points(R, "k")
+    lower = _space(R, _NEXT[vis])
+    if vis != "weak":
+        return space, continuous_map(space, lower, _order(R, vis)[2])
+    points, k_points = _points(R, "weak"), _points(R, "k")
     position = _position(k_points)
     images = tuple(position[kernel_ideal(c)] for c in points)
     # the preimage of a basic open U_h must be the basic open U_{h,0}
@@ -243,7 +267,7 @@ def _build_level(R: FiniteSemiring, vis: str
                for c, i in zip(points, images)):
             raise InvariantError(
                 f"kernel map breaks the basic-open law at {h}")
-    return space, continuous_map(space, k_space, images)
+    return space, continuous_map(space, lower, images)
 
 
 def k_spectrum(R: FiniteSemiring) -> tuple[FiniteTopSpace, ContinuousMap]:
@@ -266,7 +290,7 @@ def congruence_spectrum(R: FiniteSemiring, flavor: str
 
 def visualization_space(R: FiniteSemiring, vis: str) -> FiniteTopSpace:
     """The record's space of one of the five visualizations."""
-    return _level(R, vis)[0]
+    return _space(R, vis)
 
 
 class SpectraChain(_Record):
@@ -330,7 +354,7 @@ def _build_map(h: SemiringHom, vis: str) -> ContinuousMap:
         if i is None:
             raise InvariantError(f"a pulled-back point leaves the {vis} level")
         images.append(i)
-    return continuous_map(_level(A, vis)[0], _level(B, vis)[0], images)
+    return continuous_map(_space(A, vis), _space(B, vis), images)
 
 
 def localization_spectrum_map(loc: Localization

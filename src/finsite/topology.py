@@ -1,4 +1,4 @@
-"""Finite topological spaces, continuous maps, subspaces, and gluing.
+"""Finite topological spaces, continuous maps, and gluing.
 
 Finite spaces are exactly preorders: x <= y holds when y lies in the
 closure of x, opens are the down-sets (stable under passing to more generic
@@ -7,11 +7,11 @@ order as int-bitmask rows, sets each point's least open at construction,
 and lists its opens, the down-sets, only when a caller asks for them,
 keeping the listing in its derived data (`semiring._memo`).  Every
 operation works on the order: closures are up-sets, least opens are
-down-sets, T0 is antisymmetry, continuity is monotonicity, and subspaces
-and glued spaces are built from the restricted or identified order.
+down-sets, T0 is antisymmetry, continuity is monotonicity, a subspace is
+the restricted order (`_restrict`) and a glued space the identified one.
 These rows are the one format of a finite order in finsite, frames
 included.  Until construction learns to trust its own down-sets,
-`from_preorder` still checks the listed family for closure under unions
+`_space_of_order` still checks the listed family for closure under unions
 and intersections, pair by pair.
 
 Both sites present their charts in one record, `_Presentation`, built
@@ -329,15 +329,6 @@ def continuous_map(source, target, images) -> ContinuousMap:
         raise TopologyError(
             f"preimage of open {sorted(bad)} is not open")
     return m
-
-
-def subspace(X: FiniteTopSpace, subset) -> tuple[FiniteTopSpace, ContinuousMap]:
-    """The subset with the restricted specialization order."""
-    subset = sorted(frozenset(subset))
-    S = _space_of_order(tuple(X.points[x] for x in subset),
-                        _restrict(X.above, subset))
-    incl = continuous_map(S, X, tuple(subset))
-    return S, incl
 
 
 def _classes(n: int, pairs) -> tuple[list[int], list[int]]:

@@ -34,7 +34,7 @@ from finsite.semiring import (DEFAULT_BUDGET, FLAVORS, AxiomError,
 from finsite.site import CoverFamily, OpenSubscheme
 from finsite.spectra import _points, prime_spectrum
 from finsite.topology import (ContinuousMap, FiniteTopSpace, TopologyError,
-                              _bits, _classes, _space_of_order,
+                              _bits, _classes, _restrict, _space_of_order,
                               continuous_map, glue_along_maps, order_closure)
 
 
@@ -1368,6 +1368,16 @@ def prime_congruences(R: FiniteSemiring, flavor: str) -> list[Congruence]:
     if flavor not in FLAVORS:
         raise ValueError(f"unknown primality flavor {flavor!r}")
     return list(_points(R, flavor))
+
+
+def subspace(X: FiniteTopSpace, subset) -> tuple[FiniteTopSpace, ContinuousMap]:
+    """The subset with the restricted specialization order, and its
+    inclusion; the reference the spectra's level spaces are compared with."""
+    subset = sorted(frozenset(subset))
+    S = _space_of_order(tuple(X.points[x] for x in subset),
+                        _restrict(X.above, subset))
+    incl = continuous_map(S, X, tuple(subset))
+    return S, incl
 
 
 def disjoint_union(spaces, prefixes=None) -> tuple[FiniteTopSpace, tuple[ContinuousMap, ...]]:

@@ -389,21 +389,22 @@ def test_glue_builds_each_congruence_space_once(workdir, monkeypatch):
     pres.write_text("node A z6.sr\nnode B z6.sr\nnode O o.sr\n"
                     "arrow O A localize-at 2\narrow O B localize-at 2\n")
     builds = collections.Counter()
-    real = finsite.spectra._build_level
+    real = finsite.spectra._build_space
 
     def counted(R, vis):
         builds[id(R), vis] += 1
         return real(R, vis)
 
-    monkeypatch.setattr(finsite.spectra, "_build_level", counted)
+    monkeypatch.setattr(finsite.spectra, "_build_space", counted)
     P = read_presentation(str(pres))
     for vis in ("weak", "strong", "twisted", "k"):
+        builds.clear()
         glue_space(P, vis)
-    # one space per level and distinct chart object: the weak space maps
-    # to the k-points, which are a subspace of the prime spectrum
-    assert builds == collections.Counter(
-        (i, vis) for i in set(map(id, P.charts))
-        for vis in ("weak", "strong", "twisted", "k", "prime"))
+        glue_space(P, vis)
+        # that level's space once per distinct chart object, and no space
+        # of the levels below it
+        assert builds == collections.Counter(
+            (i, vis) for i in set(map(id, P.charts))), vis
 
 
 def test_equal_chart_files_share_one_object(workdir):
@@ -568,21 +569,31 @@ def test_claims_name_a_failing_row(capsys, monkeypatch):
 
 def test_file_commands_on_every_census_semiring(tmp_path):
     # every semiring of order at most 5, written out and read back by
-    # `check`, `congruences`, `locale` and `localize` at each element:
-    # each run is a report or a failed check, never an uncaught error
+    # `check`, `congruences`, `locale`, `localize` at each element and
+    # `spectrum` in each visualization: each run is a report or a failed
+    # check, never an uncaught error; every spectrum is a report, and the
+    # `stone` dual of every `locale --dot` dump is sober and spatial
     codes = collections.Counter()
     for i, R in enumerate(census_upto(5)):
         path = str(tmp_path / f"c{i}.sr")
+        dump = str(tmp_path / f"c{i}.lat")
         (tmp_path / f"c{i}.sr").write_text(render_semiring(R),
                                            encoding="utf-8")
-        runs = [("check", {}), ("congruences", {}), ("locale", {"dot": None})]
+        runs = [("check", {}), ("congruences", {}), ("locale", {"dot": dump})]
         runs += [("localize", {"element": e}) for e in R.elements]
+        runs += [("spectrum", {"flavor": vis, "dot": None})
+                 for vis in VISUALIZATIONS]
         for command, options in runs:
             code, _, _ = finsite.cli.HANDLERS[command](
                 argparse.Namespace(file=path, **options))
             codes[code] += 1
+            assert code == 0 or command != "spectrum", (i, options)
+        code, _, data = finsite.cli.HANDLERS["stone"](
+            argparse.Namespace(file=dump, dot=None))
+        assert (code, data["sober"], data["spatial"]) == (0, True, True), i
+        codes[code] += 1
     assert set(codes) <= {0, 1}
-    assert sum(codes.values()) == 3 * 273 + 1307
+    assert sum(codes.values()) == 3 * 273 + 1307 + 5 * 273 + 273
 
 
 def test_simplex_refuses_faces_labeled_alike(workdir, capsys):

@@ -616,20 +616,26 @@ def test_chain_and_gluing_share_one_space_per_visualization():
 
 def test_k_gluing_builds_one_subspace_per_chart_object(monkeypatch):
     builds = []
-    real = finsite.spectra._build_level
+    real = finsite.spectra._build_space
 
     def counted(R, vis):
         builds.append((id(R), vis))
         return real(R, vis)
 
-    monkeypatch.setattr(finsite.spectra, "_build_level", counted)
+    monkeypatch.setattr(finsite.spectra, "_build_space", counted)
     P = atlas(cover_family(zmod(6), [1, 2, 3]))
     glue_space(P, "k")
     glue_space(P, "k")
-    # the k-subspace and the prime spectrum it sits in, once per chart
-    assert sorted(builds) == sorted((i, vis)
-                                    for i in set(map(id, P.charts))
-                                    for vis in ("k", "prime"))
+    # the k-space once per chart, built from its order without the prime
+    # spectrum it sits in
+    charts = set(map(id, P.charts))
+    assert sorted(builds) == sorted((i, "k") for i in charts)
+    # the glued chain compares the levels, so it builds all five
+    builds.clear()
+    P = atlas(cover_family(zmod(6), [1, 2, 3]))
+    glued_chain(P)
+    assert sorted(builds) == sorted((i, vis) for i in set(map(id, P.charts))
+                                    for vis in CHAIN_LEVELS)
 
 
 def test_glued_chain_builds_each_level_map_once(monkeypatch):

@@ -45,15 +45,15 @@ from finsite.spectra import (
     visualization_chain,
     visualization_map,
 )
-from finsite.topology import from_preorder, subspace, validate_topology
+from finsite.topology import from_preorder, validate_topology
 
 from census import census_upto
 from oracles import (full_primality, is_ideal, oracle_congruences,
                      oracle_generated_opens, oracle_ideals, oracle_is_k_ideal,
                      oracle_is_prime_congruence, oracle_is_prime_ideal,
                      oracle_order_isomorphism, oracle_primes, order_matrix,
-                     order_rows, prime_congruences, quotient, total_congruence,
-                     trivial)
+                     order_rows, prime_congruences, quotient, subspace,
+                     total_congruence, trivial)
 
 # (name, ideal count, k-ideal count, chain sizes (t, s, w, k, prime), opens)
 FROZEN_TABLE = [
@@ -363,15 +363,47 @@ def test_zmod6_weak_congruences_match_the_primes():
 
 
 def test_strong_and_twisted_spaces_carry_subspace_topology():
-    for name, R in catalog():
-        weak_points = prime_congruences(R, "weak")
-        weak_space, _ = congruence_spectrum(R, "weak")
-        for flavor in ("strong", "twisted"):
-            own_space, _ = congruence_spectrum(R, flavor)
-            keep = [i for i, c in enumerate(weak_points)
-                    if primality(c, flavor)]
-            traced, _ = subspace(weak_space, keep)
-            assert traced.opens == own_space.opens, (name, flavor)
+    # the k, strong and twisted spaces are built from their own orders;
+    # each must be the subspace of the next level on the points that pass,
+    # and its chain map that subspace's inclusion
+    compared = 0
+    for R in [R for _, R in catalog()] + census_upto(5):
+        chain = visualization_chain(R)
+        for vis, below, hook in (("k", "prime", chain.maps[3]),
+                                 ("strong", "weak", chain.maps[1]),
+                                 ("twisted", "strong", chain.maps[0])):
+            own_space = finsite.spectra.visualization_space(R, vis)
+            if vis == "k":
+                keep = [i for i, p in enumerate(prime_spectrum(R).primes)
+                        if is_k_ideal(R, p)]
+            else:
+                keep = [i for i, c in enumerate(prime_congruences(R, below))
+                        if primality(c, vis)]
+            traced, incl = subspace(
+                finsite.spectra.visualization_space(R, below), keep)
+            assert own_space.points == traced.points, (R, vis)
+            assert own_space.above == traced.above, (R, vis)
+            assert own_space.opens == traced.opens, (R, vis)
+            assert hook.images == incl.images, (R, vis)
+            assert hook.source is own_space, (R, vis)
+            compared += 1
+    assert compared == 3 * (8 + 273)
+
+
+def test_strong_and_twisted_spaces_build_no_weak_space(monkeypatch):
+    builds = []
+    real = finsite.spectra._build_space
+
+    def counted(R, vis):
+        builds.append(vis)
+        return real(R, vis)
+
+    monkeypatch.setattr(finsite.spectra, "_build_space", counted)
+    R = chain(6)
+    strong = finsite.spectra.visualization_space(R, "strong")
+    twisted = finsite.spectra.visualization_space(R, "twisted")
+    assert builds == ["strong", "twisted"]
+    assert (strong.n, twisted.n) == (5, 5)
 
 
 def assert_flavor_records_match_oracle(R, name):
@@ -505,13 +537,14 @@ def test_level_maps_are_contravariantly_functorial():
 
 def test_points_build_no_space(monkeypatch):
     builds = []
-    real = finsite.spectra._build_level
+    for builder in ("_build_space", "_build_level"):
+        real = getattr(finsite.spectra, builder)
 
-    def counted(R, vis):
-        builds.append(vis)
-        return real(R, vis)
+        def counted(R, vis, real=real):
+            builds.append(vis)
+            return real(R, vis)
 
-    monkeypatch.setattr(finsite.spectra, "_build_level", counted)
+        monkeypatch.setattr(finsite.spectra, builder, counted)
     R = chain(6)
     strong = prime_congruences(R, "strong")
     twisted = prime_congruences(R, "twisted")
@@ -527,6 +560,31 @@ def test_localization_spectrum_is_an_open_embedding():
             m, image = localization_spectrum_map(loc)
             assert image == spec.basic_open(h), (name, h)
             assert m.is_open_embedding()
+
+
+def test_localization_maps_are_open_embeddings_onto_u_h():
+    # at the prime, k, strong and twisted levels R -> R[1/h] maps its
+    # space onto U_h, the points avoiding h (for congruences the points
+    # where h is not ~ 0), as an open embedding; the weak level is pinned
+    # by the next test
+    pairs = 0
+    for R in [R for _, R in catalog()] + census_upto(5):
+        primes = prime_spectrum(R).primes
+        points = {"prime": primes,
+                  "k": [p for p in primes if is_k_ideal(R, p)]}
+        points.update((flavor, prime_congruences(R, flavor))
+                      for flavor in ("strong", "twisted"))
+        for h in range(R.n):
+            f = localize(R, h).to_local
+            for vis, here in points.items():
+                m = visualization_map(f, vis)
+                u_h = {i for i, p in enumerate(here) if
+                       (h not in p if vis in ("prime", "k")
+                        else not p.related(h, R.zero))}
+                assert set(m.images) == u_h, (R, h, vis)
+                assert m.is_open_embedding(), (R, h, vis)
+            pairs += 1
+    assert pairs == 1335
 
 
 def test_weak_localization_image_is_where_the_idempotent_power_is_one():

@@ -25,7 +25,6 @@ from finsite.topology import (
     descent_verdict,
     from_preorder,
     matching_tuples,
-    subspace,
     validate_topology,
 )
 
@@ -48,6 +47,7 @@ from oracles import (
     order_matrix,
     order_rows,
     quotient_space,
+    subspace,
 )
 
 
