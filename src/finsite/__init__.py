@@ -29,5 +29,5 @@ def _lazy(name: str):
 # still find the whole package, and inspecting a module loads it.  The
 # names are listed: scanning the directory would import `inspect`.
 globals().update((name, _lazy(name)) for name in (
-    "catalog", "cli", "colimit", "finset", "formats", "glue", "locales",
-    "semiring", "site", "spectra", "topology"))
+    "catalog", "checks", "cli", "colimit", "finset", "formats", "glue",
+    "locales", "semiring", "site", "spectra", "topology"))

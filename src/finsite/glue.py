@@ -16,9 +16,13 @@ loop is cut at each chart it visits.  A presentation is the record
 `topology._Presentation` that the finite-set site shares.  A glued
 space joins the charts' spaces of one visualization along the maps
 `spectra.visualization_map` pulls back along the arrows' algebra maps.
+Only the atlas of a cover family (`affine_glue_check`) loads `site`, so
+the `glue` command loads neither `site` nor `locales`.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 from .colimit import colimit
 from .semiring import (
@@ -30,7 +34,6 @@ from .semiring import (
     _Record,
     is_finite_localization,
 )
-from .site import CoverFamily, pairwise_overlaps
 from .spectra import (
     CHAIN_LEVELS,
     localization_spectrum_map,
@@ -47,6 +50,10 @@ from .topology import (
     continuous_map,
     glue_along_maps,
 )
+
+if TYPE_CHECKING:
+    from .site import CoverFamily
+
 
 class GlueError(Exception):
     pass
@@ -84,6 +91,8 @@ def presentation(nodes, arrows) -> SPresentation:
 def _atlas_parts(S: CoverFamily):
     """Charts of a family of basic opens: one localization per member plus
     one per pairwise overlap, with the overlap arrows into both members."""
+    from .site import pairwise_overlaps
+
     parts = [(f"U{i}", loc) for i, loc in enumerate(S.members)]
     arrows = []
     for (i, j), (both, ri, rj) in pairwise_overlaps(S.members).items():

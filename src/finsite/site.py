@@ -6,12 +6,14 @@ principal opens covers when its basic opens exhaust the prime spectrum; the
 sheaf condition asks the restriction map from Hom(Y, R) to compatible
 tuples of homs into the R[1/h_i], with overlaps taken at products h_i*h_j,
 to be a bijection.  Tuples and verdict come from `topology`, which the
-finite-set site shares: `matching_tuples` and `descent_verdict`.
+finite-set site shares: `matching_tuples` and `descent_verdict`.  Only
+`lambda_X` and `theorem_A_check` load `locales`, so `sheaf-check` does not.
 """
 
 from __future__ import annotations
 
-from .locales import FiniteFrame, frame_of_opens, sobrification_unit
+from typing import TYPE_CHECKING
+
 from .semiring import (
     Congruence,
     FiniteSemiring,
@@ -27,6 +29,9 @@ from .semiring import (
 )
 from .spectra import prime_spectrum
 from .topology import descent_verdict, matching_tuples
+
+if TYPE_CHECKING:
+    from .locales import FiniteFrame
 
 
 class CoverFamily(_Record):
@@ -91,6 +96,8 @@ def lambda_X(R: FiniteSemiring
              ) -> tuple[FiniteFrame, tuple[OpenSubscheme, ...]]:
     """The frame of open subsets of the prime spectrum; each element
     carries the set of all h whose basic open it contains."""
+    from .locales import frame_of_opens
+
     spec = prime_spectrum(R)
     frame = frame_of_opens(spec.space)
     opens = spec.space.sorted_opens()
@@ -123,6 +130,8 @@ def theorem_A_check(R: FiniteSemiring):
     returns (flag, point pairs) with the canonical matching prime ->
     filter of opens around it, which is the sobrification unit of the
     spectrum."""
+    from .locales import sobrification_unit
+
     X = prime_spectrum(R).space
     m = sobrification_unit(X)
     if not m.is_homeomorphism():

@@ -17,7 +17,7 @@ import pytest
 
 import finsite
 from finsite.catalog import boolean, boolean_pair, catalog, zmod
-from finsite.cli import bundled_catalog_dir
+from finsite.checks import bundled_catalog_dir
 from finsite.finset import (
     asc,
     face_injection,

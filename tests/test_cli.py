@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import finsite
+import finsite.checks
 import finsite.cli
 import finsite.finset
 import finsite.formats
@@ -52,6 +53,14 @@ def test_check_valid(workdir, capsys):
     code, out, _ = run(capsys, "check", str(workdir / "b.sr"))
     assert code == 0
     assert out == "valid, 2 elements\n"
+
+
+def test_check_counts_one_element_in_the_singular(workdir, capsys):
+    zero = workdir / "zero.sr"
+    zero.write_text("elements: z\nzero: z\none: z\nadd:\n z\nmul:\n z\n")
+    assert run(capsys, "check", str(zero)) == (0, "valid, 1 element\n", "")
+    code, out, _ = run(capsys, "check", str(zero), "--format", "structured")
+    assert (code, json.loads(out)) == (0, {"valid": True, "elements": 1})
 
 
 def test_check_invalid_names_axiom(workdir, capsys):
@@ -208,9 +217,9 @@ def test_verify_enumerates_congruences_once(enumerations, capsys):
 def test_containments_report_a_kernel_that_is_no_k_ideal(monkeypatch):
     # the row tests the 0-class itself, so a failure is a fail row of
     # `verify` rather than an error out of `kernel_ideal`
-    monkeypatch.setattr(finsite.spectra, "is_k_ideal", lambda R, members:
+    monkeypatch.setattr(finsite.checks, "is_k_ideal", lambda R, members:
                         False)
-    assert finsite.cli._containment_rows(zmod(6)) == (
+    assert finsite.checks._containment_rows(zmod(6)) == (
         False, "kernel not a prime k-ideal: {0,2,4}")
 
 
@@ -551,14 +560,14 @@ def test_claims_pass_over_the_catalog(capsys):
 
 
 def test_claims_name_a_failing_row(capsys, monkeypatch):
-    real = finsite.site.principal_sections_iso
+    real = finsite.checks.principal_sections_iso
 
     def broken(R, h):
         if R.n == 6 and h == 2:
             raise finsite.semiring.SemiringError("no isomorphism")
         return real(R, h)
 
-    monkeypatch.setattr(finsite.site, "principal_sections_iso", broken)
+    monkeypatch.setattr(finsite.checks, "principal_sections_iso", broken)
     code, out, _ = run(capsys, "claims")
     lines = out.splitlines()
     assert code == 1
@@ -837,14 +846,16 @@ def _command_inputs(workdir):
 
 
 @pytest.mark.parametrize("argv, absent", [
-    (("simplex", "--n", "1"), {"spectra", "site", "glue", "colimit"}),
-    (("spectrum", "z6.sr"), {"glue", "colimit"}),
-    (("congruences", "z6.sr"), {"glue", "colimit"}),
-    (("stone", "chain.lat"), {"glue", "colimit"}),
-    (("locale", "z6.sr"), {"glue", "colimit"}),
-    (("sheaf-check", "cov.txt"), {"glue", "colimit"}),
+    (("simplex", "--n", "1"), {"spectra", "site", "glue", "colimit",
+                               "checks"}),
+    (("spectrum", "z6.sr"), {"glue", "colimit", "checks"}),
+    (("congruences", "z6.sr"), {"glue", "colimit", "checks"}),
+    (("stone", "chain.lat"), {"glue", "colimit", "checks"}),
+    (("locale", "z6.sr"), {"glue", "colimit", "checks"}),
+    (("sheaf-check", "cov.txt"), {"glue", "colimit", "locales", "checks"}),
     (("verify",), {"glue", "colimit"}),
     (("claims",), set()),
+    (("glue", "doubled.pres"), {"site", "locales", "finset", "checks"}),
 ])
 def test_commands_load_only_what_they_call(workdir, argv, absent):
     _command_inputs(workdir)
@@ -905,7 +916,7 @@ def test_structured_reports_parse(workdir, capsys):
 def _golden_outputs(workdir, capsys):
     """Structured stdout of every command over the bundled catalog, the
     README examples and the simplices, plus the --dot files, by name."""
-    from finsite.cli import bundled_catalog_dir
+    from finsite.checks import bundled_catalog_dir
     outputs = {}
 
     def record(name, *argv):

@@ -1,6 +1,7 @@
 """Ideals, primality flavors, the spectra, and the comparison chain."""
 
 import functools
+import itertools
 import json
 import math
 
@@ -21,6 +22,7 @@ from finsite.semiring import (
     VISUALIZATIONS,
     Congruence,
     SemiringError,
+    SemiringHom,
     diagonal_congruence,
     enumerate_congruences,
     enumerate_homs,
@@ -612,6 +614,28 @@ def test_weak_localization_image_is_where_the_idempotent_power_is_one():
                                   "weak").images)
     assert len(image) == 1 and X.is_closed(frozenset(image))
     assert frozenset(image) not in X.opens
+
+
+def test_product_spectrum_is_the_disjoint_union_of_the_factors():
+    # ROADMAP item 14: in every visualization the projections R x S -> R
+    # and R x S -> S induce open embeddings of the factors' spaces whose
+    # images are disjoint and cover the product's space
+    checks = 0
+    for (_, R), (_, S) in itertools.product(catalog(), repeat=2):
+        if R.n * S.n > 12:
+            continue
+        P = product_semiring(R, S)
+        projections = (SemiringHom(P, R, tuple(i // S.n for i in range(P.n))),
+                       SemiringHom(P, S, tuple(i % S.n for i in range(P.n))))
+        for vis in VISUALIZATIONS:
+            left, right = (visualization_map(p, vis) for p in projections)
+            assert left.is_open_embedding(), (P, vis)
+            assert right.is_open_embedding(), (P, vis)
+            assert not set(left.images) & set(right.images), (P, vis)
+            assert set(left.images) | set(right.images) \
+                == set(range(left.target.n)), (P, vis)
+            checks += 1
+    assert checks == 220
 
 
 def test_spectrum_report_enumerates_congruences_once(enumerations):
