@@ -119,8 +119,8 @@ def render_semiring(R: FiniteSemiring) -> str:
 
 
 def _read_text(path: str) -> str:
-    """The file's text as UTF-8; an unreadable or undecodable file is a
-    FormatError."""
+    """The file's text as UTF-8; an unopenable, unreadable or undecodable
+    file is a FormatError."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
@@ -129,6 +129,8 @@ def _read_text(path: str) -> str:
     except UnicodeDecodeError as e:
         raise FormatError(f"cannot read {path}: not UTF-8 text "
                           f"(byte {e.start})") from None
+    except ValueError as e:  # open() refuses a path holding a NUL byte
+        raise FormatError(f"cannot read {path!r}: {e}") from None
 
 
 def read_semiring(path: str) -> FiniteSemiring:

@@ -39,45 +39,37 @@ from .topology import (
 )
 
 
-def ideal_closure(R: FiniteSemiring, gens) -> frozenset[int]:
-    """Smallest ideal containing gens."""
-    members = {R.zero} | set(gens)
-    changed = True
-    while changed:
-        changed = False
-        current = list(members)
-        for a in current:
-            for b in current:
-                s = R.add[a][b]
-                if s not in members:
-                    members.add(s)
-                    changed = True
-            for r in range(R.n):
-                p = R.mul[r][a]
-                if p not in members:
-                    members.add(p)
-                    changed = True
-    return frozenset(members)
-
-
 def enumerate_ideals(R: FiniteSemiring) -> list[frozenset[int]]:
-    """All ideals: principal ideals closed under pairwise join.  Computed
-    once per semiring; each call returns a fresh list."""
+    """All ideals: the principal ideals and their sums.  Computed once per
+    semiring; each call returns a fresh list."""
     return list(_memo(R, "ideals", lambda: _ideals(R)))
 
 
 def _ideals(R: FiniteSemiring) -> tuple[frozenset[int], ...]:
-    found = {ideal_closure(R, [a]) for a in range(R.n)}
-    changed = True
-    while changed:
-        changed = False
-        current = list(found)
-        for I in current:
-            for J in current:
-                K = ideal_closure(R, I | J)
-                if K not in found:
-                    found.add(K)
-                    changed = True
+    """The principal ideal of a is the additive closure of Ra, which holds
+    0 = 0a and a = 1a.  The join of ideals I, J is their sumset I + J: it
+    holds both, as 0 lies in each, and is closed under + and scaling by
+    associativity and distributivity.  Every ideal is a sum of principal
+    ones, so joining each new ideal with each principal one finds them all."""
+    add = R.add
+    principal = set()
+    for a in range(R.n):
+        members = {row[a] for row in R.mul}
+        todo = list(members)
+        while todo:
+            x = todo.pop()
+            for s in {add[x][y] for y in members} - members:
+                members.add(s)
+                todo.append(s)
+        principal.add(frozenset(members))
+    found, todo = set(principal), list(principal)
+    while todo:
+        I = todo.pop()
+        for P in principal:
+            K = frozenset(add[i][p] for i in I for p in P)
+            if K not in found:
+                found.add(K)
+                todo.append(K)
     return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
 
 

@@ -236,6 +236,21 @@ def test_non_utf8_file_is_a_format_error(workdir, capsys):
         assert "Traceback" not in err, argv
 
 
+@pytest.mark.parametrize("command, name, text", [
+    ("sheaf-check", "nul.cover", "semiring: z6\0.sr\ncover: 2 3\n"),
+    ("glue", "nul.pres", "node A z6.sr\nnode B z\0.sr\n"),
+])
+def test_path_with_a_nul_byte_exits_2(workdir, command, name, text):
+    # open() refuses such a path with a ValueError, not an OSError
+    (workdir / name).write_text(text, encoding="utf-8")
+    code, out, err = _run_posix(workdir, command, name,
+                                locale=UTF8_LOCALE)
+    assert "Traceback" not in err
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read ") and err.endswith(
+        ": embedded null byte\n")
+
+
 def test_verify_reports_non_utf8_file(workdir, capsys):
     cat = workdir / "cat"
     cat.mkdir()

@@ -1,11 +1,19 @@
 """Round trips and error paths for the flat-file formats."""
 
+import contextlib
+import io
+import re
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import finsite.finset
 import finsite.locales
 import finsite.site
 from finsite.catalog import catalog, zmod
+from finsite.cli import main
 from finsite.formats import (
     FormatError,
     parse_lattice,
@@ -174,3 +182,107 @@ def test_invariant_errors_are_not_format_errors(tmp_path, monkeypatch, module,
     monkeypatch.setattr(module, name, broken)
     with pytest.raises(InvariantError, match="broken invariant"):
         reader(str(tmp_path / "input"))
+
+
+# The mutation test below edits the bundled catalog files and the README's
+# example files, then runs the command that reads each format on the mutant.
+REPO = Path(__file__).resolve().parents[1]
+CATALOG = REPO / "src" / "finsite" / "data" / "catalog"
+# tokens and characters that are no format's: a NUL byte, a label outside
+# ASCII, numbers out of range, a lone keyword colon
+ODD_TOKENS = ("", "\0", "é", "-1", "99", ":", "<", "#")
+ODD_CHARS = ("\0", "é", ":", "#", "\t")
+
+
+def _readme_examples() -> dict[str, str]:
+    """The files the README shows with `$ cat NAME`, by name."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    return {name: body + "\n" for name, body in
+            re.findall(r"^\$ cat (\S+)\n(.*?)\n\n", text, re.M | re.S)}
+
+
+@pytest.fixture(scope="module")
+def seeds(tmp_path_factory):
+    """A directory holding the files the seeds name, and the seed texts of
+    each format with the commands that read it; the lattice dump is the
+    README's `locale z6.sr --dot z6.lat`."""
+    home = tmp_path_factory.mktemp("mutants")
+    for f in CATALOG.glob("*.sr"):
+        (home / f.name).write_bytes(f.read_bytes())
+    (home / "o.sr").write_text(render_semiring(localize(zmod(6), 2).semiring),
+                               encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["locale", str(home / "z6.sr"),
+                     "--dot", str(home / "z6.lat")]) == 0
+    readme = _readme_examples()
+    formats = {
+        "semiring": ([f.read_text(encoding="utf-8")
+                      for f in sorted(CATALOG.glob("*.sr"))],
+                     [["check"], ["spectrum"], ["spectrum", "--flavor", "weak"],
+                      ["congruences"], ["locale"], ["localize", "1"]]),
+        "cover": ([readme["cover.txt"]], [["sheaf-check"]]),
+        "presentation": ([readme["doubled.pres"]],
+                         [["glue"], ["glue", "--vis", "twisted"]]),
+        "lattice": ([(home / "z6.lat").read_text(encoding="utf-8")],
+                    [["stone"]]),
+        "complex": ([readme["hollow.cx"]], [["simplex"]]),
+    }
+    tokens = {t for texts, _ in formats.values() for text in texts
+              for t in text.split()}
+    return home, formats, sorted(tokens) + list(ODD_TOKENS)
+
+
+def _mutant(draw, text: str, tokens: list[str]) -> bytes:
+    """One to three line, token or character edits of text, or a truncation
+    of its UTF-8 bytes, which may split a character."""
+    raw = text.encode("utf-8")
+    if draw(st.integers(0, 3)) == 0:
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        lines = lines or [""]
+        i = draw(st.integers(0, len(lines) - 1))
+        scope = draw(st.sampled_from(("line", "token", "character")))
+        if scope == "line":
+            j = draw(st.integers(0, len(lines) - 1))
+            edit = draw(st.sampled_from(("delete", "repeat", "swap")))
+            if edit == "delete":
+                del lines[i]
+            elif edit == "repeat":
+                lines.insert(i, lines[i])
+            else:
+                lines[i], lines[j] = lines[j], lines[i]
+        elif scope == "token":
+            words = lines[i].split(" ")
+            k = draw(st.integers(0, len(words) - 1))
+            edit = draw(st.sampled_from(("delete", "insert", "replace")))
+            if edit != "insert":
+                del words[k]
+            if edit != "delete":
+                words.insert(k, draw(st.sampled_from(tokens)))
+            lines[i] = " ".join(words)
+        else:
+            j = draw(st.integers(0, len(lines[i])))
+            lines[i] = (lines[i][:j] + draw(st.sampled_from(ODD_CHARS))
+                        + lines[i][j:])
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["semiring", "cover", "presentation",
+                                 "lattice", "complex"])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_input_never_raises(seeds, fmt, data):
+    """Every command on a damaged file gives a report, a failed check or an
+    error line, with an exit code from 0 to 3 and no exception."""
+    home, formats, tokens = seeds
+    texts, commands = formats[fmt]
+    text = data.draw(st.sampled_from(texts), label="seed")
+    command = data.draw(st.sampled_from(commands), label="command")
+    mutant = home / "mutant"
+    mutant.write_bytes(_mutant(data.draw, text, tokens))
+    argv = command[:1] + [str(mutant)] + command[1:]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv

@@ -35,7 +35,6 @@ from finsite.spectra import (
     congruence_pullback,
     congruence_spectrum,
     enumerate_ideals,
-    ideal_closure,
     is_k_ideal,
     is_prime_ideal,
     k_spectrum,
@@ -71,7 +70,7 @@ FROZEN_TABLE = [
 
 
 def test_ideal_enumeration_matches_subset_oracle():
-    for name, R in catalog():
+    for name, R in catalog() + list(enumerate(census_upto(5))):
         assert enumerate_ideals(R) == oracle_ideals(R), name
 
 
@@ -84,12 +83,41 @@ def test_ideal_predicates_match_oracles():
 
 
 def test_ideal_closure_is_smallest_ideal():
+    def smallest(R, gens):
+        # the ideal closure of gens is the first listed ideal holding it:
+        # ideals meet in ideals, and the list runs by size
+        return next(I for I in enumerate_ideals(R) if I >= set(gens))
+
     Z6 = zmod(6)
-    assert ideal_closure(Z6, [2]) == {0, 2, 4}
-    assert ideal_closure(Z6, [1]) == frozenset(range(6))
-    assert ideal_closure(Z6, []) == {0}
+    assert smallest(Z6, [2]) == {0, 2, 4}
+    assert smallest(Z6, [1]) == frozenset(range(6))
+    assert smallest(Z6, []) == {0}
     N2 = truncated_naturals(2)
-    assert ideal_closure(N2, [2]) == {0, 2}  # the top absorbs
+    assert smallest(N2, [N2.index("T")]) == {0, 2}  # the top absorbs
+
+
+def _product_ideals(R, S):
+    """The I x J over the ideals of R and S, as sets of product indices."""
+    return {frozenset(i * S.n + j for i in I for j in J)
+            for I in enumerate_ideals(R) for J in enumerate_ideals(S)}
+
+
+def test_ideals_of_a_product_are_the_products_of_ideals():
+    # ROADMAP item 14: checked on every catalog pair up to 24 elements, and
+    # on the powers of B up to B^6, past the subset oracle's reach
+    pairs = 0
+    for (_, R), (_, S) in itertools.product(catalog(), repeat=2):
+        if R.n * S.n <= 24:
+            P = product_semiring(R, S)
+            assert set(enumerate_ideals(P)) == _product_ideals(R, S), P
+            pairs += 1
+    assert pairs == 63
+    B = power = boolean()
+    for k in range(2, 7):
+        P = product_semiring(power, B)
+        assert set(enumerate_ideals(P)) == _product_ideals(power, B), k
+        power = P
+    assert len(enumerate_ideals(power)) == 64
 
 
 def test_frozen_counts_across_catalog():
