@@ -30,4 +30,4 @@ def _lazy(name: str):
 # names are listed: scanning the directory would import `inspect`.
 globals().update((name, _lazy(name)) for name in (
     "catalog", "checks", "cli", "colimit", "finset", "formats", "glue",
-    "locales", "semiring", "site", "spectra", "topology"))
+    "locales", "records", "semiring", "site", "spectra", "topology"))

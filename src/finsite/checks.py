@@ -9,8 +9,9 @@ from __future__ import annotations
 from pathlib import Path
 
 from . import formats
-from .semiring import (FLAVORS, InvariantError, SemiringError, SemiringHom,
-                       enumerate_congruences, localize)
+from .records import FLAVORS, InvariantError
+from .semiring import (SemiringError, SemiringHom, enumerate_congruences,
+                       localize)
 from .site import (cover_family, covers, intrinsic_order_check,
                    principal_open_props_check, principal_sections_iso,
                    theorem_A_check)

@@ -6,14 +6,17 @@ exceeded.  With `--format structured` every command prints one JSON
 document with stable key order; reports are byte-identical across runs
 on identical inputs.
 
-Each command imports the modules it calls when it runs: `check` and
-`localize` load only `formats` and `semiring`, only `glue` and `claims`
-load `colimit`, and none loads `dataclasses`, `inspect` or `pkgutil`.
-The `glue` command loads neither `site` nor `locales`; its monodromy
-check runs one union-find per closed walk, the walk's colimit of sets.  The
-reports of `verify` and `claims` are built in `checks`, which no other
-command loads; `claims` runs the paper's checks over the catalog
-semirings and so also reaches `site`, `glue`, `colimit` and `finset`.
+A run builds the parser of its own command alone, and each command
+imports the modules it calls when it runs: `check` and `localize` load
+only `formats`, `records` and `semiring`; `stone` and `simplex` load no
+`semiring`, and `locale` no `site`; only `glue`, `sheaf-check` and
+`claims` load `colimit`; and none loads `dataclasses`, `inspect` or
+`pkgutil`.  The `glue` command loads neither `site` nor `locales`; its
+monodromy check runs one union-find per closed walk, the walk's colimit
+of sets.  The reports of `verify` and `claims` are built in `checks`,
+which no other command loads; `claims` runs the paper's checks over the
+catalog semirings and so also reaches `site`, `glue`, `colimit` and
+`finset`.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ import os
 import sys
 
 from . import formats
-from .semiring import (DEFAULT_BUDGET, VISUALIZATIONS, AxiomError,
-                       SemiringError, localize)
+from .records import DEFAULT_BUDGET, VISUALIZATIONS
 
 
 def _space_listing(space, dot=None) -> tuple[list[str], dict]:
@@ -52,6 +54,8 @@ def _count(n: int, word: str = "point") -> str:
 
 
 def cmd_check(ns):
+    from .semiring import AxiomError
+
     try:
         R = formats.read_semiring(ns.file)
     except AxiomError as e:
@@ -120,11 +124,11 @@ def cmd_congruences(ns):
 
 
 def cmd_locale(ns):
-    from .locales import spatiality_check
-    from .site import lambda_X
+    from .locales import frame_of_opens, spatiality_check
+    from .spectra import prime_spectrum
 
     R = formats.read_semiring(ns.file)
-    frame, _ = lambda_X(R)
+    frame = frame_of_opens(prime_spectrum(R).space)
     dump = formats.render_lattice(frame)
     data = {"elements": list(frame.elements),
             "covers": [[frame.elements[a], frame.elements[b]]
@@ -155,6 +159,8 @@ def cmd_stone(ns):
 
 
 def cmd_localize(ns):
+    from .semiring import SemiringError, localize
+
     R = formats.read_semiring(ns.file)
     # labels are UTF-8, as in files, but argv was decoded by the locale
     try:
@@ -289,58 +295,74 @@ def _natural(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of `finsite`.  When `command` names a subcommand, only
+    that one is registered, so a run builds the options of its own command
+    alone; otherwise, for `--help` and for a missing or unknown command,
+    all of them are.  Help texts and usage errors read the same either
+    way."""
     ap = argparse.ArgumentParser(
         prog="finsite",
         description="finite semiring spectra, locales, and gluing")
-    sub = ap.add_subparsers(dest="command", required=True)
+    names = (command,) if command in HANDLERS else tuple(HANDLERS)
+    # the usage line names every command even when one is registered; the
+    # full parser keeps no metavar, as an unknown command's error names
+    # the argument by it ("argument command: invalid choice")
+    sub = ap.add_subparsers(dest="command", required=True, metavar=(
+        "{" + ",".join(HANDLERS) + "}" if len(names) == 1 else None))
 
     def add(name, text):
+        """The subparser of `name`, or None when it is not registered."""
+        if name not in names:
+            return None
         p = sub.add_parser(name, help=text, description=text)
         p.add_argument("--format", choices=("human", "structured"),
                        default="human",
                        help="report style (default human)")
         return p
 
-    p = add("check", "validate a semiring file against the axioms")
-    p.add_argument("file")
-    p = add("spectrum", "points, opens, and specialization of a spectrum")
-    p.add_argument("file")
-    p.add_argument("--flavor", default="prime", choices=VISUALIZATIONS)
-    p.add_argument("--dot", metavar="PATH",
-                   help="write the specialization graph here")
-    p = add("congruences", "ideal, congruence, and chain-map summary")
-    p.add_argument("file")
-    p = add("locale", "frame of spectrum opens as a lattice dump")
-    p.add_argument("file")
-    p.add_argument("--dot", metavar="PATH",
-                   help="write the lattice dump here")
-    p = add("stone", "dual space of a lattice dump")
-    p.add_argument("file")
-    p.add_argument("--dot", metavar="PATH",
-                   help="write the specialization graph here")
-    p = add("localize", "invert an element; prints the semiring file")
-    p.add_argument("file")
-    p.add_argument("element")
-    p = add("sheaf-check", "descent along a cover family, all test objects")
-    p.add_argument("file")
-    p = add("verify", "run every check over the *.sr files of a directory")
-    p.add_argument("directory", nargs="?",
-                   help="defaults to the bundled catalog")
-    p = add("glue", "monodromy check, then the glued space of a presentation")
-    p.add_argument("file")
-    p.add_argument("--vis", default="prime", choices=VISUALIZATIONS)
-    p.add_argument("--path-bound", type=_natural, default=8)
-    p.add_argument("--budget", type=_natural, default=DEFAULT_BUDGET)
-    p.add_argument("--dot", metavar="PATH",
-                   help="write the specialization graph here")
-    p = add("simplex", "face poset of a simplex or a complex file")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=_natural,
-                       help="dimension of a full simplex")
-    group.add_argument("file", nargs="?")
-    p.add_argument("--dot", metavar="PATH",
-                   help="write the specialization graph here")
+    if p := add("check", "validate a semiring file against the axioms"):
+        p.add_argument("file")
+    if p := add("spectrum", "points, opens, and specialization of a spectrum"):
+        p.add_argument("file")
+        p.add_argument("--flavor", default="prime", choices=VISUALIZATIONS)
+        p.add_argument("--dot", metavar="PATH",
+                       help="write the specialization graph here")
+    if p := add("congruences", "ideal, congruence, and chain-map summary"):
+        p.add_argument("file")
+    if p := add("locale", "frame of spectrum opens as a lattice dump"):
+        p.add_argument("file")
+        p.add_argument("--dot", metavar="PATH",
+                       help="write the lattice dump here")
+    if p := add("stone", "dual space of a lattice dump"):
+        p.add_argument("file")
+        p.add_argument("--dot", metavar="PATH",
+                       help="write the specialization graph here")
+    if p := add("localize", "invert an element; prints the semiring file"):
+        p.add_argument("file")
+        p.add_argument("element")
+    if p := add("sheaf-check",
+                "descent along a cover family, all test objects"):
+        p.add_argument("file")
+    if p := add("verify",
+                "run every check over the *.sr files of a directory"):
+        p.add_argument("directory", nargs="?",
+                       help="defaults to the bundled catalog")
+    if p := add("glue",
+                "monodromy check, then the glued space of a presentation"):
+        p.add_argument("file")
+        p.add_argument("--vis", default="prime", choices=VISUALIZATIONS)
+        p.add_argument("--path-bound", type=_natural, default=8)
+        p.add_argument("--budget", type=_natural, default=DEFAULT_BUDGET)
+        p.add_argument("--dot", metavar="PATH",
+                       help="write the specialization graph here")
+    if p := add("simplex", "face poset of a simplex or a complex file"):
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--n", type=_natural,
+                           help="dimension of a full simplex")
+        group.add_argument("file", nargs="?")
+        p.add_argument("--dot", metavar="PATH",
+                       help="write the specialization graph here")
     add("claims", "check the paper's claims over the catalog semirings")
     return ap
 
@@ -366,7 +388,8 @@ def _exit_code(e: Exception) -> int | None:
 
 
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    ns = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         code, lines, data = HANDLERS[ns.command](ns)
     except Exception as e:

@@ -8,10 +8,11 @@ closed point.  Covering data is a family of injections into a common
 target; the sheaf condition for plain maps of sets turns out to track
 joint surjectivity of the family, and the pretopology that demands a
 bijective member is strictly smaller.  Face charts glue through
-`topology.glue_along_maps`, once each chart is seen to embed in the glued
-set of elements; presentations, their walks, descent and walk limits
-share the record `_Presentation` with its `walk`, `matching_tuples` and
-`descent_verdict` there with the semiring site.
+`colimit.glue_along_maps`, once each chart is seen to embed in the glued
+set of elements; presentations and their walks share the record
+`topology._Presentation` with the semiring site, and descent and walk
+limits its `colimit.matching_tuples` and `colimit.descent_verdict`.  The
+face posets of `simplex` load no `colimit` and no `semiring`.
 """
 
 from __future__ import annotations
@@ -19,17 +20,15 @@ from __future__ import annotations
 import itertools
 from operator import itemgetter
 
-from .semiring import InvariantError, _Map, _Record
+from . import colimit
+from .records import InvariantError, _Map, _Record
 from .topology import (
     ContinuousMap,
     FiniteTopSpace,
     _Presentation,
     _presentation,
     continuous_map,
-    descent_verdict,
     from_preorder,
-    glue_along_maps,
-    matching_tuples,
     set_label,
 )
 
@@ -136,10 +135,10 @@ def sheaf_axiom_check(family, Y: FinSet, target: FinSet | None = None):
             j, c = first.setdefault(a, (i, b))
             if j != i:
                 links.append((j, i, itemgetter(c), itemgetter(b)))
-    families = matching_tuples(
+    families = colimit.matching_tuples(
         [itertools.product(range(Y.n), repeat=f.source.n)
          for f in family], links)
-    return descent_verdict(
+    return colimit.descent_verdict(
         ((h, tuple(tuple(h[a] for a in f.images) for f in family))
          for h in itertools.product(range(Y.n), repeat=target.n)),
         families)
@@ -319,7 +318,7 @@ def finset_glue_space(P: FinSetPresentation) -> FinSetGluedSpace:
     chart joined there are a monodromy obstruction, a closed walk of
     arrows carrying one onto the other."""
     spaces = [simplex_space(A) for A in P.charts]
-    glued, charts, provenance = glue_along_maps(
+    glued, charts, provenance = colimit.glue_along_maps(
         P.names, spaces, [(si, di, _face_map(f, spaces[si], spaces[di]))
                           for si, di, f in P.arrows])
     # a simplex lists its vertices first, and the face maps join vertex to
@@ -364,7 +363,7 @@ def finset_path_limit(P: FinSetPresentation, start: int, steps,
         if ends[0] > ends[1]:
             ends, keys = ends[::-1], keys[::-1]
         links.append((*ends, *keys))
-    elements = matching_tuples([range(c.n) for c in carriers], links)
+    elements = colimit.matching_tuples([range(c.n) for c in carriers], links)
     labels = tuple("(" + ",".join(carriers[t].labels[x]
                                   for t, x in enumerate(combo)) + ")"
                    for combo in elements)

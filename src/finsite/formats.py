@@ -5,9 +5,10 @@ Every reader is whitespace-tolerant (blank lines are skipped, any run of
 whitespace separates tokens) and every writer emits the same format it
 reads, so localized tables and lattice dumps can be fed back in.
 
-Only `semiring` is imported with this module: each other reader imports
-the module it builds values of when it is called, so a command loads
-just the modules it uses.
+Each reader loads the module it builds values of when it is called: the
+package binds `semiring` here without running it, and the readers import
+the others, so a command loads just the modules it uses, and `stone` and
+`simplex` load no `semiring`.
 """
 
 from __future__ import annotations
@@ -15,20 +16,13 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING
 
-from .semiring import (
-    FiniteSemiring,
-    SemiringError,
-    SemiringHom,
-    find_isomorphism,
-    hom_violation,
-    localize,
-    validate_semiring,
-)
+from . import semiring
 
 if TYPE_CHECKING:
     from .finset import AbstractSimplicialComplex
     from .glue import SPresentation
     from .locales import FiniteFrame
+    from .semiring import FiniteSemiring
     from .site import CoverFamily
 
 
@@ -98,7 +92,7 @@ def parse_semiring(text: str) -> FiniteSemiring:
 
     add = table(rest[:n + 1], "add")
     mul = table(rest[n + 1:], "mul")
-    return validate_semiring(elements, add, mul, zero, one)
+    return semiring.validate_semiring(elements, add, mul, zero, one)
 
 
 def render_semiring(R: FiniteSemiring) -> str:
@@ -152,7 +146,7 @@ def read_cover(path: str) -> CoverFamily:
     labels = _keyword(lines[1], "cover")
     try:
         return cover_family(R, tuple(R.index(t) for t in labels))
-    except SemiringError as e:
+    except semiring.SemiringError as e:
         raise FormatError(str(e)) from None
 
 
@@ -197,10 +191,11 @@ def read_presentation(path: str) -> SPresentation:
             if kind == "localize-at":
                 if len(line) != 5:
                     raise FormatError("localize-at takes one element label")
-                loc = localize(table[dst], _label(table[dst], line[4]))
+                loc = semiring.localize(table[dst],
+                                        _label(table[dst], line[4]))
                 h = loc.to_local
                 if loc.semiring != table[src]:
-                    iso = find_isomorphism(loc.semiring, table[src])
+                    iso = semiring.find_isomorphism(loc.semiring, table[src])
                     if iso is None:
                         raise FormatError(
                             f"node {src!r} does not carry the localization "
@@ -211,9 +206,10 @@ def read_presentation(path: str) -> SPresentation:
                 if len(images) != table[dst].n:
                     raise FormatError(
                         f"map needs {table[dst].n} image labels")
-                h = SemiringHom(table[dst], table[src],
-                                tuple(_label(table[src], t) for t in images))
-                if hom_violation(h) is not None:
+                h = semiring.SemiringHom(
+                    table[dst], table[src],
+                    tuple(_label(table[src], t) for t in images))
+                if semiring.hom_violation(h) is not None:
                     raise FormatError(
                         f"arrow {src} -> {dst} map does not preserve "
                         "the operations")

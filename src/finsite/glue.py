@@ -15,7 +15,8 @@ wedge of two arrows from a point does when cut at the point, so every
 loop is cut at each chart it visits.  A presentation is the record
 `topology._Presentation` that the finite-set site shares.  A glued
 space joins the charts' spaces of one visualization along the maps
-`spectra.visualization_map` pulls back along the arrows' algebra maps.
+`spectra.visualization_map` pulls back along the arrows' algebra maps,
+through `colimit.glue_along_maps`.
 Only the atlas of a cover family (`affine_glue_check`) loads `site`, so
 the `glue` command loads neither `site` nor `locales`.
 """
@@ -24,16 +25,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .colimit import colimit
-from .semiring import (
-    DEFAULT_BUDGET,
-    VISUALIZATIONS,
-    BudgetExceeded,
-    InvariantError,
-    SemiringHom,
-    _Record,
-    is_finite_localization,
-)
+from .colimit import colimit, glue_along_maps
+from .records import DEFAULT_BUDGET, VISUALIZATIONS, InvariantError, _Record
+from .semiring import BudgetExceeded, SemiringHom, is_finite_localization
 from .spectra import (
     CHAIN_LEVELS,
     localization_spectrum_map,
@@ -48,7 +42,6 @@ from .topology import (
     _Presentation,
     _presentation,
     continuous_map,
-    glue_along_maps,
 )
 
 if TYPE_CHECKING:

@@ -7,13 +7,15 @@ of down-sets of its join-primes (its elements with exactly one lower
 cover), so a frame stores each element as the bitmask of the join-primes
 below it: `finite_frame` validates parsed orders, and `frame_of_opens`
 reads the masks off a space's least opens.  A space keeps its frame of
-opens, and a frame its Stone dual, in the record `semiring._memo` fills,
-built once on first use; equality, hash and repr ignore it.
+opens, and a frame its Stone dual, in the record `records._memo` fills,
+built once on first use; equality, hash and repr ignore it.  Nothing
+here needs a semiring, so `stone` loads no `semiring`, and `locale` reads
+its frame off the prime spectrum without `site`.
 """
 
 from __future__ import annotations
 
-from .semiring import _memo, _Record
+from .records import _memo, _Record
 from .topology import (
     ContinuousMap,
     FiniteTopSpace,

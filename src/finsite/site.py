@@ -5,22 +5,25 @@ A principal open of Spec R is the localization R -> R[1/h].  A family of
 principal opens covers when its basic opens exhaust the prime spectrum; the
 sheaf condition asks the restriction map from Hom(Y, R) to compatible
 tuples of homs into the R[1/h_i], with overlaps taken at products h_i*h_j,
-to be a bijection.  Tuples and verdict come from `topology`, which the
+to be a bijection.  Tuples and verdict come from `colimit`, which the
 finite-set site shares: `matching_tuples` and `descent_verdict`.  Only
-`lambda_X` and `theorem_A_check` load `locales`, so `sheaf-check` does not.
+the descent check and the sections over an open load `colimit`, so
+`verify` does not, and only `lambda_X` and `theorem_A_check` load
+`locales`, so `sheaf-check` does not; `locale` loads no `site` at all.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from . import colimit
+from .records import _Record
 from .semiring import (
     Congruence,
     FiniteSemiring,
     Localization,
     SemiringError,
     SemiringHom,
-    _Record,
     congruence_closure,
     enumerate_homs,
     hom_kernel,
@@ -28,7 +31,6 @@ from .semiring import (
     validate_semiring,
 )
 from .spectra import prime_spectrum
-from .topology import descent_verdict, matching_tuples
 
 if TYPE_CHECKING:
     from .locales import FiniteFrame
@@ -82,14 +84,15 @@ def sheaf_axiom_check(S: CoverFamily, Y: FiniteSemiring):
     """Whether restriction identifies Hom(Y, R) with the matching tuples of
     homs into the member localizations; returns (flag, witness)."""
     overlaps = pairwise_overlaps(S.members)
-    families = matching_tuples(
+    families = colimit.matching_tuples(
         [[g.images for g in enumerate_homs(Y, m.semiring)]
          for m in S.members],
         [(j, i, _after(rj), _after(ri))
          for (j, i), (_, rj, ri) in overlaps.items()])
     restrict = [_after(m.to_local) for m in S.members]
-    return descent_verdict(((f.images, tuple(r(f.images) for r in restrict))
-                            for f in enumerate_homs(Y, S.base)), families)
+    return colimit.descent_verdict(
+        ((f.images, tuple(r(f.images) for r in restrict))
+         for f in enumerate_homs(Y, S.base)), families)
 
 
 def lambda_X(R: FiniteSemiring
@@ -150,7 +153,7 @@ def structure_sheaf_sections(R: FiniteSemiring, u: OpenSubscheme):
     if not gens:
         T = validate_semiring(("*",), ((0,),), ((0,),), 0, 0)
         return T, ()
-    tuples = matching_tuples(
+    tuples = colimit.matching_tuples(
         [range(loc.semiring.n) for loc in locs],
         [(j, i, rj, ri)
          for (j, i), (_, rj, ri) in pairwise_overlaps(locs).items()])

@@ -15,18 +15,15 @@ kept in its target's record.
 
 from __future__ import annotations
 
+from .records import FLAVORS, InvariantError, _memo, _Record
 from .semiring import (
-    FLAVORS,
     Congruence,
     FiniteSemiring,
-    InvariantError,
     SemiringError,
     SemiringHom,
     Localization,
     TableError,
-    _Record,
     _canon_blocks,
-    _memo,
     enumerate_congruences,
 )
 from .topology import (

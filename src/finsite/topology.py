@@ -1,29 +1,28 @@
-"""Finite topological spaces, continuous maps, and gluing.
+"""Finite topological spaces, continuous maps, and chart presentations.
 
 Finite spaces are exactly preorders: x <= y holds when y lies in the
 closure of x, opens are the down-sets (stable under passing to more generic
 points), closed points sit at the top.  A space stores its specialization
 order as int-bitmask rows, sets each point's least open at construction,
 and lists its opens, the down-sets, only when a caller asks for them,
-keeping the listing in its derived data (`semiring._memo`).  Every
-operation works on the order: closures are up-sets, least opens are
-down-sets, T0 is antisymmetry, continuity is monotonicity, a subspace is
-the restricted order (`_restrict`) and a glued space the identified one.
-These rows are the one format of a finite order in finsite, frames
-included.  Until construction learns to trust its own down-sets,
-`_space_of_order` still checks the listed family for closure under unions
-and intersections, pair by pair.
+keeping the listing in its derived data (`records._memo`).  Every
+operation works on the order: least opens are down-sets, closed sets
+up-sets, continuity is monotonicity, a subspace is the restricted order
+(`_restrict`) and a glued space (`colimit.glue_along_maps`) the
+identified one.  These rows are the one format of a finite order in
+finsite, frames included.  Until construction learns to trust its own
+down-sets, `_space_of_order` still checks the listed family for closure
+under unions and intersections, pair by pair.
 
 Both sites present their charts in one record, `_Presentation`, built
-by `_presentation` and walked by its `walk`, and decide descent by
-`matching_tuples`, the families that agree along given maps, and
-`descent_verdict`, whether restriction from the base is a bijection onto
-them.
+by `_presentation` and walked by its `walk`; they glue and decide descent
+in `colimit`, which the commands that neither glue nor check descent do
+not load.
 """
 
 from __future__ import annotations
 
-from .semiring import InvariantError, _Map, _memo, _Record
+from .records import _Map, _memo, _Record
 
 
 class TopologyError(Exception):
@@ -126,13 +125,6 @@ class FiniteTopSpace(_Record):
     def is_closed(self, subset) -> bool:
         return self.is_open(frozenset(range(self.n)) - frozenset(subset))
 
-    def closure(self, subset) -> frozenset:
-        """The up-set of subset."""
-        up = 0
-        for x in subset:
-            up |= self.above[x]
-        return frozenset(_bits(up))
-
     def interior(self, subset) -> frozenset:
         """The points whose least open lies inside subset."""
         s = _mask(x for x in subset if x in range(self.n))
@@ -140,10 +132,6 @@ class FiniteTopSpace(_Record):
 
     def min_open(self, x: int) -> frozenset:
         return frozenset(_bits(self._below[x]))
-
-    def is_t0(self) -> bool:
-        """The order is antisymmetric: no two points share a closure."""
-        return len(set(self.above)) == self.n
 
     def irreducible_closed_sets(self) -> list[frozenset[int]]:
         """In a finite space these are exactly the point closures: a
@@ -331,68 +319,6 @@ def continuous_map(source, target, images) -> ContinuousMap:
     return m
 
 
-def _classes(n: int, pairs) -> tuple[list[int], list[int]]:
-    """Classes of the equivalence on range(n) generated by pairs, numbered
-    in the order of their least members; returns the class of each point
-    and the least member of each class."""
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            # the least member stays the root of its class
-            parent[max(ra, rb)] = min(ra, rb)
-    reps = sorted({find(x) for x in range(n)})
-    idx = {r: i for i, r in enumerate(reps)}
-    return [idx[find(x)] for x in range(n)], reps
-
-
-def glue_along_maps(names, spaces, arrows):
-    """Glue finite spaces along point maps: the disjoint union of spaces
-    modulo x ~ m(x) for each arrow (src, dst, m), where m is a continuous
-    map from spaces[src] to spaces[dst].  The glued specialization order
-    is generated by the charts' orders.  Returns the glued space, the
-    chart maps into it, and per glued point its (chart name, point label)
-    pairs; a glued point is labeled by its first pair."""
-    offsets = []
-    total = 0
-    for X in spaces:
-        offsets.append(total)
-        total += X.n
-    pairs = []
-    for si, di, m in arrows:
-        if m.source != spaces[si] or m.target != spaces[di]:
-            raise TopologyError("an arrow's map misses its chart spaces")
-        pairs += [(offsets[si] + x, offsets[di] + m(x))
-                  for x in range(m.source.n)]
-    of, reps = _classes(total, pairs)
-    k = len(reps)
-
-    provenance = [[] for _ in range(k)]
-    for ci, X in enumerate(spaces):
-        for x in range(X.n):
-            provenance[of[offsets[ci] + x]].append((names[ci], X.points[x]))
-    labels = tuple(f"{ps[0][0]}:{ps[0][1]}" for ps in provenance)
-
-    order = []
-    for ci, X in enumerate(spaces):
-        for x in range(X.n):
-            for y in _bits(X.above[x]):
-                order.append((of[offsets[ci] + x], of[offsets[ci] + y]))
-    glued = _space_of_order(labels, order_closure(k, order))
-    charts = tuple(
-        continuous_map(X, glued,
-                       tuple(of[offsets[ci] + x] for x in range(X.n)))
-        for ci, X in enumerate(spaces))
-    return glued, charts, tuple(tuple(ps) for ps in provenance)
-
-
 class _Presentation(_Record):
     """Named charts and arrows (src, dst, map) between them, on either
     site; the subclass's `_error` is raised for an unknown chart or walk."""
@@ -442,63 +368,3 @@ def _presentation(cls, nodes, arrows, check):
         packed.append((si, di, check(f"arrow {src} -> {dst}", charts[si],
                                      charts[di], m)))
     return cls(names, charts, tuple(packed))
-
-
-def matching_tuples(candidates, links) -> list[tuple]:
-    """Every tuple t with t[i] from candidates[i] and key_j(t[j]) ==
-    key_i(t[i]) for each link (j, i, key_j, key_i) with j <= i, in the
-    lexicographic order of the candidate lists.  Each slot's candidates
-    are bucketed once by their keys on the links into it, and the search
-    looks up the bucket that the earlier slots pin."""
-    cands = [list(c) for c in candidates]
-    for j, i, key_j, key_i in links:
-        if not 0 <= j <= i < len(cands):
-            raise InvariantError(f"link ({j}, {i}) does not run forward")
-        if j == i:
-            cands[i] = [x for x in cands[i] if key_j(x) == key_i(x)]
-    pins = [[] for _ in cands]             # per slot: (j, keys of j's cands)
-    own = [[()] * len(c) for c in cands]   # per candidate: its pinned keys
-    for j, i, key_j, key_i in links:
-        if j < i:
-            pins[i].append((j, [key_j(x) for x in cands[j]]))
-            own[i] = [k + (key_i(x),) for k, x in zip(own[i], cands[i])]
-    buckets = [{} for _ in cands]
-    for bucket, keys in zip(buckets, own):
-        for c, key in enumerate(keys):
-            bucket.setdefault(key, []).append(c)
-    out, chosen = [], []
-
-    def extend(i):
-        if i == len(cands):
-            out.append(tuple(cands[s][c] for s, c in enumerate(chosen)))
-            return
-        pinned = tuple(keys[chosen[j]] for j, keys in pins[i])
-        for c in buckets[i].get(pinned, ()):
-            chosen.append(c)
-            extend(i + 1)
-            chosen.pop()
-
-    extend(0)
-    return out
-
-
-def descent_verdict(base, families):
-    """Whether restriction is a bijection from the base maps onto the
-    matching families; `base` yields (shown label, restriction) per base
-    map.  Returns (True, None), else (False, witness): ("not injective",
-    a, b) for the first label b restricting like an earlier a, or ("not
-    surjective", family) for the first family left unhit.  Both maps to
-    an overlap factor through the base, so every restriction matches."""
-    matching = set(families)
-    seen = {}
-    for label, key in base:
-        if key not in matching:
-            raise InvariantError(
-                "a restricted base map is not a matching family")
-        if key in seen:
-            return False, ("not injective", seen[key], label)
-        seen[key] = label
-    for key in families:
-        if key not in seen:
-            return False, ("not surjective", key)
-    return True, None

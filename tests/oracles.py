@@ -20,22 +20,24 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 
+from finsite.colimit import _classes, glue_along_maps
 from finsite.finset import (FinSet, Injection, _subsets, face_injection,
                             injection)
 from finsite.glue import (DiagramPath, GlueError, SPresentation, _atlas_parts,
                           _closed_walks, presentation)
 from finsite.locales import FrameError, frame_of_opens, stone_dual
-from finsite.semiring import (DEFAULT_BUDGET, FLAVORS, AxiomError,
-                              BudgetExceeded, Congruence, FiniteSemiring,
-                              InvariantError, SemiringError, SemiringHom,
-                              TableError, _Map, _Record, congruence_closure,
+from finsite.records import (DEFAULT_BUDGET, FLAVORS, InvariantError, _Map,
+                             _Record)
+from finsite.semiring import (AxiomError, BudgetExceeded, Congruence,
+                              FiniteSemiring, SemiringError, SemiringHom,
+                              TableError, congruence_closure,
                               find_isomorphism, hom_violation, localize,
                               validate_semiring)
 from finsite.site import CoverFamily, OpenSubscheme
 from finsite.spectra import _points, prime_spectrum
 from finsite.topology import (ContinuousMap, FiniteTopSpace, TopologyError,
-                              _bits, _classes, _restrict, _space_of_order,
-                              continuous_map, glue_along_maps, order_closure)
+                              _bits, _restrict, _space_of_order,
+                              continuous_map, order_closure)
 
 
 def oracle_is_semiring(labels, add, mul, zero, one) -> bool:

@@ -445,27 +445,28 @@ def test_equal_chart_files_share_one_object(workdir):
 
 def test_presentation_reads_each_file_once(workdir, monkeypatch):
     reads = collections.Counter()
-    validations = []
+    parsed = []
     real_read = finsite.formats._read_text
-    real_validate = finsite.formats.validate_semiring
+    real_parse = finsite.formats.parse_semiring
 
     def counted_read(path):
         reads[Path(path).name] += 1
         return real_read(path)
 
-    def counted_validate(*args):
-        validations.append(args[0])
-        return real_validate(*args)
+    def counted_parse(text):
+        R = real_parse(text)
+        parsed.append(R.elements)
+        return R
 
     monkeypatch.setattr(finsite.formats, "_read_text", counted_read)
-    monkeypatch.setattr(finsite.formats, "validate_semiring", counted_validate)
+    monkeypatch.setattr(finsite.formats, "parse_semiring", counted_parse)
     pres = workdir / "doubled.pres"
     pres.write_text("node A z6.sr\nnode B z6.sr\nnode C z6.sr\nnode O o.sr\n"
                     "arrow O A localize-at 2\narrow O B localize-at 2\n")
     P = read_presentation(str(pres))
     assert reads == {"doubled.pres": 1, "z6.sr": 1, "o.sr": 1}
-    assert validations == [zmod(6).elements,
-                           localize(zmod(6), 2).semiring.elements]
+    assert parsed == [zmod(6).elements,
+                      localize(zmod(6), 2).semiring.elements]
     assert len({id(R) for R in P.charts}) == 2
 
 
@@ -654,6 +655,82 @@ def test_negative_counts_are_usage_errors(workdir, capsys, argv):
     assert f"{argv[-2]}: must be at least 0, got {argv[-1]}" in captured.err
 
 
+# `main` builds a parser of the one command argv names; it must read every
+# command line as the parser of all eleven does.  The command lines are
+# the README's and those of the benchmark's cli-session workload.
+README_ARGV = [
+    command.split()[1:]
+    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8").splitlines() if line.startswith("$ finsite ")
+    for command in line[2:].split("&&")]
+CLI_SESSION_ARGV = [argv.split() for argv in (
+    "check z6.sr", "spectrum z6.sr", "localize z6.sr 2", "verify",
+    "locale z6.sr --dot z6.lat", "stone z6.lat", "glue doubled.pres",
+    "sheaf-check cover.txt", "simplex --n 1", "simplex hollow.cx",
+    "check bad.sr", "congruences z12.sr", "congruences n7.sr",
+    "spectrum z6.sr --flavor k", "spectrum chain5.sr --flavor weak "
+    "--dot c5.dot", "spectrum n7.sr --flavor twisted", "localize z12.sr 3",
+    "locale bxb.sr", "stone cube.lat --dot cube.dot",
+    "sheaf-check cover3.txt", "verify DIR",
+    "glue cycle2.pres --vis twisted", "glue doubled.pres --vis weak "
+    "--dot g.dot", "glue wedge.pres", "simplex --n 3", "simplex big.cx")]
+
+
+def _parsed(parser, argv, capsys):
+    """What parsing argv gives: the namespace, or the exit status and the
+    bytes printed when argparse exits."""
+    try:
+        return parser.parse_args(argv)
+    except SystemExit as e:
+        captured = capsys.readouterr()
+        return e.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", README_ARGV + CLI_SESSION_ARGV,
+                         ids=" ".join)
+def test_one_command_parser_reads_as_the_full_one(argv, capsys):
+    one = _parsed(finsite.cli.build_parser(argv[0]), argv, capsys)
+    assert isinstance(one, argparse.Namespace)
+    assert one == _parsed(finsite.cli.build_parser(), argv, capsys)
+
+
+# `CMD --bogus` fails in the command's parser when it lacks a required
+# argument and in the top-level one otherwise, which names every command
+@pytest.mark.parametrize("argv", [
+    [name, flag] for flag in ("--help", "--bogus")
+    for name in finsite.cli.HANDLERS] + [
+    ["spectrum", "--flavor", "bogus"], ["glue", "--budget", "-1"],
+    ["check", "z6.sr", "extra"]], ids=" ".join)
+def test_one_command_parser_prints_as_the_full_one(argv, capsys):
+    one = _parsed(finsite.cli.build_parser(argv[0]), argv, capsys)
+    assert one[0] == (0 if argv[1] == "--help" else 2)
+    assert one == _parsed(finsite.cli.build_parser(), argv, capsys)
+
+
+def test_help_lists_every_command(capsys):
+    status, out, _ = _parsed(finsite.cli.build_parser(), ["--help"], capsys)
+    assert status == 0
+    # each command's line is indented by four spaces, its help by more
+    listed = [line.split()[0] for line in out.splitlines()
+              if line.startswith("    ") and not line.startswith("     ")]
+    assert listed == list(finsite.cli.HANDLERS)
+    assert len(listed) == 11
+
+
+@pytest.mark.parametrize("argv, error", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    (["--format", "human"], "argument command: invalid choice: 'human'"),
+], ids=["missing", "unknown", "option-first"])
+def test_a_run_naming_no_command_gets_the_full_usage(argv, error, capsys):
+    with pytest.raises(SystemExit) as e:
+        finsite.cli.main(argv)
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: finsite [-h]\n               {check,")
+    assert err.splitlines()[-1].startswith(f"finsite: error: {error}")
+
+
 # exit 2 for a format error, 3 for a budget error and 1 for a glue error
 # are covered by real commands above; these errors no input file reaches
 @pytest.mark.parametrize("error", [
@@ -683,7 +760,7 @@ def test_unexpected_error_propagates(workdir, monkeypatch):
 # an absolute path, as criterion 10 does.
 SRC = str(Path(finsite.__file__).resolve().parents[1])
 CHECK_MODULES = {"finsite", "finsite.cli", "finsite.formats",
-                 "finsite.semiring"}
+                 "finsite.records", "finsite.semiring"}
 
 
 def _child_env(**extra):
@@ -861,13 +938,13 @@ def _command_inputs(workdir):
 
 
 @pytest.mark.parametrize("argv, absent", [
-    (("simplex", "--n", "1"), {"spectra", "site", "glue", "colimit",
-                               "checks"}),
+    (("simplex", "--n", "1"), {"semiring", "spectra", "site", "glue",
+                               "colimit", "checks"}),
     (("spectrum", "z6.sr"), {"glue", "colimit", "checks"}),
     (("congruences", "z6.sr"), {"glue", "colimit", "checks"}),
-    (("stone", "chain.lat"), {"glue", "colimit", "checks"}),
-    (("locale", "z6.sr"), {"glue", "colimit", "checks"}),
-    (("sheaf-check", "cov.txt"), {"glue", "colimit", "locales", "checks"}),
+    (("stone", "chain.lat"), {"semiring", "glue", "colimit", "checks"}),
+    (("locale", "z6.sr"), {"site", "glue", "colimit", "checks"}),
+    (("sheaf-check", "cov.txt"), {"glue", "locales", "checks"}),
     (("verify",), {"glue", "colimit"}),
     (("claims",), set()),
     (("glue", "doubled.pres"), {"site", "locales", "finset", "checks"}),
@@ -889,7 +966,22 @@ def test_no_command_loads_dataclasses_inspect_or_pkgutil(workdir, argv):
     status, modules, heavy = loaded_modules(workdir, *argv)
     assert status == 0
     assert heavy == set()
-    assert ("finsite.colimit" in modules) == (argv[0] in ("glue", "claims"))
+    assert ("finsite.colimit" in modules) == (
+        argv[0] in ("glue", "sheaf-check", "claims"))
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (("simplex", "--n", "3"), "finset topology"),
+    (("stone", "chain.lat"), "formats locales topology"),
+    (("locale", "z6.sr"), "formats locales semiring spectra topology"),
+], ids=["simplex", "stone", "locale"])
+def test_commands_execute_exactly_their_layers(workdir, argv, layers):
+    # beside the package, `cli` and the `records` every layer derives from
+    _command_inputs(workdir)
+    status, modules, _ = loaded_modules(workdir, *argv)
+    assert status == 0
+    assert modules == {"finsite", "finsite.cli", "finsite.records"} | {
+        f"finsite.{name}" for name in layers.split()}
 
 
 def test_every_submodule_is_an_attribute_of_the_package(tmp_path):

@@ -34,7 +34,7 @@ from finsite.spectra import congruence_spectrum
 
 from oracles import (all_injection_families, contains_bijection,
                      identity_injection, oracle_betti_mod2, oracle_descent,
-                     oracle_order_chains)
+                     oracle_order_chains, oracle_t0_classes)
 
 
 def letters(n):
@@ -111,7 +111,7 @@ def test_simplex_sizes_and_unique_closed_top_face():
         assert X.points[-1] == face_label(A, range(A.n))
         for i in range(A.n):
             assert X.is_open(frozenset([X.points.index(face_label(A, [i]))]))
-        assert X.is_t0()
+        assert oracle_t0_classes(X) == list(range(X.n))
         assert is_sober(X)[0]
 
 
@@ -153,7 +153,7 @@ def test_face_space_of_hollow_triangle():
     assert closed_points == ["{a,b}", "{a,c}", "{b,c}"]
     for v in ("{a}", "{b}", "{c}"):
         assert X.is_open(frozenset([X.index(v)]))
-    assert X.is_t0() and is_sober(X)[0]
+    assert oracle_t0_classes(X) == list(range(X.n)) and is_sober(X)[0]
 
 
 def test_asc_presentation_shape():

@@ -27,7 +27,8 @@ from finsite.formats import (
     render_semiring,
 )
 from finsite.locales import frame_of_opens
-from finsite.semiring import AxiomError, InvariantError, localize
+from finsite.records import InvariantError
+from finsite.semiring import AxiomError, localize
 from finsite.site import lambda_X
 from finsite.spectra import prime_spectrum
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finsite.glue
-import finsite.semiring
+import finsite.records
 import finsite.spectra
 from finsite.catalog import boolean, boolean_pair, catalog, zmod
 from finsite.glue import (
@@ -22,10 +22,10 @@ from finsite.glue import (
     is_monodromy_free,
     presentation,
 )
-from finsite.semiring import (DEFAULT_BUDGET, BudgetExceeded, SemiringHom,
-                               enumerate_homs, find_isomorphism,
-                               is_finite_localization, localize,
-                               validate_semiring)
+from finsite.records import DEFAULT_BUDGET
+from finsite.semiring import (BudgetExceeded, SemiringHom, enumerate_homs,
+                              find_isomorphism, is_finite_localization,
+                              localize, validate_semiring)
 from finsite.site import cover_family, covers
 from finsite.spectra import (CHAIN_LEVELS, prime_spectrum,
                              visualization_chain, visualization_map,
@@ -654,12 +654,12 @@ def test_glued_chain_builds_each_level_map_once(monkeypatch):
 
 
 def test_glued_chain_composes_only_along_shared_spaces(monkeypatch):
-    real = finsite.semiring._Map.compose
+    real = finsite.records._Map.compose
 
     def checked(self, other):
         assert other.target is self.source
         return real(self, other)
 
-    monkeypatch.setattr(finsite.semiring._Map, "compose", checked)
+    monkeypatch.setattr(finsite.records._Map, "compose", checked)
     for members in ([1], [2, 3], [1, 2, 3]):
         glued_chain(atlas(cover_family(zmod(6), members)))

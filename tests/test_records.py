@@ -9,7 +9,8 @@ from finsite.finset import (FinSet, asc, asc_presentation, finset,
                             finset_glue_space, monodromy_wedge_counterexample)
 from finsite.glue import glue_space, glued_chain, is_monodromy_free
 from finsite.locales import frame_of_opens
-from finsite.semiring import _Record, diagonal_congruence, localize
+from finsite.records import _Record
+from finsite.semiring import diagonal_congruence, localize
 from finsite.site import CoverFamily, cover_family
 from finsite.spectra import prime_spectrum, visualization_chain
 from finsite.topology import ContinuousMap

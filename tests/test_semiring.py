@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from finsite.catalog import (boolean, boolean_pair, catalog, chain,
                              truncated_naturals, zmod)
 import finsite.semiring
-from finsite.semiring import (AxiomError, Congruence, InvariantError,
-                              SemiringError, SemiringHom, TableError,
-                              congruence_closure, diagonal_congruence,
-                              enumerate_congruences, enumerate_homs,
-                              find_isomorphism, hom_kernel, hom_violation,
-                              is_finite_localization, localize,
-                              product_semiring, validate_semiring)
+from finsite.records import InvariantError
+from finsite.semiring import (AxiomError, Congruence, SemiringError,
+                              SemiringHom, TableError, congruence_closure,
+                              diagonal_congruence, enumerate_congruences,
+                              enumerate_homs, find_isomorphism, hom_kernel,
+                              hom_violation, is_finite_localization,
+                              localize, product_semiring, validate_semiring)
 
 from oracles import (all_partitions, are_isomorphic, identity_hom,
                      oracle_congruences, oracle_extend,

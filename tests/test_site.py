@@ -13,7 +13,7 @@ from finsite.catalog import (
     truncated_naturals,
     zmod,
 )
-import finsite.semiring
+import finsite.records
 import finsite.site
 from finsite.semiring import (
     SemiringError,
@@ -241,7 +241,7 @@ def test_principal_open_props_small_bench():
 
 def test_principal_open_props_name_their_first_failure(monkeypatch):
     # with every pair failing, P2 names its first (g, h) and P3 its first h
-    monkeypatch.setattr(finsite.semiring._Map, "is_bijective",
+    monkeypatch.setattr(finsite.records._Map, "is_bijective",
                         lambda self: False)
     monkeypatch.setattr(finsite.site, "_pushout_kernel", lambda s, f: None)
     entries = [("z6", zmod(6)), ("b", boolean())]

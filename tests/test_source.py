@@ -5,7 +5,7 @@ import importlib
 from pathlib import Path
 
 import finsite
-from finsite.semiring import _Record
+from finsite.records import _Record
 
 
 def test_invariants_raise_so_python_O_keeps_them():

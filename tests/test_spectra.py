@@ -17,9 +17,10 @@ from finsite.catalog import (
     truncated_naturals,
     zmod,
 )
+from finsite.colimit import _classes
 from finsite.finset import finset, simplex_space
+from finsite.records import VISUALIZATIONS
 from finsite.semiring import (
-    VISUALIZATIONS,
     Congruence,
     SemiringError,
     SemiringHom,
@@ -48,7 +49,7 @@ from finsite.spectra import (
 )
 from finsite.topology import from_preorder, validate_topology
 
-from census import census_upto
+from census import census, census_upto
 from oracles import (full_primality, is_ideal, oracle_congruences,
                      oracle_generated_opens, oracle_ideals, oracle_is_k_ideal,
                      oracle_is_prime_congruence, oracle_is_prime_ideal,
@@ -664,6 +665,39 @@ def test_product_spectrum_is_the_disjoint_union_of_the_factors():
                 == set(range(left.target.n)), (P, vis)
             checks += 1
     assert checks == 220
+
+
+def _components(R, vis) -> int:
+    """How many connected components the space of R in visualization vis
+    has: classes of the points its specialization order joins."""
+    X = finsite.spectra.visualization_space(R, vis)
+    return len(_classes(X.n, [(x, y) for x in range(X.n)
+                              for y in range(X.n) if X.above[x] >> y & 1])[1])
+
+
+def _idempotent_atoms(R) -> list[int]:
+    """The atoms of the Boolean algebra of complemented idempotents of R:
+    the e != 0 with e*e == e and some f with e + f == 1 and e*f == 0,
+    above no other such element but 0 (d <= e iff d*e == d)."""
+    complemented = [e for e in range(R.n) if R.mul[e][e] == e and any(
+        R.add[e][f] == R.one and R.mul[e][f] == R.zero for f in range(R.n))]
+    return [e for e in complemented if e != R.zero and all(
+        d in (R.zero, e) for d in complemented if R.mul[d][e] == d)]
+
+
+def test_prime_spectrum_components_are_the_idempotent_atoms():
+    # ROADMAP item 14, Pierce decomposition: R is the product of the
+    # corners eR at the atoms e, and Spec R their disjoint union
+    B5 = functools.reduce(product_semiring, [boolean()] * 5)
+    for R in [R for R in census_upto(5) if R.n > 1] + [
+            zmod(30), zmod(36), zmod(60), B5]:
+        assert _components(R, "prime") == len(_idempotent_atoms(R)), R
+    assert len(_idempotent_atoms(B5)) == 5
+    # the k and weak spaces split where the prime spectrum does not
+    split = [i for i, R in enumerate(census(5))
+             if _components(R, "prime") == 1
+             and _components(R, "k") == _components(R, "weak") == 2]
+    assert split == [37, 67, 132, 165]
 
 
 def test_spectrum_report_enumerates_congruences_once(enumerations):
