@@ -6,25 +6,27 @@ exceeded.  With `--format structured` every command prints one JSON
 document with stable key order; reports are byte-identical across runs
 on identical inputs.
 
-A run builds the parser of its own command alone, and each command
-imports the modules it calls when it runs: `check` and `localize` load
-only `formats`, `records` and `semiring`; `stone` and `simplex` load no
-`semiring`, and `locale` no `site`; only `glue`, `sheaf-check` and
-`claims` load `colimit`; and none loads `dataclasses`, `inspect` or
-`pkgutil`.  The `glue` command loads neither `site` nor `locales`; its
-monodromy check runs one union-find per closed walk, the walk's colimit
-of sets.  The reports of `verify` and `claims` are built in `checks`,
-which no other command loads; `claims` runs the paper's checks over the
-catalog semirings and so also reaches `site`, `glue`, `colimit` and
-`finset`.
+`COMMANDS` is the one place a command's arguments are defined.  A plain
+command line is read straight from it, so `argparse` loads only for
+help, usage errors and lines the table does not read plainly, and then
+builds the parser of the named command alone from the same table.  Human
+output loads no `json`.  Each command imports the modules it calls when
+it runs: `check` and `localize` load only `formats`, `records` and
+`semiring`; `stone` and `simplex` load no `semiring`, and `locale` no
+`site`; only `glue`, `sheaf-check` and `claims` load `colimit`; and none
+loads `dataclasses`, `inspect` or `pkgutil`.  The `glue` command loads
+neither `site` nor `locales`; its monodromy check runs one union-find
+per closed walk, the walk's colimit of sets.  The reports of `verify`
+and `claims` are built in `checks`, which no other command loads;
+`claims` runs the paper's checks over the catalog semirings and so also
+reaches `site`, `glue`, `colimit` and `finset`.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import formats
 from .records import DEFAULT_BUDGET, VISUALIZATIONS
@@ -266,25 +268,12 @@ def cmd_claims(ns):
     return claims_report()
 
 
-HANDLERS = {
-    "check": cmd_check,
-    "spectrum": cmd_spectrum,
-    "congruences": cmd_congruences,
-    "locale": cmd_locale,
-    "stone": cmd_stone,
-    "localize": cmd_localize,
-    "sheaf-check": cmd_sheaf_check,
-    "verify": cmd_verify,
-    "glue": cmd_glue,
-    "simplex": cmd_simplex,
-    "claims": cmd_claims,
-}
-
-
 def _natural(text: str) -> int:
     """Argument type of the integer options, none of which may be
     negative: a negative value is a usage error, exit 2, before any
     command runs."""
+    import argparse  # only argparse calls this
+
     try:
         value = int(text)
     except ValueError:
@@ -295,76 +284,143 @@ def _natural(text: str) -> int:
     return value
 
 
+# The one place a command's arguments are defined: each command's
+# handler, its help text, and its arguments after `--format` in the order
+# `--help` lists them, each a name and the keywords of `add_argument`;
+# `either` puts an argument in the command's required either/or group.
+# `build_parser` builds argparse's parser from this table, and `_match`
+# reads a plain command line straight from it.
+_FORMAT = ("--format", {"choices": ("human", "structured"),
+                        "default": "human",
+                        "help": "report style (default human)"})
+_GRAPH = ("--dot", {"metavar": "PATH",
+                    "help": "write the specialization graph here"})
+COMMANDS = {
+    "check": (cmd_check, "validate a semiring file against the axioms",
+              [("file", {})]),
+    "spectrum": (cmd_spectrum,
+                 "points, opens, and specialization of a spectrum",
+                 [("file", {}),
+                  ("--flavor", {"default": "prime",
+                                "choices": VISUALIZATIONS}),
+                  _GRAPH]),
+    "congruences": (cmd_congruences,
+                    "ideal, congruence, and chain-map summary",
+                    [("file", {})]),
+    "locale": (cmd_locale, "frame of spectrum opens as a lattice dump",
+               [("file", {}),
+                ("--dot", {"metavar": "PATH",
+                           "help": "write the lattice dump here"})]),
+    "stone": (cmd_stone, "dual space of a lattice dump",
+              [("file", {}), _GRAPH]),
+    "localize": (cmd_localize, "invert an element; prints the semiring file",
+                 [("file", {}), ("element", {})]),
+    "sheaf-check": (cmd_sheaf_check,
+                    "descent along a cover family, all test objects",
+                    [("file", {})]),
+    "verify": (cmd_verify,
+               "run every check over the *.sr files of a directory",
+               [("directory", {"nargs": "?",
+                               "help": "defaults to the bundled catalog"})]),
+    "glue": (cmd_glue,
+             "monodromy check, then the glued space of a presentation",
+             [("file", {}),
+              ("--vis", {"default": "prime", "choices": VISUALIZATIONS}),
+              ("--path-bound", {"type": _natural, "default": 8}),
+              ("--budget", {"type": _natural, "default": DEFAULT_BUDGET}),
+              _GRAPH]),
+    "simplex": (cmd_simplex, "face poset of a simplex or a complex file",
+                [("--n", {"type": _natural, "either": True,
+                          "help": "dimension of a full simplex"}),
+                 ("file", {"nargs": "?", "either": True}),
+                 _GRAPH]),
+    "claims": (cmd_claims,
+               "check the paper's claims over the catalog semirings", []),
+}
+HANDLERS = {name: row[0] for name, row in COMMANDS.items()}
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of `finsite`.  When `command` names a subcommand, only
-    that one is registered, so a run builds the options of its own command
-    alone; otherwise, for `--help` and for a missing or unknown command,
-    all of them are.  Help texts and usage errors read the same either
-    way."""
+    """The parser of `finsite`, built from `COMMANDS`.  When `command`
+    names a subcommand, only that one is registered, so a run builds the
+    options of its own command alone; otherwise, for `--help` and for a
+    missing or unknown command, all of them are.  Help texts and usage
+    errors read the same either way."""
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="finsite",
         description="finite semiring spectra, locales, and gluing")
-    names = (command,) if command in HANDLERS else tuple(HANDLERS)
+    names = (command,) if command in COMMANDS else tuple(COMMANDS)
     # the usage line names every command even when one is registered; the
     # full parser keeps no metavar, as an unknown command's error names
     # the argument by it ("argument command: invalid choice")
     sub = ap.add_subparsers(dest="command", required=True, metavar=(
-        "{" + ",".join(HANDLERS) + "}" if len(names) == 1 else None))
-
-    def add(name, text):
-        """The subparser of `name`, or None when it is not registered."""
-        if name not in names:
-            return None
+        "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None))
+    for name in names:
+        _, text, arguments = COMMANDS[name]
         p = sub.add_parser(name, help=text, description=text)
-        p.add_argument("--format", choices=("human", "structured"),
-                       default="human",
-                       help="report style (default human)")
-        return p
-
-    if p := add("check", "validate a semiring file against the axioms"):
-        p.add_argument("file")
-    if p := add("spectrum", "points, opens, and specialization of a spectrum"):
-        p.add_argument("file")
-        p.add_argument("--flavor", default="prime", choices=VISUALIZATIONS)
-        p.add_argument("--dot", metavar="PATH",
-                       help="write the specialization graph here")
-    if p := add("congruences", "ideal, congruence, and chain-map summary"):
-        p.add_argument("file")
-    if p := add("locale", "frame of spectrum opens as a lattice dump"):
-        p.add_argument("file")
-        p.add_argument("--dot", metavar="PATH",
-                       help="write the lattice dump here")
-    if p := add("stone", "dual space of a lattice dump"):
-        p.add_argument("file")
-        p.add_argument("--dot", metavar="PATH",
-                       help="write the specialization graph here")
-    if p := add("localize", "invert an element; prints the semiring file"):
-        p.add_argument("file")
-        p.add_argument("element")
-    if p := add("sheaf-check",
-                "descent along a cover family, all test objects"):
-        p.add_argument("file")
-    if p := add("verify",
-                "run every check over the *.sr files of a directory"):
-        p.add_argument("directory", nargs="?",
-                       help="defaults to the bundled catalog")
-    if p := add("glue",
-                "monodromy check, then the glued space of a presentation"):
-        p.add_argument("file")
-        p.add_argument("--vis", default="prime", choices=VISUALIZATIONS)
-        p.add_argument("--path-bound", type=_natural, default=8)
-        p.add_argument("--budget", type=_natural, default=DEFAULT_BUDGET)
-        p.add_argument("--dot", metavar="PATH",
-                       help="write the specialization graph here")
-    if p := add("simplex", "face poset of a simplex or a complex file"):
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--n", type=_natural,
-                           help="dimension of a full simplex")
-        group.add_argument("file", nargs="?")
-        p.add_argument("--dot", metavar="PATH",
-                       help="write the specialization graph here")
-    add("claims", "check the paper's claims over the catalog semirings")
+        group = None
+        for flag, keywords in (_FORMAT, *arguments):
+            keywords = dict(keywords)
+            if keywords.pop("either", False):
+                group = group or p.add_mutually_exclusive_group(
+                    required=True)
+                group.add_argument(flag, **keywords)
+            else:
+                p.add_argument(flag, **keywords)
     return ap
+
+
+def _dest(flag: str) -> str:
+    """The namespace key of an argument, as argparse names it."""
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _match(argv):
+    """The namespace argparse builds from `argv`, read straight from
+    `COMMANDS` when argv is a plain line: a command, its positionals, then
+    options each given once as `--name value`.  None for any other line,
+    which argparse then reads: `-h` and `--help`, `--`, `--opt=value`, an
+    abbreviated or repeated option, a value outside its choices, a count
+    that is not plain digits, any other word starting with `-`, a wrong
+    number of positionals, or both or neither of an either/or pair."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    arguments = (_FORMAT, *COMMANDS[argv[0]][2])
+    values = {"command": argv[0]}
+    values.update((_dest(flag), keywords.get("default"))
+                  for flag, keywords in arguments)
+    positionals = [a for a in arguments if not a[0].startswith("-")]
+    options = {a[0]: a[1] for a in arguments if a[0].startswith("-")}
+    rest = argv[1:]
+    count = next((i for i, word in enumerate(rest) if word.startswith("-")),
+                 len(rest))
+    words, pairs = rest[:count], rest[count:]
+    if (len(words) > len(positionals) or len(pairs) % 2
+            or any("nargs" not in keywords
+                   for _, keywords in positionals[len(words):])):
+        return None
+    values.update(zip((name for name, _ in positionals), words))
+    for flag, value in zip(pairs[::2], pairs[1::2]):
+        keywords = options.pop(flag, None)  # so a repeat finds none
+        if (keywords is None or value.startswith("-")
+                or value not in keywords.get("choices", (value,))):
+            return None
+        if "type" in keywords:  # `_natural`, read as plain ASCII digits
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # past the interpreter's digit limit
+                return None
+        values[_dest(flag)] = value
+    # the members of an either/or group have no default
+    either = [_dest(flag) for flag, keywords in arguments
+              if keywords.get("either")]
+    if either and sum(values[key] is not None for key in either) != 1:
+        return None
+    return SimpleNamespace(**values)
 
 
 # exit code of each expected failure, keyed by "module.class": an error is
@@ -389,7 +445,10 @@ def _exit_code(e: Exception) -> int | None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    ns = build_parser(argv[0] if argv else None).parse_args(argv)
+    ns = _match(argv)
+    if ns is None:
+        # help, usage errors and lines the table does not read plainly
+        ns = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         code, lines, data = HANDLERS[ns.command](ns)
     except Exception as e:
@@ -403,6 +462,8 @@ def main(argv=None) -> int:
         if hasattr(sys.stdout, "reconfigure"):
             sys.stdout.reconfigure(encoding="utf-8", errors=sys.stdout.errors)
         if ns.format == "structured":
+            import json
+
             print(json.dumps(data, indent=2))
         else:
             print("\n".join(lines))

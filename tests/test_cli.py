@@ -2,8 +2,10 @@
 
 import argparse
 import collections
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -11,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import finsite
 import finsite.checks
@@ -22,7 +26,8 @@ import finsite.locales
 import finsite.semiring
 import finsite.site
 import finsite.spectra
-from finsite.catalog import boolean, boolean_pair, zmod
+from finsite.catalog import (boolean, boolean_pair, chain,
+                             truncated_naturals, zmod)
 from finsite.cli import main
 from finsite.formats import (parse_lattice, parse_semiring,
                              read_presentation, render_semiring)
@@ -729,6 +734,126 @@ def test_a_run_naming_no_command_gets_the_full_usage(argv, error, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: finsite [-h]\n               {check,")
     assert err.splitlines()[-1].startswith(f"finsite: error: {error}")
+
+
+# `main` reads a plain command line straight from `cli.COMMANDS` and
+# hands any other line to argparse; what it reads must be what argparse
+# reads.  Every README and cli-session line is plain.
+@pytest.mark.parametrize("argv", [
+    argv + fmt for argv in README_ARGV + CLI_SESSION_ARGV
+    for fmt in ([], ["--format", "structured"])], ids=" ".join)
+def test_the_matcher_reads_every_plain_line_as_argparse(argv, capsys):
+    matched = finsite.cli._match(argv)
+    assert matched is not None
+    parsed = _parsed(finsite.cli.build_parser(), argv, capsys)
+    assert vars(matched) == vars(parsed)
+
+
+def _argparse_reads(argv):
+    """What the full parser makes of argv: its namespace's dict, or the
+    exit status when it refuses the line."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(finsite.cli.build_parser().parse_args(argv))
+        except SystemExit as e:
+            return e.code
+
+
+# words drawn for the lines below: the table's own, and hostile ones that
+# argparse reads differently from their spelling or refuses
+_ARGUMENTS = {name: row[2] for name, row in finsite.cli.COMMANDS.items()}
+_WORDS = ["z6.sr", "DIR", "2", "x.cx", ""]
+_HOSTILE_FLAGS = ["--fla", "--flavor=weak", "-h", "--help", "--"]
+_HOSTILE = _HOSTILE_FLAGS + ["-1", " -1", "²", "٣", "+3", "--bogus",
+                             "extra.sr"]
+
+
+def _values(keywords):
+    """Values that fit an option: its choices, counts, or any words."""
+    if "choices" in keywords:
+        return list(keywords["choices"])
+    return ["0", "1", "8", "007"] if "type" in keywords else _WORDS
+
+
+@st.composite
+def _command_lines(draw):
+    """A command, about as many positionals as it takes, then `--name
+    value` pairs, mostly of its own options with fitting values, each
+    option often given twice, and sometimes a hostile word anywhere."""
+    command = draw(st.sampled_from(list(_ARGUMENTS)))
+    options = dict(a for a in [finsite.cli._FORMAT, *_ARGUMENTS[command]]
+                   if a[0].startswith("-"))
+    required = sum(not a[0].startswith("-") and "nargs" not in a[1]
+                   for a in _ARGUMENTS[command])
+    line = [command] + [draw(st.sampled_from(_WORDS)) for _ in range(
+        draw(st.sampled_from([required] * 3 + [0, 1, 2])))]
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(st.sampled_from([*options] * 4 + _HOSTILE_FLAGS))
+        fitting = _values(options.get(flag, {}))
+        line += [flag, draw(st.sampled_from(fitting * 4 + _HOSTILE))]
+    if draw(st.integers(0, 3)) == 0:
+        line.insert(draw(st.integers(1, len(line))),
+                    draw(st.sampled_from(_HOSTILE + _WORDS)))
+    return line
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_command_lines())
+@example(["simplex", "--n", "1", "x.cx"])
+@example(["spectrum", "z6.sr", "--flavor", "k", "--flavor", "weak"])
+@example(["glue", "x.pres", "--budget", " -1"])
+def test_the_matcher_declines_or_reads_as_argparse(argv):
+    matched = finsite.cli._match(argv)
+    if matched is not None:
+        assert vars(matched) == _argparse_reads(argv)
+
+
+def _session_inputs(workdir):
+    """The input files that the cli-session command lines name."""
+    _command_inputs(workdir)
+    for name, R in (("z12.sr", zmod(12)), ("n7.sr", truncated_naturals(7)),
+                    ("chain5.sr", chain(5))):
+        (workdir / name).write_text(render_semiring(R))
+    (workdir / "bad.sr").write_text(
+        "elements: 0 1\nzero: 0\none: 1\nadd:\n 0 1\n 1 0\nmul:\n 0 0\n"
+        " 0 0\n")
+    (workdir / "DIR").mkdir()
+    (workdir / "DIR" / "z6.sr").write_text(render_semiring(zmod(6)))
+    (workdir / "cube.lat").write_text(
+        "{} < {a}\n{} < {b}\n{a} < {a,b}\n{b} < {a,b}\n")
+    (workdir / "cycle2.pres").write_text(
+        "node A0 z6.sr\nnode A1 z6.sr\nnode O0 o.sr\nnode O1 o.sr\n"
+        "arrow O0 A0 localize-at 2\narrow O0 A1 localize-at 2\n"
+        "arrow O1 A1 localize-at 2\narrow O1 A0 localize-at 2\n")
+    (workdir / "wedge.pres").write_text(
+        "node X bxb.sr\nnode U b.sr\narrow U X map 0 0 1 1\n"
+        "arrow U X map 0 1 0 1\n")
+    (workdir / "cover.txt").write_text("semiring: z6.sr\ncover: 2 3\n")
+    (workdir / "cover3.txt").write_text("semiring: z6.sr\ncover: 1 2 3\n")
+    for name in ("hollow.cx", "big.cx"):
+        (workdir / name).write_text(
+            "vertices: a b c\nface: a b\nface: a c\nface: b c\n")
+
+
+def test_plain_lines_load_no_argparse_and_human_ones_no_json(workdir):
+    # every cli-session line in one interpreter, the human reports first:
+    # each prints its exit status and which of argparse and json are loaded
+    _session_inputs(workdir)
+    code = ("import contextlib, io, sys\n"
+            "from finsite.cli import main\n"
+            "for line in sys.argv[1:]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        status = main(line.split())\n"
+            "    print(status, *[name for name in ('argparse', 'json')\n"
+            "                    if name in sys.modules])\n")
+    lines = [" ".join(argv) for argv in CLI_SESSION_ARGV]
+    rows = _fresh(code, workdir, *lines,
+                  *[line + " --format structured" for line in lines])
+    refused = {"check bad.sr", "glue wedge.pres"}
+    assert rows.splitlines() == (
+        [str(int(line in refused)) for line in lines]
+        + [f"{int(line in refused)} json" for line in lines])
 
 
 # exit 2 for a format error, 3 for a budget error and 1 for a glue error

@@ -700,6 +700,24 @@ def test_prime_spectrum_components_are_the_idempotent_atoms():
     assert split == [37, 67, 132, 165]
 
 
+
+def test_quotient_points_pull_back_to_the_points_above_the_congruence():
+    # ROADMAP item 14, quotients: pulling back along R -> R/c is a bijection
+    # from the flavor-prime congruences of R/c onto those of R containing c
+    cases = 0
+    for R in census_upto(5):
+        for c in enumerate_congruences(R):
+            Q, proj = quotient(R, c)
+            for flavor in FLAVORS:
+                pulled = [congruence_pullback(proj, q).blocks
+                          for q in prime_congruences(Q, flavor)]
+                above = [p.blocks for p in prime_congruences(R, flavor)
+                         if c <= p]
+                assert len(set(pulled)) == len(pulled), (R, c, flavor)
+                assert set(pulled) == set(above), (R, c, flavor)
+                cases += 1
+    assert cases == 5691
+
 def test_spectrum_report_enumerates_congruences_once(enumerations):
     for name, R in catalog():
         spectrum_report(R)
