@@ -1,7 +1,7 @@
-"""Reports of `verify`, the checks of each `*.sr` file of a directory, and
-of `claims`, the paper's claims over the catalog semirings.  Only these two
-commands load this module, and only `claims` reaches `glue`, `colimit`,
-`finset` and `catalog`.
+"""The `verify` and `claims` commands: the checks of each `*.sr` file of a
+directory, and the paper's claims over the catalog semirings.  Only these
+two commands load this module, and only `claims` reaches `glue`,
+`colimit`, `finset` and `catalog`.
 """
 
 from __future__ import annotations
@@ -76,10 +76,11 @@ def _theorem_A_row(R):
     return ok, "" if ok else str(info)
 
 
-def verify_report(directory):
-    """Exit code, report lines and structured data of `verify` over the
-    `*.sr` files of `directory`, the bundled catalog when it is None."""
-    base = Path(directory) if directory else bundled_catalog_dir()
+def _cmd_verify(ns):
+    """The `verify` command, run by `cli.main`: its exit code, report lines
+    and structured data over the `*.sr` files of `ns.directory`, the
+    bundled catalog when it is None."""
+    base = Path(ns.directory) if ns.directory else bundled_catalog_dir()
     if not base.is_dir():
         raise formats.FormatError(f"{base} is not a directory")
     rows = []
@@ -212,8 +213,9 @@ def _semiring_wedge_row(B, BB):
     return not report.free, report.verdict()
 
 
-def claims_report():
-    """Exit code, report lines and structured data of `claims`."""
+def _cmd_claims(ns):
+    """The `claims` command, run by `cli.main`: its exit code, report lines
+    and structured data."""
     from .catalog import catalog
     from .finset import FinSetError
     from .glue import GlueError

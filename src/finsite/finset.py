@@ -12,7 +12,9 @@ bijective member is strictly smaller.  Face charts glue through
 set of elements; presentations and their walks share the record
 `topology._Presentation` with the semiring site, and descent and walk
 limits its `colimit.matching_tuples` and `colimit.descent_verdict`.  The
-face posets of `simplex` load no `colimit` and no `semiring`.
+face posets of `simplex` load no `colimit` and no `semiring`, and more
+faces than the element budget are refused before any is listed.  The
+complex file format and the `simplex` handler end the module.
 """
 
 from __future__ import annotations
@@ -21,12 +23,14 @@ import itertools
 from operator import itemgetter
 
 from . import colimit
-from .records import InvariantError, _Map, _Record
+from .records import (DEFAULT_BUDGET, BudgetExceeded, InvariantError, _count,
+                      _Map, _Record)
 from .topology import (
     ContinuousMap,
     FiniteTopSpace,
     _Presentation,
     _presentation,
+    _space_listing,
     continuous_map,
     from_preorder,
     set_label,
@@ -87,8 +91,20 @@ def is_jointly_surjective(family, target: FinSet | None = None) -> bool:
     return len(set().union(*(f.images for f in family))) == target.n
 
 
+# the most vertices a simplex may have: its 2^m - 1 faces fit the budget
+_MAX_VERTICES = (DEFAULT_BUDGET + 1).bit_length() - 1
+
+
+def _too_many_faces(what: str, count: str) -> BudgetExceeded:
+    return BudgetExceeded(f"face count: {what} has {count} faces, over the "
+                          f"element budget {DEFAULT_BUDGET}")
+
+
 def _subsets(A: FinSet):
     """Nonempty subsets of A in canonical order: by size, then position."""
+    if A.n > _MAX_VERTICES:
+        raise _too_many_faces(f"a simplex of dimension {A.n - 1}",
+                              f"2^{A.n} - 1")
     out = []
     for size in range(1, A.n + 1):
         out.extend(frozenset(c)
@@ -224,7 +240,8 @@ class AbstractSimplicialComplex(_Record):
 
 def asc(vertices, generating_faces) -> AbstractSimplicialComplex:
     """Close the generating faces under nonempty subsets; every vertex must
-    appear in some face."""
+    appear in some face.  More than `DEFAULT_BUDGET` faces are refused
+    with BudgetExceeded before they are listed."""
     vertices = tuple(vertices)
     if len(set(vertices)) != len(vertices):
         raise FinSetError("duplicate vertex label")
@@ -237,10 +254,15 @@ def asc(vertices, generating_faces) -> AbstractSimplicialComplex:
                 raise FinSetError(f"face uses unknown vertex {v!r}")
             members.append(index[v])
         members = frozenset(members)
+        if len(members) > _MAX_VERTICES:
+            raise _too_many_faces(f"a face on {len(members)} vertices",
+                                  f"2^{len(members)} - 1")
         for size in range(1, len(members) + 1):
             closed.update(frozenset(c)
                           for c in itertools.combinations(sorted(members),
                                                           size))
+        if len(closed) > DEFAULT_BUDGET:
+            raise _too_many_faces("the complex", f"at least {len(closed)}")
     covered = set().union(*closed) if closed else set()
     if covered != set(range(len(vertices))):
         raise FinSetError("every vertex must lie in some face")
@@ -393,3 +415,46 @@ def monodromy_wedge_counterexample() -> WedgeReport:
     return WedgeReport(closed, opened,
                        free=closed.n == opened.n,
                        witness="V <- U -> V")
+
+
+def _parse_asc(text: str) -> AbstractSimplicialComplex:
+    """The complex file format, read by `formats.read_asc`: a
+    `vertices: a b c` line, then `face: a b` lines; the subset closure is
+    computed automatically."""
+    from .formats import FormatError, _keyword, _logical_lines
+
+    lines = _logical_lines(text)
+    if not lines:
+        raise FormatError("empty complex file")
+    vertices = _keyword(lines[0], "vertices")
+    faces = [_keyword(line, "face") for line in lines[1:]]
+    try:
+        return asc(vertices, faces)
+    except FinSetError as e:
+        raise FormatError(str(e)) from None
+
+
+# The `simplex` command, run by `cli.main`
+def _cmd_simplex(ns):
+    if ns.n is not None:
+        if ns.n >= _MAX_VERTICES:  # refused before its labels are made
+            raise _too_many_faces(f"a simplex of dimension {ns.n}",
+                                  f"2^{ns.n + 1} - 1")
+        A = finset(tuple(f"v{i}" for i in range(ns.n + 1)))
+        space = simplex_space(A)
+        head = f"simplex of dimension {ns.n}: {_count(space.n)}"
+    else:
+        from .formats import read_asc
+
+        K = read_asc(ns.file)
+        space = face_space(K)
+        head = (f"complex with {len(K.faces)} faces: "
+                f"{_count(space.n)}")
+    closed = [space.points[p] for p in range(space.n)
+              if space.is_closed(frozenset([p]))]
+    listing, space_data = _space_listing(space, ns.dot)
+    lines = [head] + listing
+    lines.append("closed points: " + " ".join(closed))
+    data = {"closed_points": closed}
+    data.update(space_data)
+    return 0, lines, data

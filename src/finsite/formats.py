@@ -1,14 +1,14 @@
-"""Flat-file formats: semiring tables, cover families, chart
-presentations, lattice dumps, and simplicial complex descriptions.
+"""Flat files: the tokenizer every format shares, reading and writing
+text, and the semiring table format.  Each other format is parsed in the
+module whose records it builds (covers in `site`, presentations in
+`glue`, lattice dumps in `locales`, complexes in `finset`); its reader
+here hands that module the file's text, so a command compiles its own
+format and no other.  The package binds `semiring` here without running
+it, so `stone` and `simplex` load no `semiring`.
 
 Every reader is whitespace-tolerant (blank lines are skipped, any run of
 whitespace separates tokens) and every writer emits the same format it
 reads, so localized tables and lattice dumps can be fed back in.
-
-Each reader loads the module it builds values of when it is called: the
-package binds `semiring` here without running it, and the readers import
-the others, so a command loads just the modules it uses, and `stone` and
-`simplex` load no `semiring`.
 """
 
 from __future__ import annotations
@@ -132,152 +132,32 @@ def read_semiring(path: str) -> FiniteSemiring:
 
 
 def read_cover(path: str) -> CoverFamily:
-    """Cover file: a `semiring: <path>` reference (relative to the cover
-    file) plus a `cover: h1 h2 ...` line of element labels."""
-    from .site import cover_family
+    """Cover file, parsed by `site._parse_cover`."""
+    from .site import _parse_cover
 
-    lines = _logical_lines(_read_text(path))
-    if len(lines) != 2:
-        raise FormatError("cover file needs a semiring line and a cover line")
-    ref = _keyword(lines[0], "semiring")
-    if len(ref) != 1:
-        raise FormatError("the semiring line names exactly one file")
-    R = read_semiring(os.path.join(os.path.dirname(path) or ".", ref[0]))
-    labels = _keyword(lines[1], "cover")
-    try:
-        return cover_family(R, tuple(R.index(t) for t in labels))
-    except semiring.SemiringError as e:
-        raise FormatError(str(e)) from None
-
-
-def _label(R: FiniteSemiring, token: str) -> int:
-    if token not in R.elements:
-        raise FormatError(f"unknown element label {token!r}")
-    return R.elements.index(token)
+    return _parse_cover(_read_text(path), os.path.dirname(path) or ".")
 
 
 def read_presentation(path: str) -> SPresentation:
-    """Presentation file: `node <name> <semiring-file>` lines, then
-    `arrow <src> <dst> localize-at <element>` or
-    `arrow <src> <dst> map <label-list>` lines.  An arrow src -> dst
-    carries the algebra map of its head chart into its tail chart.  Each
-    file is read once, and nodes with equal semirings share one object."""
-    from .glue import presentation
+    """Presentation file, parsed by `glue._parse_presentation`."""
+    from .glue import _parse_presentation
 
-    lines = _logical_lines(_read_text(path))
-    base = os.path.dirname(path) or "."
-    files: dict[str, FiniteSemiring] = {}
-    canon: dict[FiniteSemiring, FiniteSemiring] = {}
-    table: dict[str, FiniteSemiring] = {}
-    arrows = []
-    for line in lines:
-        if line[0] == "node":
-            if len(line) != 3:
-                raise FormatError("node lines read: node <name> <file>")
-            name, ref = line[1], os.path.join(base, line[2])
-            if name in table:
-                raise FormatError(f"duplicate node name {name!r}")
-            if ref not in files:
-                R = read_semiring(ref)
-                files[ref] = canon.setdefault(R, R)
-            table[name] = files[ref]
-        elif line[0] == "arrow":
-            if len(line) < 4:
-                raise FormatError("arrow lines read: arrow <src> <dst> ...")
-            src, dst, kind = line[1], line[2], line[3]
-            if src not in table or dst not in table:
-                raise FormatError(f"arrow endpoint {src!r} or {dst!r} "
-                                  "is not a declared node")
-            if kind == "localize-at":
-                if len(line) != 5:
-                    raise FormatError("localize-at takes one element label")
-                loc = semiring.localize(table[dst],
-                                        _label(table[dst], line[4]))
-                h = loc.to_local
-                if loc.semiring != table[src]:
-                    iso = semiring.find_isomorphism(loc.semiring, table[src])
-                    if iso is None:
-                        raise FormatError(
-                            f"node {src!r} does not carry the localization "
-                            f"of {dst!r} at {line[4]!r}")
-                    h = iso.compose(h)
-            elif kind == "map":
-                images = line[4:]
-                if len(images) != table[dst].n:
-                    raise FormatError(
-                        f"map needs {table[dst].n} image labels")
-                h = semiring.SemiringHom(
-                    table[dst], table[src],
-                    tuple(_label(table[src], t) for t in images))
-                if semiring.hom_violation(h) is not None:
-                    raise FormatError(
-                        f"arrow {src} -> {dst} map does not preserve "
-                        "the operations")
-            else:
-                raise FormatError(f"unknown arrow kind {kind!r}")
-            arrows.append((src, dst, h))
-        else:
-            raise FormatError(f"unknown directive {line[0]!r}")
-    return presentation(table, arrows)
-
-
-def render_lattice(L: FiniteFrame) -> str:
-    """Hasse edge list, one `a < b` covering pair per line; a one-element
-    frame has no pairs, so its lone label makes the one line."""
-    lines = [f"{L.elements[a]} < {L.elements[b]}" for a, b in L.covers()]
-    return "\n".join(lines or L.elements) + "\n"
-
-
-def parse_lattice(text: str) -> FiniteFrame:
-    from .locales import FrameError, frame_from_covers
-
-    lines = _logical_lines(text)
-    order: list[str] = []
-    seen = set()
-    pairs = []
-    for line in lines:
-        if len(line) == 3 and line[1] == "<":
-            if line[0] == line[2]:
-                raise FormatError(f"cover pair repeats label {line[0]!r}")
-            pairs.append((line[0], line[2]))
-        elif len(line) != 1:
-            raise FormatError(f"lattice lines read: a < b or a lone label, "
-                              f"got {' '.join(line)!r}")
-        # the labels: a pair's two ends, or the lone label
-        for label in line[::2]:
-            if label not in seen:
-                seen.add(label)
-                order.append(label)
-    if not order:
-        raise FormatError("empty lattice dump")
-    index = {e: i for i, e in enumerate(order)}
-    try:
-        return frame_from_covers(tuple(order),
-                                 [(index[a], index[b]) for a, b in pairs])
-    except FrameError as e:
-        raise FormatError(str(e)) from None
+    return _parse_presentation(_read_text(path), os.path.dirname(path) or ".")
 
 
 def read_lattice(path: str) -> FiniteFrame:
-    return parse_lattice(_read_text(path))
+    """Lattice dump, parsed by `locales._parse_lattice`."""
+    text = _read_text(path)  # a file that cannot be read loads no locales
+    from .locales import _parse_lattice
+
+    return _parse_lattice(text)
 
 
 def read_asc(path: str) -> AbstractSimplicialComplex:
-    """ASC file: a `vertices: a b c` line, then `face: a b` lines; the
-    subset closure is computed automatically."""
-    from .finset import FinSetError, asc
+    """Complex file, parsed by `finset._parse_asc`."""
+    from .finset import _parse_asc
 
-    lines = _logical_lines(_read_text(path))
-    if not lines:
-        raise FormatError("empty complex file")
-    vertices = _keyword(lines[0], "vertices")
-    faces = []
-    for line in lines[1:]:
-        faces.append(_keyword(line, "face"))
-    try:
-        return asc(vertices, faces)
-    except FinSetError as e:
-        raise FormatError(str(e)) from None
+    return _parse_asc(_read_text(path))
 
 
 def write_text(path: str, text: str) -> None:

@@ -18,16 +18,20 @@ space joins the charts' spaces of one visualization along the maps
 `spectra.visualization_map` pulls back along the arrows' algebra maps,
 through `colimit.glue_along_maps`.
 Only the atlas of a cover family (`affine_glue_check`) loads `site`, so
-the `glue` command loads neither `site` nor `locales`.
+the `glue` command loads neither `site` nor `locales`.  The presentation
+file format and the `glue` handler end the module.
 """
 
 from __future__ import annotations
 
+import os
 from typing import TYPE_CHECKING
 
 from .colimit import colimit, glue_along_maps
-from .records import DEFAULT_BUDGET, VISUALIZATIONS, InvariantError, _Record
-from .semiring import BudgetExceeded, SemiringHom, is_finite_localization
+from .records import (DEFAULT_BUDGET, VISUALIZATIONS, BudgetExceeded,
+                      InvariantError, _count, _Record)
+from .semiring import (SemiringHom, find_isomorphism, hom_violation,
+                       is_finite_localization, localize)
 from .spectra import (
     CHAIN_LEVELS,
     localization_spectrum_map,
@@ -41,10 +45,12 @@ from .topology import (
     FiniteTopSpace,
     _Presentation,
     _presentation,
+    _space_listing,
     continuous_map,
 )
 
 if TYPE_CHECKING:
+    from .semiring import FiniteSemiring
     from .site import CoverFamily
 
 
@@ -334,3 +340,102 @@ def _map_out_of(glued: GluedSpace, target: FiniteTopSpace, legs,
     if None in images:
         raise InvariantError(missing)
     return continuous_map(glued.space, target, tuple(images))
+
+
+def _parse_presentation(text: str, base: str) -> SPresentation:
+    """The presentation file format, read by `formats.read_presentation`:
+    `node <name> <semiring-file>` lines, the files relative to the
+    directory `base`, then `arrow <src> <dst> localize-at <element>` or
+    `arrow <src> <dst> map <label-list>` lines.  An arrow src -> dst
+    carries the algebra map of its head chart into its tail chart.  Each
+    file is read once, and nodes with equal semirings share one object."""
+    from .formats import FormatError, _logical_lines, read_semiring
+
+    def label(R: FiniteSemiring, token: str) -> int:
+        if token not in R.elements:
+            raise FormatError(f"unknown element label {token!r}")
+        return R.elements.index(token)
+
+    files: dict[str, FiniteSemiring] = {}
+    canon: dict[FiniteSemiring, FiniteSemiring] = {}
+    table: dict[str, FiniteSemiring] = {}
+    arrows = []
+    for line in _logical_lines(text):
+        if line[0] == "node":
+            if len(line) != 3:
+                raise FormatError("node lines read: node <name> <file>")
+            name, ref = line[1], os.path.join(base, line[2])
+            if name in table:
+                raise FormatError(f"duplicate node name {name!r}")
+            if ref not in files:
+                R = read_semiring(ref)
+                files[ref] = canon.setdefault(R, R)
+            table[name] = files[ref]
+        elif line[0] == "arrow":
+            if len(line) < 4:
+                raise FormatError("arrow lines read: arrow <src> <dst> ...")
+            src, dst, kind = line[1], line[2], line[3]
+            if src not in table or dst not in table:
+                raise FormatError(f"arrow endpoint {src!r} or {dst!r} "
+                                  "is not a declared node")
+            if kind == "localize-at":
+                if len(line) != 5:
+                    raise FormatError("localize-at takes one element label")
+                loc = localize(table[dst], label(table[dst], line[4]))
+                h = loc.to_local
+                if loc.semiring != table[src]:
+                    iso = find_isomorphism(loc.semiring, table[src])
+                    if iso is None:
+                        raise FormatError(
+                            f"node {src!r} does not carry the localization "
+                            f"of {dst!r} at {line[4]!r}")
+                    h = iso.compose(h)
+            elif kind == "map":
+                images = line[4:]
+                if len(images) != table[dst].n:
+                    raise FormatError(
+                        f"map needs {table[dst].n} image labels")
+                h = SemiringHom(table[dst], table[src],
+                                tuple(label(table[src], t) for t in images))
+                if hom_violation(h) is not None:
+                    raise FormatError(
+                        f"arrow {src} -> {dst} map does not preserve "
+                        "the operations")
+            else:
+                raise FormatError(f"unknown arrow kind {kind!r}")
+            arrows.append((src, dst, h))
+        else:
+            raise FormatError(f"unknown directive {line[0]!r}")
+    return presentation(table, arrows)
+
+
+# The `glue` command, run by `cli.main`
+def _cmd_glue(ns):
+    from .formats import read_presentation
+
+    P = read_presentation(ns.file)
+    report = is_monodromy_free(P, bound=ns.path_bound, budget=ns.budget)
+    lines = ["monodromy: " + report.verdict()]
+    data = {"monodromy": report.verdict(), "free": report.free,
+            "exhaustive": report.exhaustive,
+            "walks_checked": report.walks_checked}
+    if not report.free:
+        lines.insert(0, "refusing to glue")
+        data["refused"] = True
+        return 1, lines, data
+    G = _glue_checked(P, ns.vis, report)
+    lines.append(f"glued space ({ns.vis}): {_count(G.space.n)}")
+    table = G.point_table()
+    for label, prov in table:
+        lines.append(f"point {label} = "
+                     + " ".join(f"{c}:{p}" for c, p in prov))
+    # the point table replaces the listing's own point lines
+    listing, space_data = _space_listing(G.space, ns.dot)
+    lines += listing[G.space.n:]
+    data["vis"] = ns.vis
+    data["point_table"] = [{"label": label,
+                            "charts": [[c, p] for c, p in prov]}
+                           for label, prov in table]
+    data["opens"] = space_data["opens"]
+    data["specialization_edges"] = space_data["specialization_edges"]
+    return 0, lines, data

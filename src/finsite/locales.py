@@ -10,12 +10,13 @@ reads the masks off a space's least opens.  A space keeps its frame of
 opens, and a frame its Stone dual, in the record `records._memo` fills,
 built once on first use; equality, hash and repr ignore it.  Nothing
 here needs a semiring, so `stone` loads no `semiring`, and `locale` reads
-its frame off the prime spectrum without `site`.
+its frame off the prime spectrum without `site`.  The lattice-dump format
+and the handlers of `locale` and `stone` end the module.
 """
 
 from __future__ import annotations
 
-from .records import _memo, _Record
+from .records import _count, _memo, _Record
 from .topology import (
     ContinuousMap,
     FiniteTopSpace,
@@ -23,6 +24,7 @@ from .topology import (
     _converse,
     _mask,
     _restrict,
+    _space_listing,
     continuous_map,
     cover_pairs,
     from_preorder,
@@ -209,3 +211,77 @@ def spatiality_check(L: FiniteFrame) -> bool:
     order-reflecting.  It preserves meets, O_{a ^ b} = O_a & O_b, so
     injective is enough: O_a inside O_b gives O_{a ^ b} = O_a, so a <= b."""
     return len(set(L.masks)) == L.n
+
+
+# The lattice-dump format, read by `formats.read_lattice`: the Hasse edges,
+# one `a < b` covering pair per line, or the lone label of a one-element
+# frame.
+
+def _render_lattice(L: FiniteFrame) -> str:
+    """The dump of L, the format `_parse_lattice` reads back."""
+    lines = [f"{L.elements[a]} < {L.elements[b]}" for a, b in L.covers()]
+    return "\n".join(lines or L.elements) + "\n"
+
+
+def _parse_lattice(text: str) -> FiniteFrame:
+    from .formats import FormatError, _logical_lines
+
+    order: list[str] = []
+    seen = set()
+    pairs = []
+    for line in _logical_lines(text):
+        if len(line) == 3 and line[1] == "<":
+            if line[0] == line[2]:
+                raise FormatError(f"cover pair repeats label {line[0]!r}")
+            pairs.append((line[0], line[2]))
+        elif len(line) != 1:
+            raise FormatError(f"lattice lines read: a < b or a lone label, "
+                              f"got {' '.join(line)!r}")
+        # the labels: a pair's two ends, or the lone label
+        for label in line[::2]:
+            if label not in seen:
+                seen.add(label)
+                order.append(label)
+    if not order:
+        raise FormatError("empty lattice dump")
+    index = {e: i for i, e in enumerate(order)}
+    try:
+        return frame_from_covers(tuple(order),
+                                 [(index[a], index[b]) for a, b in pairs])
+    except FrameError as e:
+        raise FormatError(str(e)) from None
+
+
+# The `locale` and `stone` commands, run by `cli.main`
+def _cmd_locale(ns):
+    from .formats import read_semiring, write_text
+    from .spectra import prime_spectrum
+
+    frame = frame_of_opens(prime_spectrum(read_semiring(ns.file)).space)
+    dump = _render_lattice(frame)
+    data = {"elements": list(frame.elements),
+            "covers": [[frame.elements[a], frame.elements[b]]
+                       for a, b in frame.covers()],
+            "spatial": spatiality_check(frame)}
+    lines = [f"frame of spectrum opens: {_count(frame.n, 'element')}",
+             f"join-primes: {len(frame.join_primes())}",
+             "spatial: " + ("yes" if data["spatial"] else "no")]
+    lines += dump.splitlines()
+    if ns.dot:
+        write_text(ns.dot, dump)
+    return 0, lines, data
+
+
+def _cmd_stone(ns):
+    from .formats import read_lattice
+
+    frame = read_lattice(ns.file)
+    space, _ = stone_dual(frame)
+    sober = is_sober(space)[0]
+    data = {"sober": sober, "spatial": spatiality_check(frame)}
+    listing, space_data = _space_listing(space, ns.dot)
+    lines = [f"dual space: {_count(space.n)}"] + listing
+    lines += ["sober: " + ("yes" if sober else "no"),
+              "spatial: " + ("yes" if data["spatial"] else "no")]
+    data.update(space_data)
+    return 0, lines, data

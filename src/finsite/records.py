@@ -1,6 +1,6 @@
 """The record and map bases every value of finsite derives from, the
-per-record memo of derived data, the invariant error, and the names the
-command-line parser needs.
+per-record memo of derived data, the invariant and budget errors, the
+names the command-line parser needs, and the count every report prints.
 
 This module imports nothing of finsite, so a command that builds no
 semiring (`stone`, `simplex`) compiles no semiring code: each layer takes
@@ -13,7 +13,7 @@ from operator import attrgetter
 
 # Names the command-line parser needs, kept in the one module every command
 # loads: the congruence flavors, the five visualizations of a spectrum, and
-# the element budget of the monodromy check.
+# the element budget of the monodromy check and of face posets.
 FLAVORS = ("weak", "strong", "twisted")
 VISUALIZATIONS = ("prime", "k") + FLAVORS
 DEFAULT_BUDGET = 10_000
@@ -22,6 +22,16 @@ DEFAULT_BUDGET = 10_000
 class InvariantError(Exception):
     """A mathematical invariant the code relies on failed: a bug, not bad
     input.  Raised explicitly so that `python -O` keeps the check."""
+
+
+class BudgetExceeded(Exception):
+    """An enumeration past its element budget, refused before it is built:
+    a chart of a monodromy walk, or the faces of a simplex or complex."""
+
+
+def _count(n: int, word: str = "point") -> str:
+    """A count and its noun, as the reports print them."""
+    return f"{n} {word}" + ("" if n == 1 else "s")
 
 
 class _Record:

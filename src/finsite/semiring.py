@@ -3,19 +3,18 @@
 Elements are indices into a label tuple; `add` and `mul` are n-by-n index
 tables.  The one-element semiring (zero == one) is a legal value everywhere
 and is never special-cased away.  The record and map bases, the memo of
-derived data and the invariant error come from `records`, so commands
-that build no semiring do not compile this module.
+derived data and the invariant and budget errors come from `records`, so
+commands that build no semiring do not compile this module.  The
+handlers of `check` and `localize` end it.
 """
 
 from __future__ import annotations
 
-from .records import InvariantError, _Map, _memo, _Record
+import os
 
-
-class BudgetExceeded(Exception):
-    """A chart on a walk the monodromy check visits has more elements than
-    the element budget.  The check holds no table but those charts: one
-    union-find entry per element of each visit of the walk."""
+# BudgetExceeded is defined in `records` and keeps its name here
+from .records import (BudgetExceeded, InvariantError, _count, _Map, _memo,
+                      _Record)
 
 
 class SemiringError(Exception):
@@ -471,3 +470,40 @@ def is_finite_localization(h: SemiringHom) -> int | None:
         if len(set(zip(corner, h.images))) == len(set(corner)) == h.target.n:
             return x
     return None
+
+
+# The `check` and `localize` commands, run by `cli.main`
+def _cmd_check(ns):
+    from .formats import read_semiring
+
+    try:
+        R = read_semiring(ns.file)
+    except AxiomError as e:
+        lines = [f"invalid: {e.axiom} axiom fails",
+                 f"witness: {e.witness}"]
+        return 1, lines, {"valid": False, "axiom": e.axiom,
+                          "witness": list(e.witness)}
+    lines = [f"valid, {_count(R.n, 'element')}"]
+    return 0, lines, {"valid": True, "elements": R.n}
+
+
+def _cmd_localize(ns):
+    from .formats import FormatError, read_semiring, render_semiring
+
+    R = read_semiring(ns.file)
+    # labels are UTF-8, as in files, but argv was decoded by the locale
+    try:
+        element = os.fsencode(ns.element).decode("utf-8")
+    except UnicodeError:
+        element = ns.element
+    try:
+        h = R.index(element)
+    except SemiringError as e:
+        raise FormatError(str(e)) from None
+    T = localize(R, h).semiring
+    data = {"element": element, "size": T.n,
+            "elements": list(T.elements),
+            "zero": T.elements[T.zero], "one": T.elements[T.one],
+            "add": [[T.elements[v] for v in row] for row in T.add],
+            "mul": [[T.elements[v] for v in row] for row in T.mul]}
+    return 0, render_semiring(T).splitlines(), data

@@ -10,10 +10,12 @@ finite-set site shares: `matching_tuples` and `descent_verdict`.  Only
 the descent check and the sections over an open load `colimit`, so
 `verify` does not, and only `lambda_X` and `theorem_A_check` load
 `locales`, so `sheaf-check` does not; `locale` loads no `site` at all.
+The cover file format and the `sheaf-check` handler end the module.
 """
 
 from __future__ import annotations
 
+import os
 from typing import TYPE_CHECKING
 
 from . import colimit
@@ -252,3 +254,43 @@ def principal_open_props_check(entries) -> dict:
     report["all_pass"] = all(r["pass"] for rows in (p1, p2, p3)
                              for r in rows)
     return report
+
+
+def _parse_cover(text: str, base: str) -> CoverFamily:
+    """The cover file format, read by `formats.read_cover`: a
+    `semiring: <path>` reference, relative to the directory `base` of the
+    cover file, plus a `cover: h1 h2 ...` line of element labels."""
+    from .formats import FormatError, _keyword, _logical_lines, read_semiring
+
+    lines = _logical_lines(text)
+    if len(lines) != 2:
+        raise FormatError("cover file needs a semiring line and a cover line")
+    ref = _keyword(lines[0], "semiring")
+    if len(ref) != 1:
+        raise FormatError("the semiring line names exactly one file")
+    R = read_semiring(os.path.join(base, ref[0]))
+    labels = _keyword(lines[1], "cover")
+    try:
+        return cover_family(R, tuple(R.index(t) for t in labels))
+    except SemiringError as e:
+        raise FormatError(str(e)) from None
+
+
+# The `sheaf-check` command, run by `cli.main`
+def _cmd_sheaf_check(ns):
+    from .catalog import catalog
+    from .formats import read_cover
+
+    S = read_cover(ns.file)
+    rows = [("covers spectrum", covers(S), "")]
+    for name, Y in catalog():
+        ok, witness = sheaf_axiom_check(S, Y)
+        rows.append((f"descent vs {name}", ok, "" if ok else str(witness)))
+    failures = sum(1 for _, ok, _ in rows if not ok)
+    lines = [f"{label}: " + ("pass" if ok else f"fail {note}".rstrip())
+             for label, ok, note in rows]
+    lines.append(f"{len(rows)} checks, {failures} failures")
+    data = {"rows": [{"check": label, "result": "pass" if ok else "fail",
+                      "witness": note} for label, ok, note in rows],
+            "failures": failures}
+    return (1 if failures else 0), lines, data

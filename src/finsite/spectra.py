@@ -10,12 +10,13 @@ avoiding h generate, as refinement's are those the U_{a,b} = congruences
 separating a and b generate.  A record keeps each level's points, labels
 and order, its space built from these alone, and its map down only where a
 chain map is used; a hom's map of a level pulls every point back and is
-kept in its target's record.
+kept in its target's record.  The handlers of `spectrum` and
+`congruences` end the module.
 """
 
 from __future__ import annotations
 
-from .records import FLAVORS, InvariantError, _memo, _Record
+from .records import FLAVORS, InvariantError, _count, _memo, _Record
 from .semiring import (
     Congruence,
     FiniteSemiring,
@@ -30,6 +31,7 @@ from .topology import (
     ContinuousMap,
     FiniteTopSpace,
     _restrict,
+    _space_listing,
     _space_of_order,
     continuous_map,
     set_label,
@@ -386,3 +388,59 @@ def spectrum_report(R: FiniteSemiring) -> dict:
         for name, m in zip(("twisted_to_strong", "strong_to_weak",
                             "weak_to_k", "k_to_prime"), chain.maps)}
     return report
+
+
+# The `spectrum` and `congruences` commands, run by `cli.main`
+def _cmd_spectrum(ns):
+    from .formats import read_semiring
+
+    R = read_semiring(ns.file)
+    spec = prime_spectrum(R)
+    space = visualization_space(R, ns.flavor)
+    basic = None
+    if ns.flavor in ("prime", "k"):
+        under = k_spectrum(R)[1].images if ns.flavor == "k" else range(space.n)
+        basic = {R.elements[h]: sorted(space.points[i]
+                                       for i, p in enumerate(under)
+                                       if p in spec.basic_open(h))
+                 for h in range(R.n)}
+    discrete = len(space.open_masks) == 2 ** space.n
+    head = _count(space.n) + (", discrete" if discrete else "")
+    listing, space_data = _space_listing(space, ns.dot)
+    lines = [f"flavor: {ns.flavor}", head] + listing
+    if basic is not None:
+        lines += [f"basic open {e}: " + "{" + ",".join(pts) + "}"
+                  for e, pts in basic.items()]
+    data = {"flavor": ns.flavor, "discrete": discrete}
+    data.update(space_data)
+    if basic is not None:
+        data["basic_opens"] = basic
+    return 0, lines, data
+
+
+def _cmd_congruences(ns):
+    from .formats import read_semiring
+
+    report = spectrum_report(read_semiring(ns.file))
+    lines = [
+        f"elements: {len(report['elements'])}",
+        f"ideals: {report['ideal_count']}",
+        f"k-ideals: {report['k_ideal_count']}",
+        f"prime ideals: {report['prime_count']}",
+        "primes: " + " ".join("{" + ",".join(p) + "}"
+                              for p in report["primes"]),
+        f"prime k-points: {report['k_prime_count']}",
+        f"weak congruence points: {report['weak_count']}",
+        f"strong congruence points: {report['strong_count']}",
+        f"twisted congruence points: {report['twisted_count']}",
+        "kernel map surjective: "
+        + ("yes" if report["kernel_map_surjective"] else "no"),
+        "unreached k-points: "
+        + (" ".join(report["unreached_k_points"])
+           if report["unreached_k_points"] else "none"),
+        f"open sets: {report['open_set_count']}",
+    ]
+    for name, table in report["chain_maps"].items():
+        for src, dst in table:
+            lines.append(f"{name}: {src} -> {dst}")
+    return 0, lines, report

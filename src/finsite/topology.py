@@ -368,3 +368,22 @@ def _presentation(cls, nodes, arrows, check):
         packed.append((si, di, check(f"arrow {src} -> {dst}", charts[si],
                                      charts[di], m)))
     return cls(names, charts, tuple(packed))
+
+
+def _space_listing(space, dot=None) -> tuple[list[str], dict]:
+    """Report lines and structured data of a space, from one listing of its
+    opens and covering edges; writes the `--dot` file when `dot` is set."""
+    opens = space.sorted_opens()
+    edges = space.specialization_edges()
+    if dot:
+        from .formats import write_text
+
+        write_text(dot, space.specialization_dot(edges))
+    lines = [f"point {p}" for p in space.points]
+    lines += [f"open {set_label(space.points, u)}" for u in opens]
+    lines += [f"edge {a} -> {b}" for a, b in edges]
+    return lines, {
+        "points": list(space.points),
+        "opens": [sorted(space.points[x] for x in u) for u in opens],
+        "specialization_edges": [[a, b] for a, b in edges],
+    }

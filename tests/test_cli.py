@@ -29,8 +29,8 @@ import finsite.spectra
 from finsite.catalog import (boolean, boolean_pair, chain,
                              truncated_naturals, zmod)
 from finsite.cli import main
-from finsite.formats import (parse_lattice, parse_semiring,
-                             read_presentation, render_semiring)
+from finsite.formats import (parse_semiring, read_lattice, read_presentation,
+                             render_semiring)
 from finsite.glue import VISUALIZATIONS, glue_space
 from finsite.semiring import localize, validate_semiring
 
@@ -170,7 +170,7 @@ def test_one_element_frame_round_trips(workdir, capsys):
     assert code == 0
     assert out.splitlines()[0] == "frame of spectrum opens: 1 element"
     assert dump.read_text() == "{}\n"
-    assert parse_lattice(dump.read_text()).elements == ("{}",)
+    assert read_lattice(str(dump)).elements == ("{}",)
     code, out, _ = run(capsys, "stone", str(dump))
     assert code == 0
     assert out.splitlines()[0] == "dual space: 0 points"
@@ -614,11 +614,11 @@ def test_file_commands_on_every_census_semiring(tmp_path):
         runs += [("spectrum", {"flavor": vis, "dot": None})
                  for vis in VISUALIZATIONS]
         for command, options in runs:
-            code, _, _ = finsite.cli.HANDLERS[command](
+            code, _, _ = finsite.cli._handler(command)(
                 argparse.Namespace(file=path, **options))
             codes[code] += 1
             assert code == 0 or command != "spectrum", (i, options)
-        code, _, data = finsite.cli.HANDLERS["stone"](
+        code, _, data = finsite.cli._handler("stone")(
             argparse.Namespace(file=dump, dot=None))
         assert (code, data["sober"], data["spatial"]) == (0, True, True), i
         codes[code] += 1
@@ -642,6 +642,43 @@ def test_simplex_requires_one_input(workdir, capsys):
         main(["simplex"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# Past the element budget, the faces of a simplex or of a complex are
+# refused before any is listed: exit 3, with the phase and the count.  The
+# child runs under a 1 GiB address-space limit, so code that lists them
+# ends in a MemoryError rather than taking the machine's memory.
+@pytest.mark.parametrize("argv, text, message", [
+    (("simplex", "--n", "30"), None,
+     "a simplex of dimension 30 has 2^31 - 1 faces, over"),
+    (("simplex", "big.cx"),
+     "vertices: " + " ".join(f"v{i}" for i in range(30)) + "\nface: "
+     + " ".join(f"v{i}" for i in range(30)) + "\n",
+     "a face on 30 vertices has 2^30 - 1 faces, over"),
+    (("simplex", "two.cx"),
+     "vertices: " + " ".join(f"v{i}" for i in range(26)) + "\nface: "
+     + " ".join(f"v{i}" for i in range(13)) + "\nface: "
+     + " ".join(f"v{i}" for i in range(13, 26)) + "\n",
+     "the complex has at least 16382 faces, over"),
+], ids=["simplex", "one-face", "two-faces"])
+def test_face_posets_past_the_budget_exit_3(workdir, argv, text, message):
+    if text is not None:
+        (workdir / argv[1]).write_text(text)
+    code = ("import resource, sys, types\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from finsite.cli import main\n"
+            "status = main(sys.argv[1:])\n"
+            "print(*sorted(n for n, m in list(sys.modules.items())\n"
+            "              if n.partition('.')[0] == 'finsite'\n"
+            "              and type(m) is types.ModuleType))\n"
+            "sys.exit(status)\n")
+    r = subprocess.run([sys.executable, "-c", code, *argv], cwd=workdir,
+                       env=_child_env(), capture_output=True, text=True,
+                       timeout=60)
+    assert (r.returncode, r.stderr) == (
+        3, f"error: face count: {message} the element budget 10000\n")
+    # the budget error is a `records` class: no `semiring` is loaded
+    assert "finsite.semiring" not in r.stdout.split()
 
 
 @pytest.mark.parametrize("argv", [
@@ -703,7 +740,7 @@ def test_one_command_parser_reads_as_the_full_one(argv, capsys):
 # argument and in the top-level one otherwise, which names every command
 @pytest.mark.parametrize("argv", [
     [name, flag] for flag in ("--help", "--bogus")
-    for name in finsite.cli.HANDLERS] + [
+    for name in finsite.cli.COMMANDS] + [
     ["spectrum", "--flavor", "bogus"], ["glue", "--budget", "-1"],
     ["check", "z6.sr", "extra"]], ids=" ".join)
 def test_one_command_parser_prints_as_the_full_one(argv, capsys):
@@ -718,7 +755,7 @@ def test_help_lists_every_command(capsys):
     # each command's line is indented by four spaces, its help by more
     listed = [line.split()[0] for line in out.splitlines()
               if line.startswith("    ") and not line.startswith("     ")]
-    assert listed == list(finsite.cli.HANDLERS)
+    assert listed == list(finsite.cli.COMMANDS)
     assert len(listed) == 11
 
 
@@ -867,7 +904,7 @@ def test_error_exit_codes(workdir, capsys, monkeypatch, error):
     def fail(ns):
         raise error
 
-    monkeypatch.setitem(finsite.cli.HANDLERS, "check", fail)
+    monkeypatch.setattr(finsite.semiring, "_cmd_check", fail)
     assert main(["check", str(workdir / "b.sr")]) == 1
     assert capsys.readouterr().err == f"error: {error}\n"
 
@@ -876,7 +913,7 @@ def test_unexpected_error_propagates(workdir, monkeypatch):
     def fail(ns):
         raise KeyError("bug")
 
-    monkeypatch.setitem(finsite.cli.HANDLERS, "check", fail)
+    monkeypatch.setattr(finsite.semiring, "_cmd_check", fail)
     with pytest.raises(KeyError):
         main(["check", str(workdir / "b.sr")])
 
@@ -1056,6 +1093,8 @@ def test_a_failing_light_command_loads_nothing_more(workdir):
 
 def _command_inputs(workdir):
     (workdir / "chain.lat").write_text("0 < a\na < 1\n")
+    (workdir / "hollow.cx").write_text(
+        "vertices: a b c\nface: a b\nface: a c\nface: b c\n")
     (workdir / "cov.txt").write_text("semiring: z6.sr\ncover: 2 3\n")
     (workdir / "doubled.pres").write_text(
         "node A z6.sr\nnode B z6.sr\nnode O o.sr\n"
@@ -1095,11 +1134,27 @@ def test_no_command_loads_dataclasses_inspect_or_pkgutil(workdir, argv):
         argv[0] in ("glue", "sheaf-check", "claims"))
 
 
+# Each command's handler lives in the module of the layer it drives and
+# each file format's parser in the module whose records it builds; moving
+# one there must not make a command run any module it did not run before.
 @pytest.mark.parametrize("argv, layers", [
-    (("simplex", "--n", "3"), "finset topology"),
-    (("stone", "chain.lat"), "formats locales topology"),
+    (("check", "z6.sr"), "formats semiring"),
+    (("spectrum", "z6.sr"), "formats semiring spectra topology"),
+    (("congruences", "z6.sr"), "formats semiring spectra topology"),
     (("locale", "z6.sr"), "formats locales semiring spectra topology"),
-], ids=["simplex", "stone", "locale"])
+    (("stone", "chain.lat"), "formats locales topology"),
+    (("localize", "z6.sr", "2"), "formats semiring"),
+    (("sheaf-check", "cov.txt"),
+     "catalog colimit formats semiring site spectra topology"),
+    (("verify",), "checks formats locales semiring site spectra topology"),
+    (("glue", "doubled.pres"),
+     "colimit formats glue semiring spectra topology"),
+    (("simplex", "--n", "3"), "finset topology"),
+    (("simplex", "hollow.cx"), "finset formats topology"),
+    (("claims",),
+     "catalog checks colimit finset glue semiring site spectra topology"),
+], ids=["check", "spectrum", "congruences", "locale", "stone", "localize",
+        "sheaf-check", "verify", "glue", "simplex", "simplex-file", "claims"])
 def test_commands_execute_exactly_their_layers(workdir, argv, layers):
     # beside the package, `cli` and the `records` every layer derives from
     _command_inputs(workdir)

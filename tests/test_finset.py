@@ -30,6 +30,7 @@ from finsite.finset import (
     _subset_orbit_reps,
 )
 from finsite.locales import is_sober, sobrification_unit
+from finsite.records import BudgetExceeded
 from finsite.spectra import congruence_spectrum
 
 from oracles import (all_injection_families, contains_bijection,
@@ -126,6 +127,18 @@ def test_simplex_on_two_vertices_matches_its_locale_points():
 def test_simplex_needs_a_vertex():
     with pytest.raises(FinSetError):
         simplex_space(finset(()))
+
+
+def test_face_lists_stop_at_the_element_budget():
+    # 2^13 - 1 = 8191 faces fit the budget of 10,000 and 2^14 - 1 do not:
+    # those are refused before any face is listed
+    A, B = (finset(tuple(f"v{i}" for i in range(n))) for n in (13, 14))
+    assert len(finsite.finset._subsets(A)) == 8191
+    assert len(asc(A.labels, [A.labels]).faces) == 8191
+    with pytest.raises(BudgetExceeded, match="a simplex of dimension 13 "):
+        simplex_space(B)
+    with pytest.raises(BudgetExceeded, match="a face on 14 vertices "):
+        asc(B.labels, [B.labels])
 
 
 def test_asc_closure_and_validation():

@@ -16,17 +16,15 @@ from finsite.catalog import catalog, zmod
 from finsite.cli import main
 from finsite.formats import (
     FormatError,
-    parse_lattice,
     parse_semiring,
     read_asc,
     read_cover,
     read_lattice,
     read_presentation,
     read_semiring,
-    render_lattice,
     render_semiring,
 )
-from finsite.locales import frame_of_opens
+from finsite.locales import _parse_lattice, _render_lattice, frame_of_opens
 from finsite.records import InvariantError
 from finsite.semiring import AxiomError, localize
 from finsite.site import lambda_X
@@ -125,25 +123,25 @@ def test_presentation_file_map_arrow(tmp_path):
 def test_lattice_round_trip():
     for R in (zmod(6), zmod(2)):
         frame, _ = lambda_X(R)
-        dump = render_lattice(frame)
-        back = parse_lattice(dump)
+        dump = _render_lattice(frame)
+        back = _parse_lattice(dump)
         assert sorted(back.elements) == sorted(frame.elements)
         assert len(back.covers()) == len(frame.covers())
-        assert render_lattice(back) == dump
+        assert _render_lattice(back) == dump
 
 
 def test_lattice_of_opens_round_trip():
     space = prime_spectrum(zmod(6)).space
     frame = frame_of_opens(space)
-    back = parse_lattice(render_lattice(frame))
+    back = _parse_lattice(_render_lattice(frame))
     assert back.n == frame.n
 
 
 def test_lattice_parse_errors():
     with pytest.raises(FormatError):
-        parse_lattice("")
+        _parse_lattice("")
     with pytest.raises(FormatError):
-        parse_lattice("a <\n")
+        _parse_lattice("a <\n")
 
 
 def test_asc_file(tmp_path):

@@ -75,8 +75,9 @@ def test_no_module_uses_cached_property():
 
 # A top-level function or class of `src/finsite` stays only if a command,
 # the benchmark or a kept definition reaches it.  The roots are `cli.main`,
-# every module-level statement that defines nothing (`cli.HANDLERS`,
-# `cli.EXIT_CODES` and the `__main__` guards among them), and the finsite
+# every module-level statement that defines nothing (`cli.COMMANDS`, whose
+# handler names are "finsite.module.function" strings, `cli.EXIT_CODES`
+# and the `__main__` guards among them), and the finsite
 # names that the benchmark's case runner, driver and span keys use.
 BENCH = Path(__file__).parent.parent / "perfbench"
 BENCH_FILES = ("cases.py", "run.py", "spans.py")
@@ -163,3 +164,24 @@ def test_every_definition_is_reached_from_a_command_or_the_benchmark():
     defs, reached = _reachability()
     assert sorted(f"{mod}.{name}" for mod, name in defs.keys() - reached) \
         == []
+
+
+def test_every_finsite_name_the_benchmark_calls_resolves():
+    # `_reachability` drops a name that does not resolve, so a definition
+    # moved out of the module the benchmark calls it in would pass the test
+    # above while the benchmark fails; `fs` is the finsite package there
+    names = set()
+    for name in ("cases.py", "run.py"):
+        tree = ast.parse((BENCH / name).read_text(encoding="utf-8"))
+        for sub in ast.walk(tree):
+            if (isinstance(sub, ast.Attribute)
+                    and isinstance(sub.value, ast.Attribute)
+                    and "fs" in (getattr(sub.value.value, "id", None),
+                                 getattr(sub.value.value, "attr", None))):
+                names.add((sub.value.attr, sub.attr))
+    assert {("formats", "read_presentation"),
+            ("spectra", "congruence_spectrum"),
+            ("semiring", "enumerate_congruences")} <= names
+    assert sorted(f"{mod}.{attr}" for mod, attr in names
+                  if not hasattr(importlib.import_module(f"finsite.{mod}"),
+                                 attr)) == []
