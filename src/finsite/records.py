@@ -13,7 +13,8 @@ from operator import attrgetter
 
 # Names the command-line parser needs, kept in the one module every command
 # loads: the congruence flavors, the five visualizations of a spectrum, and
-# the element budget of the monodromy check and of face posets.
+# the element budget of the monodromy check, of face posets and of the
+# opens listing.
 FLAVORS = ("weak", "strong", "twisted")
 VISUALIZATIONS = ("prime", "k") + FLAVORS
 DEFAULT_BUDGET = 10_000
@@ -26,7 +27,8 @@ class InvariantError(Exception):
 
 class BudgetExceeded(Exception):
     """An enumeration past its element budget, refused before it is built:
-    a chart of a monodromy walk, or the faces of a simplex or complex."""
+    a chart of a monodromy walk, the faces of a simplex or complex, or the
+    opens of a finite space."""
 
 
 def _count(n: int, word: str = "point") -> str:

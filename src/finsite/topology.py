@@ -5,7 +5,9 @@ closure of x, opens are the down-sets (stable under passing to more generic
 points), closed points sit at the top.  A space stores its specialization
 order as int-bitmask rows, sets each point's least open at construction,
 and lists its opens, the down-sets, only when a caller asks for them,
-keeping the listing in its derived data (`records._memo`).  Every
+keeping the listing in its derived data (`records._memo`).  The listing
+stops with `BudgetExceeded` as soon as it passes the element budget,
+`records.DEFAULT_BUDGET` opens.  Every
 operation works on the order: least opens are down-sets, closed sets
 up-sets, continuity is monotonicity, a subspace is the restricted order
 (`_restrict`) and a glued space (`colimit.glue_along_maps`) the
@@ -22,7 +24,7 @@ not load.
 
 from __future__ import annotations
 
-from .records import _Map, _memo, _Record
+from .records import DEFAULT_BUDGET, BudgetExceeded, _Map, _memo, _Record
 
 
 class TopologyError(Exception):
@@ -94,6 +96,11 @@ class FiniteTopSpace(_Record):
         for least, c in clusters.items():
             strict = least & ~c
             downs += [d | c for d in downs if d & strict == strict]
+            if len(downs) > DEFAULT_BUDGET:
+                raise BudgetExceeded(
+                    f"opens listing: a space of {self.n} points has at "
+                    f"least {len(downs)} opens, over the element budget "
+                    f"{DEFAULT_BUDGET}")
         return tuple(sorted(downs, key=_listing_key))
 
     @property

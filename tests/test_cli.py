@@ -681,6 +681,21 @@ def test_face_posets_past_the_budget_exit_3(workdir, argv, text, message):
     assert "finsite.semiring" not in r.stdout.split()
 
 
+# Past the element budget, the opens of a space are refused while they are
+# listed: `simplex --n 5` and the weak spectrum of chain(7) each have 63
+# points and far more than 10,000 opens.
+@pytest.mark.parametrize("argv, count", [
+    (("simplex", "--n", "5"), 11797),
+    (("spectrum", "chain7.sr", "--flavor", "weak"), 11798),
+], ids=["simplex", "spectrum"])
+def test_opens_listing_past_the_budget_exit_3(workdir, capsys, argv, count):
+    (workdir / "chain7.sr").write_text(render_semiring(chain(7)))
+    argv = [str(workdir / a) if a.endswith(".sr") else a for a in argv]
+    assert run(capsys, *argv) == (
+        3, "", f"error: opens listing: a space of 63 points has at least "
+        f"{count} opens, over the element budget 10000\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("glue", "doubled.pres", "--path-bound", "-1"),
     ("glue", "doubled.pres", "--budget", "-5"),

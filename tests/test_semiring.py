@@ -17,7 +17,8 @@ from finsite.semiring import (AxiomError, Congruence, SemiringError,
                               hom_violation, is_finite_localization,
                               localize, product_semiring, validate_semiring)
 
-from oracles import (all_partitions, are_isomorphic, identity_hom,
+from census import census_upto
+from oracles import (are_isomorphic, identity_hom,
                      oracle_congruences, oracle_extend,
                      oracle_finite_localization, oracle_homs,
                      oracle_is_semiring, oracle_isomorphic,
@@ -167,7 +168,8 @@ def test_product_projections_are_homs():
 
 
 def test_congruence_enumeration_matches_partition_filter():
-    for name, R in CATALOG:
+    census = [(f"census {R.n}/{i}", R) for i, R in enumerate(census_upto(5))]
+    for name, R in CATALOG + census:
         got = [c.blocks for c in enumerate_congruences(R)]
         expected = sorted(oracle_congruences(R))
         assert got == expected, name
@@ -179,19 +181,28 @@ def test_frozen_congruence_counts():
                       "N2": 3, "N3": 4, "chain4": 8}
 
 
+def _least_stable_partition(R, congruences, pairs):
+    """The meet of every stable partition that relates each pair, as a
+    first-occurrence block vector."""
+    above = [c for c in congruences if all(c[a] == c[b] for a, b in pairs)]
+    ids: dict = {}
+    return tuple(ids.setdefault(tuple(c[x] for c in above), len(ids))
+                 for x in range(R.n))
+
+
 def test_congruence_closure_is_smallest():
-    for name, R in CATALOG:
+    # every set of at most two ordered pairs, (a, a) included
+    census = [(f"census {R.n}/{i}", R) for i, R in enumerate(census_upto(4))]
+    for name, R in CATALOG + census:
         if R.n > 4:
             continue
-        all_congs = [c for c in all_partitions(R.n)
-                     if oracle_stable_partition(R, c)]
-        for a in range(R.n):
-            for b in range(a + 1, R.n):
-                got = congruence_closure(R, [(a, b)]).blocks
-                best = [c for c in all_congs if c[a] == c[b]]
-                smallest = min(best, key=lambda c: -len(set(c)))
-                assert len(set(got)) == len(set(smallest))
-                assert got in all_congs and got[a] == got[b]
+        congruences = oracle_congruences(R)
+        pairs = list(itertools.product(range(R.n), repeat=2))
+        for k in range(3):
+            for gens in itertools.combinations(pairs, k):
+                got = congruence_closure(R, list(gens)).blocks
+                assert got == _least_stable_partition(R, congruences, gens), \
+                    (name, gens)
 
 
 def test_quotient_z6_by_mod3_blocks_is_z3():

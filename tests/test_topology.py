@@ -18,10 +18,11 @@ from finsite.colimit import descent_verdict, matching_tuples
 from finsite.finset import (FinSetError, finset, finset_path_limit,
                             finset_presentation, injection)
 from finsite.glue import DiagramPath, GlueError, presentation
-from finsite.records import InvariantError
+from finsite.records import BudgetExceeded, InvariantError
 from finsite.semiring import localize
 from finsite.topology import (
     ContinuousMap,
+    FiniteTopSpace,
     TopologyError,
     continuous_map,
     cover_pairs,
@@ -183,6 +184,19 @@ def test_discrete_space_has_all_subsets_open():
     assert oracle_t0_classes(D) == [0, 1, 2, 3]
     assert D.irreducible_closed_sets() == [frozenset({0}), frozenset({1}),
                                            frozenset({2}), frozenset({3})]
+
+
+def test_opens_listing_stops_past_the_element_budget():
+    # 13 incomparable points have 8,192 down-sets, 14 have 16,384
+    def antichain(n):
+        return FiniteTopSpace(tuple(f"p{i}" for i in range(n)),
+                              tuple(1 << i for i in range(n)))
+    assert len(antichain(13).open_masks) == 8192
+    with pytest.raises(BudgetExceeded) as e:
+        antichain(14).open_masks
+    assert str(e.value) == ("opens listing: a space of 14 points has at "
+                            "least 16384 opens, over the element budget "
+                            "10000")
 
 
 def test_specialization_dot_lists_covers_only():
