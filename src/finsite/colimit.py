@@ -7,9 +7,11 @@ idempotent, R[1/s] is the corner eR, and a -> e*a reaches every e*x == x.
 Along a path of surjections each pushout divides by the image of a
 congruence under a surjection, a reflexive compatible relation whose
 transitive closure is already a congruence.  So the colimit of semirings
-is the colimit of sets: one union-find over the nodes' elements, joining
-x to h(x) for each arrow's hom h.  Gluing spaces runs the same union-find
-over their points and generates the glued order from the charts' orders.
+is the colimit of sets: the equivalence on the nodes' elements that
+joins x to h(x) for each arrow's hom h.  Gluing spaces takes the same
+equivalence of their points and generates the glued order from the
+charts' orders.  Both come from `records._partition` with no tables, the
+routine that closes congruences with the tables + and *.
 
 Both sites decide descent here: `matching_tuples` lists the families
 that agree along given maps, and `descent_verdict` says whether
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .records import InvariantError
+from .records import InvariantError, _partition
 from .topology import (
     TopologyError,
     _bits,
@@ -31,35 +33,13 @@ from .topology import (
 )
 
 
-def _classes(n: int, pairs) -> tuple[list[int], list[int]]:
-    """Classes of the equivalence on range(n) generated by pairs, numbered
-    in the order of their least members; returns the class of each point
-    and the least member of each class."""
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            # the least member stays the root of its class
-            parent[max(ra, rb)] = min(ra, rb)
-    reps = sorted({find(x) for x in range(n)})
-    idx = {r: i for i, r in enumerate(reps)}
-    return [idx[find(x)] for x in range(n)], reps
-
-
-def colimit(nodes, arrows) -> tuple[list[int], list[int]]:
+def colimit(nodes, arrows) -> tuple[list[int], tuple[int, ...]]:
     """The colimit of a path of surjective homs: arrows (i, j, h) carry h
     from nodes[i] to nodes[j].  Returns the offset of each node, whose
     elements are laid out one node after another, and the colimit class
     of each laid-out element."""
     offsets = list(accumulate((R.n for R in nodes), initial=0))
-    of, _ = _classes(offsets[-1], [
+    of = _partition(offsets[-1], [
         (offsets[i] + x, offsets[j] + y)
         for i, j, h in arrows for x, y in enumerate(h.images)])
     return offsets, of
@@ -79,8 +59,8 @@ def glue_along_maps(names, spaces, arrows):
             raise TopologyError("an arrow's map misses its chart spaces")
         pairs += [(offsets[si] + x, offsets[di] + m(x))
                   for x in range(m.source.n)]
-    of, reps = _classes(offsets[-1], pairs)
-    k = len(reps)
+    of = _partition(offsets[-1], pairs)
+    k = max(of, default=-1) + 1
 
     provenance = [[] for _ in range(k)]
     for ci, X in enumerate(spaces):

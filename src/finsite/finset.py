@@ -165,36 +165,26 @@ def _subset_orbit_reps(size: int):
     bitmasks over the 2^n subsets in binary order (bit s set means the
     subset with mask s belongs to the family)."""
     m = 1 << size
-    tables = []
-    for perm in itertools.permutations(range(size)):
-        sub = [sum(1 << perm[i] for i in range(size) if mask & (1 << i))
-               for mask in range(m)]
-        low = [0] * 256
-        for x in range(min(256, 1 << m)):
-            low[x] = sum(1 << sub[s] for s in range(min(8, m))
-                         if x & (1 << s))
-        high = [0] * 256
-        if m > 8:
-            for x in range(256):
-                high[x] = sum(1 << sub[s + 8] for s in range(m - 8)
-                              if x & (1 << s))
-        tables.append((low, high))
+    # each relabeling as the map it induces on subset masks
+    moves = [[sum(1 << perm[i] for i in range(size) if s >> i & 1)
+              for s in range(m)]
+             for perm in itertools.permutations(range(size))]
     seen = set()
     reps = []
     for fam in range(1 << m):
         if fam in seen:
             continue
         reps.append(fam)
-        for low, high in tables:
-            seen.add(low[fam & 255] | high[fam >> 8])
+        members = [s for s in range(m) if fam >> s & 1]
+        seen.update(sum(1 << move[s] for s in members) for move in moves)
     return reps
 
 
 def subcanonicity_sweep(max_a: int = 4, max_y: int = 3) -> dict:
     """For every family of injections into a set of at most max_a elements
     (up to relabeling), compare the sheaf condition against all test sets
-    of at most max_y elements with joint surjectivity of the family.  The
-    orbit tables cover the 16 subsets of a 4-set, and no more."""
+    of at most max_y elements with joint surjectivity of the family.  A
+    5-set has 2^32 families of subsets, too many to sweep."""
     if max_a > 4:
         raise ValueError(f"subcanonicity_sweep covers sets of at most 4 "
                          f"elements, not {max_a}")

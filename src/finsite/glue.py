@@ -9,14 +9,15 @@ some loop does.  The colimit of a closed walk of k steps is the colimit of
 the walk cut open, coequalized along its end legs i_0 and i_k, so the loop
 is glue-safe at that cut exactly when i_0 == i_k: when each x of the start
 chart lands in one class at both ends of the cut-open walk's colimit,
-which `colimit` computes with one union-find (gluing arrows are
-surjective).  A loop can pass at one cut and fail at another, as the
-wedge of two arrows from a point does when cut at the point, so every
-loop is cut at each chart it visits.  A presentation is the record
-`topology._Presentation` that the finite-set site shares.  A glued
-space joins the charts' spaces of one visualization along the maps
+which `colimit` computes with one union-find, `records._partition`
+(gluing arrows are surjective).  A loop can pass at one cut and fail at
+another, as the wedge of two arrows from a point does when cut at the
+point, so every loop is cut at each chart it visits.  A presentation is
+the record `topology._Presentation` that the finite-set site shares.  A
+glued space joins the charts' spaces of one visualization along the maps
 `spectra.visualization_map` pulls back along the arrows' algebra maps,
-through `colimit.glue_along_maps`.
+through `colimit.glue_along_maps`, whose classes come from the same
+`records._partition`.
 Only the atlas of a cover family (`affine_glue_check`) loads `site`, so
 the `glue` command loads neither `site` nor `locales`.  The presentation
 file format and the `glue` handler end the module.
@@ -253,11 +254,10 @@ class GluedSpace(_Record):
             for i in range(self.space.n))
 
 
-def glue_space(P: SPresentation, vis: str = "prime", bound: int = 8,
-               budget: int = DEFAULT_BUDGET) -> GluedSpace:
+def glue_space(P: SPresentation, vis: str = "prime") -> GluedSpace:
     """Glue the chosen visualization of every chart along the arrows.
     Presentations with a monodromy obstruction are refused."""
-    return _glue_checked(P, vis, is_monodromy_free(P, bound, budget))
+    return _glue_checked(P, vis, is_monodromy_free(P))
 
 
 def _glue_checked(P: SPresentation, vis: str,
@@ -284,10 +284,9 @@ class GluedChain(_Record):
     kernel_map_surjective: bool
 
 
-def glued_chain(P: SPresentation, bound: int = 8,
-                budget: int = DEFAULT_BUDGET) -> GluedChain:
+def glued_chain(P: SPresentation) -> GluedChain:
     chains = [visualization_chain(R) for R in P.charts]
-    report = is_monodromy_free(P, bound, budget)
+    report = is_monodromy_free(P)
     levels = tuple(_glue_checked(P, vis, report) for vis in CHAIN_LEVELS)
     # the square of each arrow against each comparison map must commute
     for si, di, h in P.arrows:
@@ -309,15 +308,14 @@ def glued_chain(P: SPresentation, bound: int = 8,
                       len(set(maps[2].images)) == levels[3].space.n)
 
 
-def affine_glue_check(S: CoverFamily, budget: int = DEFAULT_BUDGET
-                      ) -> tuple[bool, ContinuousMap]:
+def affine_glue_check(S: CoverFamily) -> tuple[bool, ContinuousMap]:
     """Glue the prime spectra of the atlas of a family and compare against
     the prime spectrum of the base: each chart is a localization, so its
     spectrum maps into the base spectrum, and those maps must assemble to a
     homeomorphism exactly when the family covers."""
     parts, arrows = _atlas_parts(S)
     P = presentation([(nm, loc.semiring) for nm, loc in parts], arrows)
-    glued = glue_space(P, "prime", budget=budget)
+    glued = glue_space(P, "prime")
     comparison = _map_out_of(
         glued, prime_spectrum(S.base).space,
         [localization_spectrum_map(loc)[0] for _, loc in parts],

@@ -1,6 +1,8 @@
 """The record and map bases every value of finsite derives from, the
 per-record memo of derived data, the invariant and budget errors, the
-names the command-line parser needs, and the count every report prints.
+names the command-line parser needs, the count every report prints, and
+the one partition routine, `_partition`: congruence closure, walk
+colimits and gluing all merge blocks through it.
 
 This module imports nothing of finsite, so a command that builds no
 semiring (`stone`, `simplex`) compiles no semiring code: each layer takes
@@ -120,3 +122,44 @@ class _Map(_Record):
             raise self._error("composition endpoints do not match")
         return type(self)(other.source, self.target,
                           tuple(self.images[i] for i in other.images))
+
+
+def _canon_blocks(parent_of) -> tuple[int, ...]:
+    """Renumber a membership vector by first occurrence."""
+    seen: dict[int, int] = {}
+    out = []
+    for r in parent_of:
+        if r not in seen:
+            seen[r] = len(seen)
+        out.append(seen[r])
+    return tuple(out)
+
+
+def _partition(n: int, pairs, tables=()) -> tuple[int, ...]:
+    """Block ids, numbered by first occurrence, of the smallest partition
+    of range(n) that relates each pair and is stable under every n-by-n
+    table t: x ~ y gives t[x][c] ~ t[y][c] for every c.  With no tables it
+    is the equivalence the pairs generate.  By block merging (Freese,
+    *Computing congruences efficiently*, 2008).
+
+    Each element keeps a block id and each block its members.  Merging the
+    blocks of a and b moves the smaller block into the larger, then queues
+    each table's translates (t[a][c], t[b][c]) whose blocks still differ.
+    Every merged pair's translates end up related, and by transitivity so
+    do those of every pair in a block."""
+    block = list(range(n))
+    members = [[x] for x in range(n)]
+    queue = list(pairs)
+    for a, b in queue:  # the loop also reads the pairs queued inside it
+        keep, gone = block[a], block[b]
+        if keep == gone:
+            continue
+        if len(members[keep]) < len(members[gone]):
+            keep, gone = gone, keep
+        for x in members[gone]:
+            block[x] = keep
+        members[keep] += members[gone]
+        for t in tables:
+            queue += [(x, y) for x, y in zip(t[a], t[b])
+                      if block[x] != block[y]]
+    return _canon_blocks(block)

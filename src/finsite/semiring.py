@@ -3,11 +3,13 @@
 Elements are indices into a label tuple; `add` and `mul` are n-by-n index
 tables.  The one-element semiring (zero == one) is a legal value everywhere
 and is never special-cased away.  Every congruence, joins included, is
-closed by one routine, `congruence_closure`, which merges blocks smaller
-into larger and queues only the translates of a merged pair whose blocks
-still differ.  The record and map bases, the memo of
-derived data and the invariant and budget errors come from `records`, so
-commands that build no semiring do not compile this module.  The
+closed by `congruence_closure`: the smallest partition relating its pairs
+that is stable under the tables + and *, from `records._partition`, which
+merges blocks smaller into larger and queues only the translates of a
+merged pair whose blocks still differ; walk colimits and gluing take
+their classes from the same routine.  The record and map bases, the memo
+of derived data and the invariant and budget errors come from `records`,
+so commands that build no semiring do not compile this module.  The
 handlers of `check` and `localize` end it.
 """
 
@@ -16,8 +18,8 @@ from __future__ import annotations
 import os
 
 # BudgetExceeded is defined in `records` and keeps its name here
-from .records import (BudgetExceeded, InvariantError, _count, _Map, _memo,
-                      _Record)
+from .records import (BudgetExceeded, InvariantError, _canon_blocks, _count,
+                      _Map, _memo, _partition, _Record)
 
 
 class SemiringError(Exception):
@@ -286,48 +288,14 @@ class Congruence(_Record):
                    if self.blocks[a] == self.blocks[b])
 
 
-def _canon_blocks(parent_of) -> tuple[int, ...]:
-    """Renumber a membership vector by first occurrence."""
-    seen: dict[int, int] = {}
-    out = []
-    for r in parent_of:
-        if r not in seen:
-            seen[r] = len(seen)
-        out.append(seen[r])
-    return tuple(out)
-
-
 def diagonal_congruence(R: FiniteSemiring) -> Congruence:
     return Congruence(R, tuple(range(R.n)))
 
 
 def congruence_closure(R: FiniteSemiring, gen_pairs) -> Congruence:
-    """Smallest congruence of R containing the generating pairs, by block
-    merging (Freese, *Computing congruences efficiently*, 2008).
-
-    Each element keeps a block id and each block its members.  Merging the
-    blocks of a and b moves the smaller block into the larger, then queues
-    the translates (a+c, b+c) and (a*c, b*c) whose blocks still differ.
-    Every merged pair's translates end up related, and by transitivity so
-    do those of every pair in a block."""
-    block = list(range(R.n))
-    members = [[x] for x in range(R.n)]
-    add, mul = R.add, R.mul
-    queue = list(gen_pairs)
-    for a, b in queue:  # the loop also reads the pairs queued inside it
-        keep, gone = block[a], block[b]
-        if keep == gone:
-            continue
-        if len(members[keep]) < len(members[gone]):
-            keep, gone = gone, keep
-        for x in members[gone]:
-            block[x] = keep
-        members[keep] += members[gone]
-        queue += [(x, y) for x, y in zip(add[a], add[b])
-                  if block[x] != block[y]]
-        queue += [(x, y) for x, y in zip(mul[a], mul[b])
-                  if block[x] != block[y]]
-    return Congruence(R, _canon_blocks(block))
+    """Smallest congruence of R containing the generating pairs: the
+    smallest partition relating them that is stable under + and *."""
+    return Congruence(R, _partition(R.n, gen_pairs, (R.add, R.mul)))
 
 
 def congruence_join(c1: Congruence, c2: Congruence) -> Congruence:

@@ -16,7 +16,8 @@ kept in its target's record.  The handlers of `spectrum` and
 
 from __future__ import annotations
 
-from .records import FLAVORS, InvariantError, _count, _memo, _Record
+from .records import (FLAVORS, InvariantError, _canon_blocks, _count, _memo,
+                      _Record)
 from .semiring import (
     Congruence,
     FiniteSemiring,
@@ -24,7 +25,6 @@ from .semiring import (
     SemiringHom,
     Localization,
     TableError,
-    _canon_blocks,
     enumerate_congruences,
 )
 from .topology import (

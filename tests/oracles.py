@@ -20,14 +20,14 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 
-from finsite.colimit import _classes, glue_along_maps
+from finsite.colimit import glue_along_maps
 from finsite.finset import (FinSet, Injection, _subsets, face_injection,
                             injection)
 from finsite.glue import (DiagramPath, GlueError, SPresentation, _atlas_parts,
                           _closed_walks, presentation)
 from finsite.locales import FrameError, frame_of_opens, stone_dual
 from finsite.records import (DEFAULT_BUDGET, FLAVORS, InvariantError, _Map,
-                             _Record)
+                             _partition, _Record)
 from finsite.semiring import (AxiomError, BudgetExceeded, Congruence,
                               FiniteSemiring, SemiringError, SemiringHom,
                               TableError, congruence_closure,
@@ -1395,7 +1395,8 @@ def quotient_space(X: FiniteTopSpace, pairs, labels=None) -> tuple[FiniteTopSpac
     """Quotient by the equivalence generated by pairs; opens are exactly the
     sets with open preimage (computed through the projected specialization
     preorder, which finite spaces make exact)."""
-    proj, reps = _classes(X.n, pairs)
+    proj = _partition(X.n, pairs)
+    reps = [proj.index(c) for c in range(max(proj, default=-1) + 1)]
     if labels is None:
         labels = tuple(X.points[r] for r in reps)
     if len(labels) != len(reps):

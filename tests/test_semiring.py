@@ -1,6 +1,7 @@
 """Core semiring machinery against independent brute-force oracles."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from finsite.catalog import (boolean, boolean_pair, catalog, chain,
                              truncated_naturals, zmod)
 import finsite.semiring
-from finsite.records import InvariantError
+from finsite.records import InvariantError, _canon_blocks, _partition
 from finsite.semiring import (AxiomError, Congruence, SemiringError,
                               SemiringHom, TableError, congruence_closure,
                               diagonal_congruence, enumerate_congruences,
@@ -203,6 +204,66 @@ def test_congruence_closure_is_smallest():
                 got = congruence_closure(R, list(gens)).blocks
                 assert got == _least_stable_partition(R, congruences, gens), \
                     (name, gens)
+
+
+def _brute_partition(n, pairs, tables=()):
+    """The relation holding each pair, made reflexive, symmetric,
+    transitive and closed under every table's translates by adding pairs
+    until none is new; blocks numbered by least member."""
+    rel = {(x, x) for x in range(n)} | set(pairs) | {(b, a) for a, b in pairs}
+    while True:
+        new = {(x, z) for x, y in rel for w, z in rel if y == w}
+        new |= {(t[x][c], t[y][c]) for t in tables for x, y in rel
+                for c in range(n)}
+        if new <= rel:
+            break
+        rel |= new
+    least = [min(y for y in range(n) if (x, y) in rel) for x in range(n)]
+    return tuple(sorted(set(least)).index(m) for m in least)
+
+
+def test_partition_is_the_generated_equivalence():
+    rng = random.Random(36)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        pairs = [(rng.randrange(n), rng.randrange(n))
+                 for _ in range(rng.randint(0, 8))]
+        assert _partition(n, pairs) == _brute_partition(n, pairs), \
+            (n, pairs)
+
+
+def test_partition_is_stable_under_its_tables():
+    rng = random.Random(36)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        tables = [[[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+                  for _ in range(rng.randint(1, 2))]
+        pairs = [(rng.randrange(n), rng.randrange(n))
+                 for _ in range(rng.randint(0, 3))]
+        assert _partition(n, pairs, tables) == \
+            _brute_partition(n, pairs, tables), (n, tables, pairs)
+    for name, R in CATALOG:
+        for gens in itertools.combinations(range(R.n), 2):
+            assert _partition(R.n, [gens], (R.add, R.mul)) == \
+                congruence_closure(R, [gens]).blocks, (name, gens)
+
+
+def test_product_congruences_are_products():
+    # every congruence of R x S is c x d for a congruence c of R and d of S
+    rings = [R for _, R in CATALOG] + census_upto(3)
+    checked = 0
+    for R, S in itertools.combinations_with_replacement(rings, 2):
+        if R.n * S.n > 12:
+            continue
+        cs, ds = enumerate_congruences(R), enumerate_congruences(S)
+        got = [c.blocks for c in enumerate_congruences(product_semiring(R, S))]
+        assert len(got) == len(cs) * len(ds), (R, S)
+        assert set(got) == {
+            _canon_blocks((c.blocks[i], d.blocks[j])
+                          for i in range(R.n) for j in range(S.n))
+            for c in cs for d in ds}, (R, S)
+        checked += 1
+    assert checked == 135
 
 
 def test_quotient_z6_by_mod3_blocks_is_z3():

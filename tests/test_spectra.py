@@ -17,9 +17,8 @@ from finsite.catalog import (
     truncated_naturals,
     zmod,
 )
-from finsite.colimit import _classes
 from finsite.finset import finset, simplex_space
-from finsite.records import VISUALIZATIONS
+from finsite.records import VISUALIZATIONS, _partition
 from finsite.semiring import (
     Congruence,
     SemiringError,
@@ -671,8 +670,9 @@ def _components(R, vis) -> int:
     """How many connected components the space of R in visualization vis
     has: classes of the points its specialization order joins."""
     X = finsite.spectra.visualization_space(R, vis)
-    return len(_classes(X.n, [(x, y) for x in range(X.n)
-                              for y in range(X.n) if X.above[x] >> y & 1])[1])
+    return len(set(_partition(X.n, [(x, y) for x in range(X.n)
+                                     for y in range(X.n)
+                                     if X.above[x] >> y & 1])))
 
 
 def _idempotent_atoms(R) -> list[int]:
